@@ -12,8 +12,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import parse_safe_table
 from .core import (
     DataError,
@@ -32,6 +30,7 @@ from .ingest import (
     parse_power_log,
     parse_relation_file,
     parse_timing_log,
+    place_cells,
     save_profile,
 )
 from .report import (
@@ -97,7 +96,8 @@ def _parse_caps(tokens) -> list[PowerCap]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     if len(args.timing) != len(args.power):
         raise UsageError("need one --power log per --timing log")
-    cells: dict[tuple[int, float], tuple[float, float, float]] = {}
+    keys: list[tuple[int, float]] = []
+    points = []
     for timing_path, power_path in zip(args.timing, args.power):
         try:
             timing = parse_timing_log(
@@ -109,26 +109,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             power = parse_power_log(_read(power_path))
         except DataError as exc:
             raise DataError(f"{power_path}: {exc}") from None
-        point = aggregate_point(power, timing, args.s, peak_percentile=args.peak_percentile)
-        key = (timing.batch_size, timing.frequency_mhz)
-        if key in cells:
-            raise DataError(f"{timing_path}: duplicate cell {key}")
-        cells[key] = tuple(point)
+        points.append(aggregate_point(power, timing, args.s, peak_percentile=args.peak_percentile))
+        keys.append((timing.batch_size, timing.frequency_mhz))
 
-    batch_sizes = tuple(sorted({b for b, _ in cells}))
-    frequencies = tuple(sorted({f for _, f in cells}))
-    for b in batch_sizes:
-        for f in frequencies:
-            if (b, f) not in cells:
-                raise DataError(f"missing cell ({b}, {f!r}): grid must be complete")
-
-    shape = (len(batch_sizes), len(frequencies))
-    time = np.zeros(shape)
-    peak = np.zeros(shape)
-    avg = np.zeros(shape)
-    for (b, f), (t_s, peak_w, avg_w) in cells.items():
-        i, j = batch_sizes.index(b), frequencies.index(f)
-        time[i, j], peak[i, j], avg[i, j] = t_s, peak_w, avg_w
+    cell_b, cell_f = zip(*keys)
+    batch_sizes = tuple(sorted(set(cell_b)))
+    frequencies = tuple(sorted(set(cell_f)))
+    placed = place_cells(batch_sizes, frequencies, cell_b, cell_f)
+    if placed.duplicate is not None:
+        raise DataError(f"{args.timing[placed.duplicate]}: duplicate cell {keys[placed.duplicate]}")
+    if placed.missing is not None:
+        b, f = placed.missing
+        raise DataError(f"missing cell ({b}, {f!r}): grid must be complete")
+    time, peak, avg = (placed.fill(column) for column in zip(*points))
     profile = DeviceProfile(
         model_id=args.model_id,
         batch_sizes=batch_sizes,
@@ -140,7 +133,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(save_profile(profile))
-    print(f"wrote {args.out}: {shape[0]}x{shape[1]} grid, model_id={args.model_id}")
+    print(f"wrote {args.out}: {len(batch_sizes)}x{len(frequencies)} grid, model_id={args.model_id}")
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from .core import DataError, DeviceProfile, PowerCap, RelationVector
 DEFAULT_SAMPLING_PERIOD_S = 1.0  # power sensors are read once per second
 DEFAULT_MINIBATCHES = 5
 DEFAULT_WARMUP = 1  # first mini-batch absorbs kernel compilation noise
+_CELL_CHUNK = 1024  # profile cell lines tokenised at a time; bounds load memory
 
 
 class ParseError(DataError):
@@ -326,28 +328,148 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+class CellPlacement(NamedTuple):
+    """Where the cells of a (batch size, frequency) grid land, one entry per cell."""
+
+    index: np.ndarray  # flat row-major grid position i * n_freqs + j of each cell
+    shape: tuple[int, int]
+    duplicate: int | None  # first cell that lands where an earlier cell did
+    missing: tuple[int, float] | None  # first (b, f) grid point no cell covers
+
+    def fill(self, values: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Table holding each cell's value at its grid position."""
+        table = np.empty(self.shape[0] * self.shape[1])
+        table[self.index] = values
+        return table.reshape(self.shape)
+
+
+def place_cells(
+    batch_sizes: Sequence[int],
+    frequencies: Sequence[float],
+    cell_b: Sequence[int],
+    cell_f: Sequence[float],
+) -> CellPlacement:
+    """Place cells on the grid through axis lookups and count occupancy.
+
+    A grid point covered twice or not at all is reported, not raised, so the
+    caller can name the offending line or file.  Raises KeyError for a cell
+    whose batch size or frequency is not on its axis.
+    """
+    batch_pos = {b: i for i, b in enumerate(batch_sizes)}
+    freq_pos = {f: j for j, f in enumerate(frequencies)}
+    shape = (len(batch_sizes), len(frequencies))
+    rows = np.fromiter(map(batch_pos.__getitem__, cell_b), np.intp, len(cell_b))
+    cols = np.fromiter(map(freq_pos.__getitem__, cell_f), np.intp, len(cell_f))
+    index = rows * shape[1] + cols
+    occupancy = np.bincount(index, minlength=shape[0] * shape[1])
+    duplicate = missing = None
+    if occupancy.max(initial=0) > 1:
+        seen: set[int] = set()
+        for k, p in enumerate(index.tolist()):
+            if p in seen:
+                duplicate = k
+                break
+            seen.add(p)
+    gaps = np.flatnonzero(occupancy == 0)
+    if gaps.size:
+        i, j = divmod(int(gaps[0]), shape[1])
+        missing = (batch_sizes[i], frequencies[j])
+    return CellPlacement(index, shape, duplicate, missing)
+
+
 def save_profile(profile: DeviceProfile) -> str:
     """Render a DeviceProfile in the profile file grammar (bit-exact round trip)."""
     if "\n" in profile.model_id or "\r" in profile.model_id:
         raise DataError("model_id must not contain newlines")
-    lines = [f"{profile.model_id},{profile.samples_per_unit}"]
-    lines.append(",".join(str(b) for b in profile.batch_sizes))
-    lines.append(",".join(_fmt(f) for f in profile.frequencies))
-    has_avg = profile.avg_power_table is not None
-    for i, b in enumerate(profile.batch_sizes):
-        for j, f in enumerate(profile.frequencies):
-            cell = [str(b), _fmt(f), _fmt(profile.time_table[i, j]), _fmt(profile.power_table[i, j])]
-            if has_avg:
-                cell.append(_fmt(profile.avg_power_table[i, j]))
-            lines.append(",".join(cell))
-    return "\n".join(lines) + "\n"
+    batch_text = [str(b) for b in profile.batch_sizes]
+    freq_text = [_fmt(f) for f in profile.frequencies]
+    tables = [profile.time_table, profile.power_table]
+    if profile.avg_power_table is not None:
+        tables.append(profile.avg_power_table)
+    lines = [f"{profile.model_id},{profile.samples_per_unit}", ",".join(batch_text), ",".join(freq_text)]
+    # One batch row at a time keeps the rendered numbers small; tolist()
+    # yields Python floats, so repr renders exactly as _fmt does.
+    for b, *rows in zip(batch_text, *tables):
+        values = (map(repr, row.tolist()) for row in rows)
+        lines.extend(map(",".join, zip(repeat(b), freq_text, *values)))
+    lines.append("")  # trailing newline
+    return "\n".join(lines)
+
+
+def _parse_each(convert: Callable[[str], object], tokens: list[str]):
+    """``convert`` applied to each token; axis tokens repeat, so each distinct one is parsed once."""
+    parsed = {tok: convert(tok) for tok in set(tokens)}
+    return map(parsed.__getitem__, tokens)
+
+
+def _cell_columns(cells: list[str]) -> tuple[list[int], list[float], np.ndarray]:
+    """Batch sizes, frequencies and value rows of the cell lines.
+
+    Raises ValueError on any malformed line without saying which; the
+    caller finds it with ``_first_cell_fault``.
+    """
+    widths = {line.count(",") + 1 for line in cells} or {4}
+    if widths != {4} and widths != {5}:
+        raise ValueError("cell lines disagree on their field count")
+    (width,) = widths
+    cell_b: list[int] = []
+    cell_f: list[float] = []
+    values = np.empty((width - 2, len(cells)))
+    for start in range(0, len(cells), _CELL_CHUNK):
+        chunk = cells[start : start + _CELL_CHUNK]
+        tokens = ",".join(chunk).split(",")
+        cell_b += _parse_each(int, tokens[0::width])
+        cell_f += _parse_each(float, tokens[1::width])
+        for k in range(2, width):
+            # np.array parses each token exactly as float() does
+            values[k - 2, start : start + len(chunk)] = np.array(tokens[k::width], dtype=float)
+    return cell_b, cell_f, values
+
+
+def _first_cell_fault(
+    numbered_cells: Iterable[tuple[int, str]],
+    batch_sizes: Sequence[int],
+    frequencies: Sequence[float],
+) -> ParseError | None:
+    """Check cell lines one at a time, in file order; the first faulty line's error."""
+    batch_set, freq_set = set(batch_sizes), set(frequencies)
+    seen: set[tuple[int, float]] = set()
+    n_fields: int | None = None
+    for n, line in numbered_cells:
+        fields = line.split(",")
+        if len(fields) not in (4, 5):
+            return ParseError(n, f"expected b,f_mhz,t_s_seconds,peak_w[,avg_w], got {line!r}")
+        if n_fields is None:
+            n_fields = len(fields)
+        elif len(fields) != n_fields:
+            return ParseError(n, "mixed avg_w column: all cells must agree")
+        try:
+            b = int(fields[0])
+            f = float(fields[1])
+            for tok in fields[2:]:
+                float(tok)
+        except ValueError:
+            return ParseError(n, f"invalid cell values in {line!r}")
+        if b not in batch_set:
+            return ParseError(n, f"cell batch size {b} not on axis")
+        if f not in freq_set:
+            return ParseError(n, f"cell frequency {f!r} not on axis")
+        if (b, f) in seen:
+            return ParseError(n, f"duplicate cell ({b}, {f!r})")
+        seen.add((b, f))
+    return None
 
 
 def load_profile(text: str | Iterable[str]) -> DeviceProfile:
-    """Parse the profile file grammar back into a validated DeviceProfile."""
-    lines = iter(_numbered_lines(text))
+    """Parse the profile file grammar back into a validated DeviceProfile.
+
+    Cell lines may come in any order.  Any malformed cell line raises a
+    ParseError naming the first such line in the file.
+    """
+    lines = text.splitlines() if isinstance(text, str) else list(text)
+    numbered = _numbered_lines(lines)
     try:
-        n, header = next(lines)
+        n, header = next(numbered)
     except StopIteration:
         raise DataError("empty profile file") from None
     model_id, sep, s_text = header.rpartition(",")
@@ -359,60 +481,40 @@ def load_profile(text: str | Iterable[str]) -> DeviceProfile:
         raise ParseError(n, f"invalid sample count {s_text!r}") from None
 
     try:
-        n, batch_line = next(lines)
+        n, batch_line = next(numbered)
         batch_sizes = tuple(int(tok) for tok in batch_line.split(","))
-        n, freq_line = next(lines)
+        n, freq_line = next(numbered)
         frequencies = tuple(float(tok) for tok in freq_line.split(","))
     except StopIteration:
         raise DataError("profile file missing axis lines") from None
     except ValueError:
         raise ParseError(n, "invalid axis line") from None
 
-    batch_pos = {b: i for i, b in enumerate(batch_sizes)}
-    freq_pos = {f: j for j, f in enumerate(frequencies)}
-    shape = (len(batch_sizes), len(frequencies))
-    time = np.full(shape, np.nan)
-    power = np.full(shape, np.nan)
-    avg = np.full(shape, np.nan)
-    n_fields: int | None = None
-    for n, line in lines:
-        fields = line.split(",")
-        if len(fields) not in (4, 5):
-            raise ParseError(n, f"expected b,f_mhz,t_s_seconds,peak_w[,avg_w], got {line!r}")
-        if n_fields is None:
-            n_fields = len(fields)
-        elif len(fields) != n_fields:
-            raise ParseError(n, "mixed avg_w column: all cells must agree")
-        try:
-            b = int(fields[0])
-            f = float(fields[1])
-            values = [float(tok) for tok in fields[2:]]
-        except ValueError:
-            raise ParseError(n, f"invalid cell values in {line!r}") from None
-        if b not in batch_pos:
-            raise ParseError(n, f"cell batch size {b} not on axis")
-        if f not in freq_pos:
-            raise ParseError(n, f"cell frequency {f!r} not on axis")
-        i, j = batch_pos[b], freq_pos[f]
-        if not np.isnan(time[i, j]):
-            raise ParseError(n, f"duplicate cell ({b}, {f!r})")
-        time[i, j] = values[0]
-        power[i, j] = values[1]
-        if len(values) == 3:
-            avg[i, j] = values[2]
-
-    missing = np.argwhere(np.isnan(time))
-    if missing.size:
-        i, j = missing[0]
-        raise DataError(f"missing cell ({batch_sizes[int(i)]}, {frequencies[int(j)]!r})")
+    # Cells are parsed column by column; on any fault a line-by-line re-check
+    # of the remaining lines names the first faulty one.  ``cells`` holds the
+    # lines _numbered_lines would yield, without their numbers.
+    cells = [line for line in map(str.strip, islice(lines, n, None)) if line and line[0] != "#"]
+    try:
+        cell_b, cell_f, values = _cell_columns(cells)
+        placed = place_cells(batch_sizes, frequencies, cell_b, cell_f)
+        if placed.duplicate is not None:
+            raise ValueError("duplicate cell")
+    except (ValueError, KeyError):
+        fault = _first_cell_fault(numbered, batch_sizes, frequencies)
+        if fault is None:
+            raise  # the two checks disagree: a defect here, not in the file
+        raise fault from None
+    if placed.missing is not None:
+        b, f = placed.missing
+        raise DataError(f"missing cell ({b}, {f!r})")
     return DeviceProfile(
         model_id=model_id,
         batch_sizes=batch_sizes,
         frequencies=frequencies,
-        time_table=time,
-        power_table=power,
+        time_table=placed.fill(values[0]),
+        power_table=placed.fill(values[1]),
         samples_per_unit=s,
-        avg_power_table=avg if n_fields == 5 else None,
+        avg_power_table=placed.fill(values[2]) if len(values) == 3 else None,
     )
 
 

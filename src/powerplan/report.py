@@ -37,6 +37,10 @@ POLICY_ORDER = ("baseline1", "baseline2", "ours", "fastest")
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
 
+# Longest cap ladder cap_range builds: a sweep runs one selection per cap, and
+# a ladder over any real device's watt range needs a few hundred at most.
+MAX_CAP_LADDER = 10_000
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -250,8 +254,10 @@ def cap_range(p_max_min: float, p_max_max: float, step: float) -> list[PowerCap]
     """Inclusive arithmetic cap ladder; tolerates float step accumulation."""
     if not (p_max_min > 0 and p_max_max >= p_max_min and step > 0):
         raise DataError("cap range requires 0 < min <= max and step > 0")
-    n_steps = int(math.floor((p_max_max - p_max_min) / step + 1e-9))
-    return [PowerCap(p_max_min + k * step) for k in range(n_steps + 1)]
+    n_steps = (p_max_max - p_max_min) / step + 1e-9
+    if not n_steps < MAX_CAP_LADDER:  # also rejects an infinite span
+        raise DataError(f"cap range would hold more than {MAX_CAP_LADDER} caps; use a larger step")
+    return [PowerCap(p_max_min + k * step) for k in range(int(math.floor(n_steps)) + 1)]
 
 
 def _fmt_cap(p_max_w: float) -> str:

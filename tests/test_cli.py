@@ -58,6 +58,16 @@ class TestIngestCommand:
         assert main(args) == 3
         assert "missing cell" in capsys.readouterr().err
 
+    def test_duplicate_point_names_timing_log(self, data_dir, tmp_path, capsys):
+        again = tmp_path / "timing_again.csv"
+        again.write_bytes((data_dir / "timing_b32_f614.csv").read_bytes())
+        args = ingest_args(data_dir, tmp_path / "p.csv")
+        args.insert(args.index("--power"), str(again))
+        args.insert(args.index("--s"), str(data_dir / "power_b32_f614.csv"))
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "timing_again.csv: duplicate cell (32, 614.0)" in err
+
     def test_warmup_and_m_overrides_change_output(self, data_dir, tmp_path):
         base = tmp_path / "base.csv"
         tweaked = tmp_path / "tweaked.csv"

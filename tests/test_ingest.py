@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
@@ -262,6 +262,69 @@ class TestProfilePersistence:
         text = "m,4\n8\n100.0\n8,100.0,-1.0,1.0\n"
         with pytest.raises(pp.DataError, match="strictly positive"):
             pp.load_profile(text)
+
+    def test_nan_cell_rejected_as_non_finite(self):
+        text = "m,4\n8\n100.0\n8,100.0,nan,1.0\n"
+        with pytest.raises(pp.DataError, match="finite and strictly positive"):
+            pp.load_profile(text)
+
+    def test_duplicate_of_nan_cell_names_duplicate_line(self):
+        text = "m,4\n8\n100.0\n8,100.0,nan,1.0\n8,100.0,1.0,1.0\n"
+        with pytest.raises(pp.ParseError, match=r"line 5: duplicate cell \(8, 100.0\)"):
+            pp.load_profile(text)
+
+    @pytest.mark.parametrize(
+        "token", ["1_0", "+2", " 3 ", "\u0664.5", "1e-3", ".5", "5.", "0x10", "1__0", "1e", "", "\u00bd"]
+    )
+    def test_value_tokens_follow_float_grammar(self, token):
+        text = f"m,4\n8\n100.0\n8,100.0,{token},1.0\n"
+        try:
+            expected = float(token)
+        except ValueError:
+            with pytest.raises(pp.ParseError, match="line 4: invalid cell values"):
+                pp.load_profile(text)
+        else:
+            assert pp.load_profile(text).time_table[0, 0] == expected
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cell_order_comments_and_blanks_do_not_matter(self, seed, data):
+        profile, _ = random_profile(np.random.default_rng(seed), max_batches=4, max_freqs=6)
+        lines = pp.save_profile(profile).splitlines()
+        lines[3:] = data.draw(st.permutations(lines[3:]))
+        noise = data.draw(
+            st.lists(st.sampled_from(["", "   ", "# note", "#8,1.0,x"]), min_size=len(lines), max_size=len(lines))
+        )
+        text = "\n".join(line for pair in zip(noise, lines) for line in pair)
+        assert pp.load_profile(text) == profile
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_of_two_faulty_lines_is_named(self, seed, token_first, data):
+        profile, _ = random_profile(np.random.default_rng(seed), max_batches=4, max_freqs=6)
+        lines = pp.save_profile(profile).splitlines()
+        n_cells = len(lines) - 3
+        assume(n_cells >= 3)
+        k = data.draw(st.integers(1, n_cells - 2))  # cell index of the first fault
+        later = data.draw(st.integers(k + 1, n_cells - 1))
+
+        def bad_token(cell: int) -> None:
+            fields = lines[3 + cell].split(",")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(["x", "", "1..0"]))
+            lines[3 + cell] = ",".join(fields)
+
+        def duplicate(cell: int) -> None:
+            lines[3 + cell] = lines[3 + data.draw(st.integers(0, cell - 1))]
+
+        first, second = (bad_token, duplicate) if token_first else (duplicate, bad_token)
+        first(k)
+        with pytest.raises(pp.ParseError) as alone:
+            pp.load_profile("\n".join(lines))
+        assert alone.value.line_no == 4 + k
+        second(later)
+        with pytest.raises(pp.ParseError) as both:
+            pp.load_profile("\n".join(lines))
+        assert str(both.value) == str(alone.value)
 
     def test_bad_header(self):
         with pytest.raises(pp.ParseError, match="header"):

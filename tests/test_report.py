@@ -224,6 +224,16 @@ class TestBuildSweep:
         with pytest.raises(pp.DataError):
             pp.cap_range(1.0, 5.0, 0.0)
 
+    def test_cap_range_length_bounded(self):
+        # Imported before any call, so a powerplan without the bound fails here
+        # instead of building the unbounded ladder.
+        from powerplan.report import MAX_CAP_LADDER
+
+        assert len(pp.cap_range(1.0, float(MAX_CAP_LADDER), 1.0)) == MAX_CAP_LADDER
+        for args in [(1.0, float(MAX_CAP_LADDER + 1), 1.0), (0.001, 1e6, 1e-3), (1.0, math.inf, 1.0)]:
+            with pytest.raises(pp.DataError, match=f"more than {MAX_CAP_LADDER} caps"):
+                pp.cap_range(*args)
+
 
 class TestRendering:
     def test_comparison_csv_caps_rendered(self, profile_flip, relation_small, safe_small):
