@@ -27,10 +27,11 @@ from .core import (
     RelationVector,
     SelectionResult,
     _check_relation_keys,
-    _is_tie,
-    _max_feasible_index_scan,
+    _energy_at,
+    _feasible_index,
+    _frontier,
+    _last_near_min,
     _pick,
-    feasible_combinations,
 )
 from .ingest import ParseError, _numbered_lines
 
@@ -114,17 +115,12 @@ def compute_safe_table(
         worst = np.maximum(worst, p.power_table.max(axis=0))
     entries: dict[float, float] = {}
     for cap in caps:
-        j = _max_feasible_index_scan(worst, cap.p_max)
-        if j is None:
+        # The column-wise worst case of non-decreasing rows is non-decreasing.
+        j = int(_feasible_index(worst, cap.p_max))
+        if j < 0:
             raise DataError(f"no frequency is safe under cap {cap}")
         entries[cap.p_max] = freqs[j]
     return SafeFrequencyTable(entries)
-
-
-def _energy_at(profile: DeviceProfile, i: int, j: int, tt: float) -> float | None:
-    if profile.avg_power_table is None:
-        return None
-    return float(profile.avg_power_table[i, j] * tt)
 
 
 def baseline1_select(
@@ -180,19 +176,10 @@ def baseline2_select(
         raise DataError(f"relation vector incomplete: no entry for batch size {missing[0]}")
     f = safe.frequency_for(cap)
     j = profile.frequency_index(f)
-    best_b: int | None = None
-    best_ratio = 0.0
-    for b in profile.batch_sizes:
-        ratio = r.entries[b]
-        if best_b is None:
-            best_b, best_ratio = b, ratio
-        elif _is_tie(ratio, best_ratio):
-            if b > best_b:
-                best_b, best_ratio = b, ratio
-        elif ratio < best_ratio:
-            best_b, best_ratio = b, ratio
-    i = profile.batch_index(best_b)
-    tt = float(profile.time_table[i, j] * best_ratio)
+    ratios = np.array([r.entries[b] for b in profile.batch_sizes], dtype=float)
+    i = _last_near_min(ratios)
+    best_b = profile.batch_sizes[i]
+    tt = float(profile.time_table[i, j] * ratios[i])
     return SelectionResult(
         batch_size=best_b,
         frequency_mhz=f,
@@ -222,8 +209,9 @@ def fastest_configuration(
     unknown = set(true_counts) - set(profile.batch_sizes)
     if unknown:
         raise DataError(f"true counts name batch sizes not in profile: {sorted(unknown)}")
-    feasible = feasible_combinations(profile, cap)
-    return _pick(profile, true_counts, feasible.pairs, "fastest", missing_label="true counts")
+    return _pick(
+        profile, true_counts, *_frontier(profile, cap.p_max), "fastest", missing_label="true counts"
+    )
 
 
 def energy_estimate(
@@ -241,5 +229,4 @@ def energy_estimate(
         raise DataError(f"invalid count for batch size {result.batch_size}: {ratio_or_count!r}")
     i = profile.batch_index(result.batch_size)
     j = profile.frequency_index(result.frequency_mhz)
-    tt = float(profile.time_table[i, j] * ratio_or_count)
-    return float(profile.avg_power_table[i, j] * tt)
+    return _energy_at(profile, i, j, float(profile.time_table[i, j] * ratio_or_count))

@@ -297,46 +297,26 @@ def relation_vector(counts: Mapping[int, float], source_id: str = "counts") -> R
     return RelationVector({b: count / worst for b, count in counts.items()}, source_id=source_id)
 
 
-def _max_feasible_index_scan(power_row: np.ndarray, p_max: float) -> int | None:
-    # Reference path: exhaustive scan keeping the last feasible index.  Does
-    # not rely on the row being sorted.
-    best = None
-    for j, watts in enumerate(power_row):
-        if watts < p_max:
-            best = j
-    return best
+def _feasible_index(power: np.ndarray, p_max: float) -> np.ndarray:
+    """Per power row, the highest index with peak power < p_max, or -1 for none.
+
+    Exact because rows are validated non-decreasing: each row's feasible
+    cells form a prefix, so counting them locates its end.
+    """
+    return np.count_nonzero(power < p_max, axis=-1) - 1
 
 
-def _max_feasible_index_bisect(power_row: np.ndarray, p_max: float) -> int | None:
-    # Fast path: the row is non-decreasing (validated on load), so the
-    # feasible prefix length can be found by binary search.
-    lo, hi = 0, len(power_row)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if power_row[mid] < p_max:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo - 1 if lo else None
+def _frontier(profile: DeviceProfile, p_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Batch indices with a feasible frequency, and that highest frequency index."""
+    cols = _feasible_index(profile.power_table, p_max)
+    rows = np.flatnonzero(cols >= 0)
+    return rows, cols[rows]
 
 
 def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> FeasibleSet:
     """Collect, per batch size, the highest frequency with peak power < cap."""
-    pairs = []
-    for i in range(len(profile.batch_sizes)):
-        j = _max_feasible_index_scan(profile.power_table[i], cap.p_max)
-        if j is not None:
-            pairs.append((i, j))
-    return FeasibleSet(tuple(pairs))
-
-
-def _feasible_pairs_bisect(profile: DeviceProfile, cap: PowerCap) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for i in range(len(profile.batch_sizes)):
-        j = _max_feasible_index_bisect(profile.power_table[i], cap.p_max)
-        if j is not None:
-            pairs.append((i, j))
-    return tuple(pairs)
+    rows, cols = _frontier(profile, cap.p_max)
+    return FeasibleSet(tuple(zip(rows.tolist(), cols.tolist())))
 
 
 def estimate_tt_acc(
@@ -360,8 +340,16 @@ def estimate_tt_acc(
     return float(profile.time_table[i, j] * ratio)
 
 
-def _is_tie(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_REL_TOL * max(abs(a), abs(b))
+def _last_near_min(values: np.ndarray) -> int:
+    """Index of the last entry within TIE_REL_TOL of the global minimum.
+
+    Ties are judged against the minimum itself, never against a running
+    best, so the result does not depend on scan order.
+    """
+    low = values.min()
+    if low == math.inf:  # infinite counts: SelectionResult rejects the estimate
+        return len(values) - 1
+    return int(np.flatnonzero(values - low <= TIE_REL_TOL * values)[-1])
 
 
 def _energy_at(profile: DeviceProfile, i: int, j: int, tt: float) -> float | None:
@@ -381,61 +369,49 @@ def _check_relation_keys(profile: DeviceProfile, r: RelationVector) -> None:
 def _pick(
     profile: DeviceProfile,
     multipliers: Mapping[int, float],
-    pairs: tuple[tuple[int, int], ...],
+    rows: np.ndarray,
+    cols: np.ndarray,
     policy_tag: str,
     missing_label: str = "relation vector",
 ) -> SelectionResult:
-    """Argmin of time * multiplier over candidate pairs, deterministic ties.
+    """Argmin of time * multiplier over the cells (rows[k], cols[k]).
 
-    Ties within TIE_REL_TOL go to the larger batch size, then the higher
-    frequency: equal time, fewer optimizer steps.
+    Cells come in ascending (i, j) order.  Every cell within TIE_REL_TOL of
+    the minimum ties, and the last one wins: the larger batch size, then the
+    higher frequency (equal time, fewer optimizer steps).
     """
-    if not pairs:
+    if not len(rows):
         raise InfeasibleError("no configuration satisfies power cap")
-    best: tuple[float, int, float, int, int] | None = None
-    for i, j in pairs:
-        b = profile.batch_sizes[i]
-        f = profile.frequencies[j]
-        mult = multipliers.get(b)
-        if mult is None:
-            raise DataError(f"{missing_label} incomplete: no entry for batch size {b}")
-        tt = float(profile.time_table[i, j] * mult)
-        if best is None:
-            best = (tt, b, f, i, j)
-        elif _is_tie(tt, best[0]):
-            if (b, f) > (best[1], best[2]):
-                best = (tt, b, f, i, j)
-        elif tt < best[0]:
-            best = (tt, b, f, i, j)
-    tt, b, f, i, j = best
+    batches = [profile.batch_sizes[i] for i in rows.tolist()]
+    mults = list(map(multipliers.get, batches))
+    if None in mults:
+        b = batches[mults.index(None)]
+        raise DataError(f"{missing_label} incomplete: no entry for batch size {b}")
+    tts = profile.time_table[rows, cols] * np.array(mults, dtype=float)
+    k = _last_near_min(tts)
+    i, j, tt = int(rows[k]), int(cols[k]), float(tts[k])
     return SelectionResult(
-        batch_size=b,
-        frequency_mhz=f,
+        batch_size=batches[k],
+        frequency_mhz=profile.frequencies[j],
         estimated_tt_acc=tt,
-        feasible_count=len(pairs),
+        feasible_count=len(rows),
         policy_tag=policy_tag,
         estimated_energy=_energy_at(profile, i, j, tt),
     )
 
 
-def select_configuration(
+def select_configuration_fast(
     profile: DeviceProfile, r: RelationVector, cap: PowerCap
 ) -> SelectionResult:
     """Pick the feasible (batch size, frequency) minimizing estimated time to accuracy.
 
-    Reference implementation: linear scan over the whole power table.  Raises
-    InfeasibleError when nothing stays under the cap and DataError when the
-    relation vector misses a feasible batch size (silent shrinking of the
-    search space would mask data bugs).
+    Raises InfeasibleError when nothing stays under the cap and DataError
+    when the relation vector misses a feasible batch size (silent shrinking
+    of the search space would mask data bugs).
     """
     _check_relation_keys(profile, r)
-    feasible = feasible_combinations(profile, cap)
-    return _pick(profile, r.entries, feasible.pairs, "ours")
+    return _pick(profile, r.entries, *_frontier(profile, cap.p_max), "ours")
 
 
-def select_configuration_fast(
-    profile: DeviceProfile, r: RelationVector, cap: PowerCap
-) -> SelectionResult:
-    """Same contract as select_configuration; binary search per power row."""
-    _check_relation_keys(profile, r)
-    return _pick(profile, r.entries, _feasible_pairs_bisect(profile, cap), "ours")
+# The README documents both names; one kernel serves them.
+select_configuration = select_configuration_fast

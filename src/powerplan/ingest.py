@@ -379,7 +379,8 @@ def place_cells(
 
 def save_profile(profile: DeviceProfile) -> str:
     """Render a DeviceProfile in the profile file grammar (bit-exact round trip)."""
-    if "\n" in profile.model_id or "\r" in profile.model_id:
+    # load_profile splits on every break str.splitlines knows, not only \n and \r.
+    if len(f"{profile.model_id},".splitlines()) > 1:
         raise DataError("model_id must not contain newlines")
     batch_text = [str(b) for b in profile.batch_sizes]
     freq_text = [_fmt(f) for f in profile.frequencies]

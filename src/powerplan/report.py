@@ -29,6 +29,7 @@ from .core import (
     PowerCap,
     RelationVector,
     SelectionResult,
+    _energy_at,
     select_configuration_fast,
 )
 
@@ -174,13 +175,9 @@ def build_comparison(
                     ComparisonRow(cap.p_max, tag, None, None, None, None, None, None, STATUS_INFEASIBLE)
                 )
                 continue
-            if profile.avg_power_table is None:
-                energy = None
-            else:
-                i = profile.batch_index(sel.batch_size)
-                j = profile.frequency_index(sel.frequency_mhz)
-                tt_for_energy = basis[tag]
-                energy = float(profile.avg_power_table[i, j] * tt_for_energy)
+            i = profile.batch_index(sel.batch_size)
+            j = profile.frequency_index(sel.frequency_mhz)
+            energy = _energy_at(profile, i, j, basis[tag])
             speedup = None if anchor is None else anchor / basis[tag]
             rows.append(
                 ComparisonRow(

@@ -6,9 +6,12 @@ own seed and the whole corpus is reproducible.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 import powerplan as pp
+from powerplan.core import TIE_REL_TOL
 
 
 def random_device_params(rng: np.random.Generator) -> pp.SynthDeviceParams:
@@ -115,3 +118,61 @@ def brute_force_min_estimate(
                 if best is None or tt < best:
                     best = tt
     return best
+
+
+def plant_duplicate_row(rng: np.random.Generator, profile: pp.DeviceProfile) -> tuple[pp.DeviceProfile, int]:
+    """Copy batch row k-1 over row k for a random k >= 1; returns (profile, k).
+
+    The copy keeps every monotonicity invariant, and with equal multipliers
+    for the two batch sizes their estimates tie exactly.
+    """
+    k = int(rng.integers(1, len(profile.batch_sizes)))
+
+    def dup(table):
+        if table is None:
+            return None
+        out = np.array(table)
+        out[k] = out[k - 1]
+        return out
+
+    return (
+        dataclasses.replace(
+            profile,
+            time_table=dup(profile.time_table),
+            power_table=dup(profile.power_table),
+            avg_power_table=dup(profile.avg_power_table),
+        ),
+        k,
+    )
+
+
+def brute_force_select(
+    profile: pp.DeviceProfile, multipliers, cap: pp.PowerCap, policy_tag: str = "ours"
+) -> pp.SelectionResult | None:
+    """The documented selection rule by exhaustive scan; None when nothing fits.
+
+    Candidates are, per batch size, the highest frequency under the cap
+    (found without assuming sorted rows).  Of those, in ascending (batch,
+    frequency) order, the last whose estimate lies within TIE_REL_TOL of the
+    global minimum wins.
+    """
+    frontier = brute_force_feasible(profile, cap)
+    if not frontier:
+        return None
+    cells = []
+    for i, j in sorted(frontier.items()):
+        tt = float(profile.time_table[i, j] * multipliers[profile.batch_sizes[i]])
+        cells.append((i, j, tt))
+    best = min(tt for _, _, tt in cells)
+    i, j, tt = [c for c in cells if c[2] - best <= TIE_REL_TOL * c[2]][-1]
+    energy = None
+    if profile.avg_power_table is not None:
+        energy = float(profile.avg_power_table[i, j] * tt)
+    return pp.SelectionResult(
+        batch_size=profile.batch_sizes[i],
+        frequency_mhz=profile.frequencies[j],
+        estimated_tt_acc=tt,
+        feasible_count=len(cells),
+        policy_tag=policy_tag,
+        estimated_energy=energy,
+    )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,22 @@ class TestBaseline2:
         assert (b2.batch_size, b2.frequency_mhz) == (b1.batch_size, b1.frequency_mhz)
         assert b2.estimated_tt_acc == b1.estimated_tt_acc
 
+    def test_near_tie_chain_judged_against_global_minimum(self):
+        # b=3 is within tolerance of b=2 but not of the minimum at b=1
+        prof = pp.DeviceProfile(
+            model_id="chain",
+            batch_sizes=(1, 2, 3, 4),
+            frequencies=(307.0,),
+            time_table=[[4.0], [4.0], [4.0], [4.0]],
+            power_table=[[2.0], [2.0], [2.0], [2.0]],
+            samples_per_unit=64,
+        )
+        r = pp.RelationVector({1: 0.5, 2: 0.5 * (1.0 + 0.9e-9), 3: 0.5 * (1.0 + 1.8e-9), 4: 1.0})
+        safe = pp.SafeFrequencyTable({5.0: 307.0})
+        sel = pp.baseline2_select(prof, r, pp.PowerCap(5.0), safe)
+        assert sel.batch_size == 2
+        assert sel.estimated_tt_acc == 4.0 * r.entries[2]
+
     def test_requires_full_profile_coverage(self, profile_joint, safe_shared):
         partial = pp.RelationVector({64: 1.0})
         with pytest.raises(pp.DataError, match="relation vector incomplete"):
@@ -155,6 +173,11 @@ class TestFastestConfiguration:
             pp.fastest_configuration(profile_flip, {8: -1, 32: 5}, pp.PowerCap(4.5))
         with pytest.raises(pp.DataError, match="not in profile"):
             pp.fastest_configuration(profile_flip, {8: 1, 32: 2, 999: 3}, pp.PowerCap(4.5))
+
+    def test_infinite_estimates_rejected(self, profile_flip):
+        # a counts file may hold "inf"; no estimate is then finite
+        with pytest.raises(pp.DataError, match="positive and finite"):
+            pp.fastest_configuration(profile_flip, {8: math.inf, 32: math.inf}, pp.PowerCap(7.0))
 
     def test_upper_bound_against_distorted_proxies(self):
         rng = np.random.default_rng(71)

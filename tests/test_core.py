@@ -11,6 +11,8 @@ from powerplan.core import _pick
 from synth_corpus import (
     brute_force_feasible,
     brute_force_min_estimate,
+    brute_force_select,
+    plant_duplicate_row,
     random_cap,
     random_counts,
     random_profile,
@@ -266,6 +268,8 @@ class TestSelectConfiguration:
 
 
 class TestFastPathEquivalence:
+    """``select_configuration`` is an alias; both names must match the oracle."""
+
     def test_named_cases(self, profile_joint, profile_flip, relation_uniform, relation_small):
         cases = [
             (profile_joint, relation_uniform, pp.PowerCap(5.0)),
@@ -273,29 +277,45 @@ class TestFastPathEquivalence:
             (profile_flip, relation_small, pp.PowerCap(7.0)),
         ]
         for prof, r, cap in cases:
-            slow = pp.select_configuration(prof, r, cap)
-            fast = pp.select_configuration_fast(prof, r, cap)
-            assert slow == fast
+            expected = brute_force_select(prof, r.entries, cap)
+            assert pp.select_configuration(prof, r, cap) == expected
+            assert pp.select_configuration_fast(prof, r, cap) == expected
 
     def test_single_frequency_rows_degenerate(self):
         prof = tiny_profile([[10.0], [8.0]], [[2.0], [3.0]], batch_sizes=(8, 16))
         r = pp.relation_vector({8: 3, 16: 4})
         cap = pp.PowerCap(2.5)
-        assert pp.select_configuration_fast(prof, r, cap) == pp.select_configuration(prof, r, cap)
+        assert pp.select_configuration_fast(prof, r, cap) == brute_force_select(prof, r.entries, cap)
 
     def test_random_corpus_identical(self):
+        # Half the profiles carry a planted duplicate row with equal
+        # multipliers, so exact ties at the minimum occur.
         rng = np.random.default_rng(22)
-        for _ in range(300):
+        decisive_ties = 0
+        for n in range(1000):
             profile, _ = random_profile(rng)
-            r = random_relation(rng, profile.batch_sizes)
+            counts = random_counts(rng, profile.batch_sizes)
+            if n % 2 and len(profile.batch_sizes) > 1:
+                profile, k = plant_duplicate_row(rng, profile)
+                counts[profile.batch_sizes[k]] = counts[profile.batch_sizes[k - 1]]
+            r = pp.relation_vector(counts)
             cap = random_cap(rng, profile)
-            try:
-                slow = pp.select_configuration(profile, r, cap)
-            except pp.InfeasibleError:
-                with pytest.raises(pp.InfeasibleError):
-                    pp.select_configuration_fast(profile, r, cap)
-                continue
-            assert pp.select_configuration_fast(profile, r, cap) == slow
+            for select, arg, multipliers, tag in (
+                (pp.select_configuration_fast, r, r.entries, "ours"),
+                (pp.fastest_configuration, counts, counts, "fastest"),
+            ):
+                expected = brute_force_select(profile, multipliers, cap, tag)
+                if expected is None:
+                    with pytest.raises(pp.InfeasibleError):
+                        select(profile, arg, cap)
+                    continue
+                assert select(profile, arg, cap) == expected
+                i = profile.batch_index(expected.batch_size)
+                decisive_ties += bool(
+                    i and np.array_equal(profile.time_table[i], profile.time_table[i - 1])
+                    and multipliers[profile.batch_sizes[i - 1]] == multipliers[expected.batch_size]
+                )
+        assert decisive_ties >= 100  # the planted ties must reach the argmin
 
 
 class TestTieBreaking:
@@ -319,7 +339,7 @@ class TestTieBreaking:
         prof = tiny_profile(
             [[10.0, 10.0]], [[2.0, 2.0]], frequencies=(100.0, 200.0)
         )
-        sel = _pick(prof, {32: 1.0}, ((0, 0), (0, 1)), "ours")
+        sel = _pick(prof, {32: 1.0}, np.array([0, 0]), np.array([0, 1]), "ours")
         assert sel.frequency_mhz == 200.0
 
     def test_near_ties_within_tolerance_are_deterministic(self):
@@ -332,6 +352,22 @@ class TestTieBreaking:
         r = pp.RelationVector({8: 1.0, 16: 1.0})
         sel = pp.select_configuration(prof, r, pp.PowerCap.unlimited())
         assert sel.batch_size == 16
+
+    def test_near_tie_chain_judged_against_global_minimum(self):
+        # b=2 is within tolerance of the minimum at b=1; b=3 is within
+        # tolerance of b=2 but 1.8e-9 relative above the minimum, so a tie
+        # judged against the running best would drift to it.
+        t = 10.0
+        prof = tiny_profile(
+            [[t], [t * (1.0 + 0.9e-9)], [t * (1.0 + 1.8e-9)]],
+            [[2.0], [2.0], [2.0]],
+            batch_sizes=(1, 2, 3),
+        )
+        r = pp.RelationVector({1: 1.0, 2: 1.0, 3: 1.0})
+        cap = pp.PowerCap.unlimited()
+        assert pp.select_configuration(prof, r, cap).batch_size == 2
+        assert pp.select_configuration_fast(prof, r, cap).batch_size == 2
+        assert pp.fastest_configuration(prof, {1: 1, 2: 1, 3: 1}, cap).batch_size == 2
 
 
 class TestArgminScaleInvariance:

@@ -355,6 +355,20 @@ class TestProfilePersistence:
         with pytest.raises(pp.DataError, match="newline"):
             pp.save_profile(prof)
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_model_id_other_line_breaks_rejected(self, brk):
+        # load_profile splits with str.splitlines, which breaks on these too
+        prof = pp.DeviceProfile(
+            model_id=f"bad{brk}id",
+            batch_sizes=(8,),
+            frequencies=(100.0,),
+            time_table=[[1.0]],
+            power_table=[[1.0]],
+            samples_per_unit=4,
+        )
+        with pytest.raises(pp.DataError, match="newline"):
+            pp.save_profile(prof)
+
 
 class TestRelationAndCountsFiles:
     def test_relation_round_trip(self):
