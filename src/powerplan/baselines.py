@@ -26,6 +26,7 @@ from .core import (
     PowerCap,
     RelationVector,
     SelectionResult,
+    _check_counts,
     _check_relation_keys,
     _energy_at,
     _feasible_index,
@@ -201,11 +202,7 @@ def fastest_configuration(
     measured samples-to-accuracy count, so the reported time is absolute
     seconds rather than a normalized estimate.
     """
-    if not true_counts:
-        raise DataError("no batch sizes")
-    for b, count in true_counts.items():
-        if not count > 0:
-            raise DataError(f"invalid count for batch size {b}: {count!r}")
+    _check_counts(true_counts)
     unknown = set(true_counts) - set(profile.batch_sizes)
     if unknown:
         raise DataError(f"true counts name batch sizes not in profile: {sorted(unknown)}")
@@ -225,8 +222,7 @@ def energy_estimate(
     """
     if profile.avg_power_table is None:
         raise DataError("profile lacks average power")
-    if not ratio_or_count > 0:
-        raise DataError(f"invalid count for batch size {result.batch_size}: {ratio_or_count!r}")
+    _check_counts({result.batch_size: ratio_or_count})
     i = profile.batch_index(result.batch_size)
     j = profile.frequency_index(result.frequency_mhz)
     return _energy_at(profile, i, j, float(profile.time_table[i, j] * ratio_or_count))

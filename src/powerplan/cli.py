@@ -18,7 +18,6 @@ from .core import (
     DeviceProfile,
     InfeasibleError,
     PowerCap,
-    RelationVector,
     select_configuration_fast,
 )
 from .ingest import (
@@ -56,30 +55,14 @@ class UsageError(Exception):
     pass
 
 
-def _read(path: str) -> str:
+def _parse_file(path: str, parse, *args, **kwargs):
+    """Read ``path`` and parse its text; any DataError is prefixed with the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
-
-
-def _load_profile_file(path: str):
     try:
-        return load_profile(_read(path))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _load_relation_file(path: str) -> RelationVector:
-    try:
-        return parse_relation_file(_read(path), default_source_id=Path(path).stem)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _load_counts_file(path: str):
-    try:
-        return parse_counts_file(_read(path), default_source_id=Path(path).stem)
+        return parse(text, *args, **kwargs)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -99,16 +82,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     keys: list[tuple[int, float]] = []
     points = []
     for timing_path, power_path in zip(args.timing, args.power):
-        try:
-            timing = parse_timing_log(
-                _read(timing_path), warmup_override=args.warmup, max_minibatches=args.m
-            )
-        except DataError as exc:
-            raise DataError(f"{timing_path}: {exc}") from None
-        try:
-            power = parse_power_log(_read(power_path))
-        except DataError as exc:
-            raise DataError(f"{power_path}: {exc}") from None
+        timing = _parse_file(
+            timing_path, parse_timing_log, warmup_override=args.warmup, max_minibatches=args.m
+        )
+        power = _parse_file(power_path, parse_power_log)
         points.append(aggregate_point(power, timing, args.s, peak_percentile=args.peak_percentile))
         keys.append((timing.batch_size, timing.frequency_mhz))
 
@@ -138,8 +115,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    profile = _load_profile_file(args.profile)
-    r = _load_relation_file(args.relation)
+    profile = _parse_file(args.profile, load_profile)
+    r = _parse_file(args.relation, parse_relation_file, default_source_id=Path(args.relation).stem)
     cap = PowerCap.parse(args.p_max)
     sel = select_configuration_fast(profile, r, cap)
     print(f"policy={sel.policy_tag}")
@@ -166,13 +143,15 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    profile = _load_profile_file(args.profile)
-    r = _load_relation_file(args.relation)
+    profile = _parse_file(args.profile, load_profile)
+    r = _parse_file(args.relation, parse_relation_file, default_source_id=Path(args.relation).stem)
     caps = _parse_caps(args.p_max)
-    safe = parse_safe_table(_read(args.safe_freqs))
+    safe = _parse_file(args.safe_freqs, parse_safe_table)
     true_counts = None
     if args.counts:
-        true_counts, _ = _load_counts_file(args.counts)
+        true_counts, _ = _parse_file(
+            args.counts, parse_counts_file, default_source_id=Path(args.counts).stem
+        )
     report = build_comparison(profile, r, caps, safe, true_counts=true_counts)
     sys.stdout.write(format_comparison_table(report))
     if args.csv:
@@ -181,17 +160,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
-    profile = _load_profile_file(args.profile)
+    profile = _parse_file(args.profile, load_profile)
     proxies = {}
     for path in args.relation:
-        rv = _load_relation_file(path)
+        rv = _parse_file(path, parse_relation_file, default_source_id=Path(path).stem)
         pid = rv.source_id or Path(path).stem
         if pid in proxies:
             raise DataError(f"duplicate proxy id {pid!r}")
         proxies[pid] = rv
     targets = {}
     for path in args.counts:
-        counts, tid = _load_counts_file(path)
+        counts, tid = _parse_file(path, parse_counts_file, default_source_id=Path(path).stem)
         tid = tid or Path(path).stem
         if tid in targets:
             raise DataError(f"duplicate target id {tid!r}")
@@ -209,8 +188,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    profile = _load_profile_file(args.profile)
-    r = _load_relation_file(args.relation)
+    profile = _parse_file(args.profile, load_profile)
+    r = _parse_file(args.relation, parse_relation_file, default_source_id=Path(args.relation).stem)
     caps = cap_range(args.p_max_min, args.p_max_max, args.step)
     rows = build_sweep(profile, r, caps)
     sys.stdout.write(format_sweep_table(rows))
@@ -225,18 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan (batch size, GPU frequency) operating points for "
         "power-capped on-device training from measured profiles.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="accepted for interface stability; the built-in commands are deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "ingest", parents=[common], help="aggregate measurement logs into a profile file"
-    )
+    p = sub.add_parser("ingest", help="aggregate measurement logs into a profile file")
     p.add_argument("--timing", nargs="+", required=True, help="timing log files, one per grid point")
     p.add_argument("--power", nargs="+", required=True, help="power log files, paired with --timing by position")
     p.add_argument("--s", type=int, required=True, help="samples per time unit (scales T_s)")
@@ -254,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use this percentile instead of the raw maximum for peak power (noisy sensors)")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("select", parents=[common], help="pick the best feasible (b, f) pair")
+    p = sub.add_parser("select", help="pick the best feasible (b, f) pair")
     p.add_argument("--profile", required=True)
     p.add_argument("--relation", required=True, help="relation vector file (batch_size,ratio)")
     p.add_argument("--p-max", required=True, help="power cap in watts, or 'unlimited'")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("compare", parents=[common], help="compare against baseline policies")
+    p = sub.add_parser("compare", help="compare against baseline policies")
     p.add_argument("--profile", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--counts", default=None, help="ground-truth counts file enabling realized times")
@@ -270,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sensitivity", parents=[common], help="proxy-vs-target time-increase matrix")
+    p = sub.add_parser("sensitivity", help="proxy-vs-target time-increase matrix")
     p.add_argument("--profile", required=True)
     p.add_argument("--relation", nargs="+", required=True, help="proxy relation vector files")
     p.add_argument("--counts", nargs="+", required=True, help="ground-truth counts files, one per target")
@@ -278,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("sweep", parents=[common], help="selection across a ladder of caps")
+    p = sub.add_parser("sweep", help="selection across a ladder of caps")
     p.add_argument("--profile", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--p-max-min", type=float, required=True)

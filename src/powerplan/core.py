@@ -282,17 +282,22 @@ class SelectionResult:
             raise DataError("feasible_count must be at least 1")
 
 
+def _check_counts(counts: Mapping[int, float]) -> None:
+    """Require at least one batch size, each with a finite, positive count."""
+    if not counts:
+        raise DataError("no batch sizes")
+    for b, count in counts.items():
+        if not 0 < count < math.inf:
+            raise DataError(f"invalid count for batch size {b}: {count!r}")
+
+
 def relation_vector(counts: Mapping[int, float], source_id: str = "counts") -> RelationVector:
     """Normalize per-batch-size samples-to-accuracy counts into ratios.
 
     Each ratio is the batch size's count divided by the maximum count over
     all batch sizes, so the slowest-converging batch size maps to exactly 1.0.
     """
-    if not counts:
-        raise DataError("no batch sizes")
-    for b, count in counts.items():
-        if not count > 0:
-            raise DataError(f"invalid count for batch size {b}: {count!r}")
+    _check_counts(counts)
     worst = max(counts.values())
     return RelationVector({b: count / worst for b, count in counts.items()}, source_id=source_id)
 
@@ -347,7 +352,7 @@ def _last_near_min(values: np.ndarray) -> int:
     best, so the result does not depend on scan order.
     """
     low = values.min()
-    if low == math.inf:  # infinite counts: SelectionResult rejects the estimate
+    if low == math.inf:  # time * count overflowed: SelectionResult rejects it
         return len(values) - 1
     return int(np.flatnonzero(values - low <= TIE_REL_TOL * values)[-1])
 

@@ -25,9 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataError, DeviceProfile, PowerCap, RelationVector
+from .core import DataError, DeviceProfile, PowerCap, RelationVector, _check_counts
 
-DEFAULT_SAMPLING_PERIOD_S = 1.0  # power sensors are read once per second
 DEFAULT_MINIBATCHES = 5
 DEFAULT_WARMUP = 1  # first mini-batch absorbs kernel compilation noise
 _CELL_CHUNK = 1024  # profile cell lines tokenised at a time; bounds load memory
@@ -55,7 +54,6 @@ class PowerTrace:
     """Raw timestamped power samples, milliwatts, prior to aggregation."""
 
     samples: tuple[tuple[float, float], ...]
-    sampling_period_s: float = DEFAULT_SAMPLING_PERIOD_S
 
     def __post_init__(self) -> None:
         ts = [t for t, _ in self.samples]
@@ -63,8 +61,6 @@ class PowerTrace:
             raise DataError("power trace timestamps must be strictly increasing")
         if any(p < 0 for _, p in self.samples):
             raise DataError("power samples must be non-negative")
-        if not self.sampling_period_s > 0:
-            raise DataError("sampling period must be positive")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -147,9 +143,7 @@ class ProfilingSchedule:
         return iter(self.points)
 
 
-def parse_power_log(
-    text: str | Iterable[str], sampling_period_s: float = DEFAULT_SAMPLING_PERIOD_S
-) -> PowerTrace:
+def parse_power_log(text: str | Iterable[str]) -> PowerTrace:
     """Parse ``timestamp_s,power_mw`` lines into a PowerTrace.
 
     Every input line is either a sample, a comment/blank, or a ParseError
@@ -171,7 +165,7 @@ def parse_power_log(
             raise ParseError(n, f"negative power {mw!r}")
         last_ts = ts
         samples.append((ts, mw))
-    return PowerTrace(tuple(samples), sampling_period_s=sampling_period_s)
+    return PowerTrace(tuple(samples))
 
 
 def parse_timing_log(
@@ -558,11 +552,7 @@ def parse_counts_file(
 ) -> tuple[dict[int, float], str]:
     """Parse ``batch_size,count`` lines; returns (counts, source_id)."""
     source_id, values = _parse_id_and_values(text, default_source_id)
-    if not values:
-        raise DataError("no batch sizes")
-    for b, v in values.items():
-        if not v > 0:
-            raise DataError(f"invalid count for batch size {b}: {v!r}")
+    _check_counts(values)
     return values, source_id
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,11 +66,6 @@ class SynthDeviceParams:
         object.__setattr__(self, "voltage_curve", curve)
         object.__setattr__(self, "parallel_cap", int(self.parallel_cap))
 
-    def voltage_at(self, f_mhz: float) -> float:
-        fs = np.array([f for f, _ in self.voltage_curve])
-        vs = np.array([v for _, v in self.voltage_curve])
-        return float(np.interp(f_mhz, fs, vs))
-
 
 @dataclass(frozen=True)
 class SynthConvergenceParams:
@@ -91,7 +85,6 @@ class SynthConvergenceParams:
         object.__setattr__(self, "b_noise", float(self.b_noise))
 
 
-@lru_cache(maxsize=512)
 def _effective_coefficients(params: SynthDeviceParams) -> tuple[float, float, float]:
     # One seeded draw per profile; noise_level == 0 yields exactly 1.0
     # factors so noiseless profiles are bit-stable across runs.
@@ -102,33 +95,6 @@ def _effective_coefficients(params: SynthDeviceParams) -> tuple[float, float, fl
         float(params.power_coeff * jitter[1]),
         float(params.per_sample_cost * jitter[2]),
     )
-
-
-def _utilization(b: float, parallel_cap: int) -> float:
-    return min(b, parallel_cap) / parallel_cap
-
-
-def synth_power(b: int, f_mhz: float, params: SynthDeviceParams) -> float:
-    """Peak watts at (batch size, frequency): static floor plus a dynamic term
-    proportional to f * V(f)^2, scaled by GPU utilization."""
-    p_static, power_coeff, _ = _effective_coefficients(params)
-    dyn = power_coeff * f_mhz * params.voltage_at(f_mhz) ** 2
-    return float(p_static + dyn * _utilization(b, params.parallel_cap))
-
-
-def synth_avg_power(b: int, f_mhz: float, params: SynthDeviceParams) -> float:
-    """Average watts: same shape as peak with the dynamic term derated by avg_duty."""
-    p_static, power_coeff, _ = _effective_coefficients(params)
-    dyn = power_coeff * f_mhz * params.voltage_at(f_mhz) ** 2
-    return float(p_static + params.avg_duty * (dyn * _utilization(b, params.parallel_cap)))
-
-
-def synth_time(b: int, f_mhz: float, params: SynthDeviceParams, s: int) -> float:
-    """Seconds to process s samples: work scales with s, throughput with
-    frequency and with batch size up to the saturation point."""
-    _, _, per_sample_cost = _effective_coefficients(params)
-    work = s * per_sample_cost * params.freq_efficiency
-    return float(work / (f_mhz * min(b, params.parallel_cap)))
 
 
 def convergence_count(b: float, params: SynthConvergenceParams) -> int:
@@ -188,72 +154,3 @@ def generate_profile(
         samples_per_unit=int(s),
         avg_power_table=avg if with_avg_power else None,
     )
-
-
-_PARAM_KEYS = (
-    "p_static",
-    "power_coeff",
-    "voltage_curve",
-    "parallel_cap",
-    "per_sample_cost",
-    "freq_efficiency",
-    "rng_seed",
-    "noise_level",
-    "avg_duty",
-)
-
-
-def format_device_params(params: SynthDeviceParams) -> str:
-    """Render params as flat key=value text; voltage_curve as f:v pairs joined by ';'."""
-    curve = ";".join(f"{repr(f)}:{repr(v)}" for f, v in params.voltage_curve)
-    lines = [
-        f"p_static={repr(params.p_static)}",
-        f"power_coeff={repr(params.power_coeff)}",
-        f"voltage_curve={curve}",
-        f"parallel_cap={params.parallel_cap}",
-        f"per_sample_cost={repr(params.per_sample_cost)}",
-        f"freq_efficiency={repr(params.freq_efficiency)}",
-        f"rng_seed={params.rng_seed}",
-        f"noise_level={repr(params.noise_level)}",
-        f"avg_duty={repr(params.avg_duty)}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def parse_device_params(text: str) -> SynthDeviceParams:
-    """Parse the flat key=value params format written by format_device_params."""
-    values: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"invalid params line {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _PARAM_KEYS:
-            raise DataError(f"unknown params key {key!r}")
-        if key in values:
-            raise DataError(f"duplicate params key {key!r}")
-        values[key] = value.strip()
-    missing = [k for k in _PARAM_KEYS[:6] if k not in values]
-    if missing:
-        raise DataError(f"missing params keys: {missing}")
-    try:
-        curve = tuple(
-            (float(pair.split(":")[0]), float(pair.split(":")[1]))
-            for pair in values["voltage_curve"].split(";")
-        )
-        return SynthDeviceParams(
-            p_static=float(values["p_static"]),
-            power_coeff=float(values["power_coeff"]),
-            voltage_curve=curve,
-            parallel_cap=int(values["parallel_cap"]),
-            per_sample_cost=float(values["per_sample_cost"]),
-            freq_efficiency=float(values["freq_efficiency"]),
-            rng_seed=int(values.get("rng_seed", "0")),
-            noise_level=float(values.get("noise_level", "0.0")),
-            avg_duty=float(values.get("avg_duty", "0.9")),
-        )
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"invalid params value: {exc}") from None

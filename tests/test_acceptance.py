@@ -193,8 +193,8 @@ def test_criterion_6_ingestion_round_trip():
         b = int(rng.integers(1, 256))
         f = float(rng.uniform(100.0, 1500.0))
         s = int(rng.integers(256, 8192))
-        t_true = pp.synth_time(b, f, params, s)
-        peak_true = pp.synth_power(b, f, params)
+        cell = pp.generate_profile((b,), (f,), params, s)
+        t_true, peak_true = float(cell.time_table[0, 0]), float(cell.power_table[0, 0])
         duration = t_true * b / s
         m = int(rng.integers(2, 9))
         timing = pp.TimingTrace(b, f, (duration * 2.5,) + (duration,) * m, warmup_discarded=1)
@@ -214,7 +214,12 @@ def test_criterion_7_schedule_completeness():
         batches, freqs = random_grid(rng, max_batches=8, max_freqs=16)
         profile = pp.generate_profile(batches, freqs, params, 1024)
         cap = random_cap(rng, profile)
-        oracle = lambda b, f: pp.synth_power(b, f, params)
+        power = {
+            (b, f): profile.power_table[i, j]
+            for i, b in enumerate(batches)
+            for j, f in enumerate(freqs)
+        }
+        oracle = lambda b, f: power[(b, f)]
         schedule = pp.profiling_schedule(batches, freqs, cap, oracle)
         discovered = pp.discovered_feasible(schedule, oracle, cap)
         expected = dict(pp.feasible_combinations(profile, cap).to_values(profile))

@@ -175,8 +175,8 @@ class TestFastestConfiguration:
             pp.fastest_configuration(profile_flip, {8: 1, 32: 2, 999: 3}, pp.PowerCap(4.5))
 
     def test_infinite_estimates_rejected(self, profile_flip):
-        # a counts file may hold "inf"; no estimate is then finite
-        with pytest.raises(pp.DataError, match="positive and finite"):
+        # infinite counts are rejected before selection
+        with pytest.raises(pp.DataError, match="invalid count"):
             pp.fastest_configuration(profile_flip, {8: math.inf, 32: math.inf}, pp.PowerCap(7.0))
 
     def test_upper_bound_against_distorted_proxies(self):
@@ -262,6 +262,8 @@ class TestEnergyEstimate:
         sel = pp.SelectionResult(8, 307.0, 90.0, 1, "ours")
         with pytest.raises(pp.DataError, match="invalid count"):
             pp.energy_estimate(sel, profile_flip, 0.0)
+        with pytest.raises(pp.DataError, match="invalid count"):
+            pp.energy_estimate(sel, profile_flip, math.inf)
 
     def test_time_optimal_is_not_always_energy_optimal(self):
         # pinned witness: the joint selector beats baseline2 on time yet

@@ -152,15 +152,6 @@ class TestSelectCommand:
         assert float(out["estimated_energy_j"]) == sel.estimated_energy
         assert int(out["feasible_count"]) == sel.feasible_count
 
-    def test_seed_flag_accepted(self, data_dir, capsys):
-        rc = main([
-            "select", "--seed", "7",
-            "--profile", str(data_dir / "profile_b64_b128.csv"),
-            "--relation", str(data_dir / "relation_uniform_b64_b128.csv"),
-            "--p-max", "5.0",
-        ])
-        assert rc == 0
-
 
 class TestCompareCommand:
     def compare_args(self, data_dir, extra=()):
@@ -202,6 +193,22 @@ class TestCompareCommand:
         assert main(self.compare_args(data_dir, ["--csv", str(a)])) == 0
         assert main(self.compare_args(data_dir, ["--csv", str(b)])) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_infinite_count_names_counts_file(self, data_dir, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("8,inf\n32,15\n")
+        args = self.compare_args(data_dir)
+        args[args.index("--counts") + 1] = str(counts)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {counts}: invalid count for batch size 8: inf\n"
+
+    def test_bad_safe_table_names_file_and_line(self, data_dir, tmp_path, capsys):
+        safe = tmp_path / "safe.csv"
+        safe.write_text("4.5,307.0\n4.5;7\n")
+        args = self.compare_args(data_dir)
+        args[args.index("--safe-freqs") + 1] = str(safe)
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith(f"error: {safe}: line 2:")
 
     def test_works_without_counts(self, data_dir, capsys):
         args = self.compare_args(data_dir)

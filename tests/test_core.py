@@ -74,6 +74,8 @@ class TestRelationVector:
     def test_nonpositive_count(self):
         with pytest.raises(pp.DataError, match="invalid count"):
             pp.relation_vector({8: 0})
+        with pytest.raises(pp.DataError, match="invalid count"):
+            pp.relation_vector({8: math.inf, 16: 1})
 
     def test_ratio_range_enforced(self):
         with pytest.raises(pp.DataError, match="out of range"):

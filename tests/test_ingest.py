@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
-from powerplan.ingest import DEFAULT_SAMPLING_PERIOD_S
 from synth_corpus import random_device_params, random_grid, random_profile
 
 
@@ -13,7 +12,6 @@ class TestParsePowerLog:
         trace = pp.parse_power_log("0.0,4000\n1.0,4500\n2.0,4200")
         assert len(trace) == 3
         assert trace.peak_w == 4.5
-        assert trace.sampling_period_s == DEFAULT_SAMPLING_PERIOD_S
 
     def test_comments_and_blanks_skipped(self):
         trace = pp.parse_power_log("# header\n\n0.0,100\n")
@@ -129,8 +127,8 @@ class TestAggregatePoint:
             b = int(rng.integers(1, 256))
             f = float(rng.uniform(100.0, 1500.0))
             s = int(rng.integers(256, 8192))
-            t_true = pp.synth_time(b, f, params, s)
-            peak_true = pp.synth_power(b, f, params)
+            cell = pp.generate_profile((b,), (f,), params, s)
+            t_true, peak_true = float(cell.time_table[0, 0]), float(cell.power_table[0, 0])
             duration = t_true * b / s
             m = int(rng.integers(2, 8))
             timing = pp.TimingTrace(b, f, (duration * 3,) + (duration,) * m, warmup_discarded=1)
@@ -195,7 +193,7 @@ class TestProfilingSchedule:
             profile = pp.generate_profile(batches, freqs, params, 1024)
             lo, hi = float(profile.power_table.min()), float(profile.power_table.max())
             cap = pp.PowerCap(float(rng.uniform(lo * 0.9, hi * 1.1)))
-            oracle = lambda b, f: pp.synth_power(b, f, params)
+            oracle = self.oracle_from(profile.power_table, batches, freqs)
             sched = pp.profiling_schedule(batches, freqs, cap, oracle)
             discovered = pp.discovered_feasible(sched, oracle, cap)
             expected = dict(pp.feasible_combinations(profile, cap).to_values(profile))
@@ -396,6 +394,8 @@ class TestRelationAndCountsFiles:
     def test_counts_validation(self):
         with pytest.raises(pp.DataError, match="invalid count"):
             pp.parse_counts_file("8,0\n")
+        with pytest.raises(pp.DataError, match="invalid count"):
+            pp.parse_counts_file("8,inf\n32,15\n")
         with pytest.raises(pp.DataError, match="no batch sizes"):
             pp.parse_counts_file("# empty\n")
 

@@ -24,13 +24,19 @@ def make_params(**overrides):
     return pp.SynthDeviceParams(**defaults)
 
 
+def cell(b, f, params, s=4096):
+    """The one cell of a generated 1x1 profile: (time, peak power)."""
+    prof = pp.generate_profile((b,), (f,), params, s)
+    return prof.time_table[0, 0], prof.power_table[0, 0]
+
+
 class TestSynthPower:
     def test_unit_voltage_saturated_batch(self):
         # at V=1 and a fully saturated batch the dynamic term is coeff * f
         params = make_params()
         f = 400.0
-        assert pp.synth_power(64, f, params) == 1.5 + 0.005 * f
-        assert pp.synth_power(128, f, params) == 1.5 + 0.005 * f
+        assert cell(64, f, params)[1] == 1.5 + 0.005 * f
+        assert cell(128, f, params)[1] == 1.5 + 0.005 * f
 
     def test_non_decreasing_in_batch_over_random_params(self):
         rng = np.random.default_rng(40)
@@ -38,7 +44,7 @@ class TestSynthPower:
             params = random_device_params(rng)
             f = float(rng.uniform(50.0, 1600.0))
             b1, b2 = sorted(rng.integers(1, 512, size=2).tolist())
-            assert pp.synth_power(b1, f, params) <= pp.synth_power(b2, f, params)
+            assert cell(b1, f, params)[1] <= cell(b2, f, params)[1]
 
     def test_non_decreasing_in_frequency_over_random_params(self):
         rng = np.random.default_rng(41)
@@ -46,7 +52,7 @@ class TestSynthPower:
             params = random_device_params(rng)
             b = int(rng.integers(1, 512))
             f1, f2 = sorted(rng.uniform(50.0, 1600.0, size=2).tolist())
-            assert pp.synth_power(b, f1, params) <= pp.synth_power(b, f2, params)
+            assert cell(b, f1, params)[1] <= cell(b, f2, params)[1]
 
     def test_avg_never_exceeds_peak(self):
         rng = np.random.default_rng(42)
@@ -54,21 +60,22 @@ class TestSynthPower:
             params = random_device_params(rng)
             b = int(rng.integers(1, 512))
             f = float(rng.uniform(50.0, 1600.0))
-            assert pp.synth_avg_power(b, f, params) <= pp.synth_power(b, f, params)
+            prof = pp.generate_profile((b,), (f,), params, 4096)
+            assert prof.avg_power_table[0, 0] <= prof.power_table[0, 0]
 
 
 class TestSynthTime:
     def test_doubling_frequency_halves_time(self):
         params = make_params()
-        t1 = pp.synth_time(16, 300.0, params, 4096)
-        t2 = pp.synth_time(16, 600.0, params, 4096)
+        t1 = cell(16, 300.0, params)[0]
+        t2 = cell(16, 600.0, params)[0]
         assert t2 == t1 / 2.0
 
     def test_batch_saturation(self):
         params = make_params(parallel_cap=32)
-        t_at_cap = pp.synth_time(32, 400.0, params, 4096)
-        assert pp.synth_time(64, 400.0, params, 4096) == t_at_cap
-        assert pp.synth_time(128, 400.0, params, 4096) == t_at_cap
+        t_at_cap = cell(32, 400.0, params)[0]
+        assert cell(64, 400.0, params)[0] == t_at_cap
+        assert cell(128, 400.0, params)[0] == t_at_cap
 
     def test_strictly_decreasing_in_frequency(self):
         rng = np.random.default_rng(43)
@@ -78,7 +85,7 @@ class TestSynthTime:
             f1, f2 = sorted(rng.uniform(50.0, 1600.0, size=2).tolist())
             if f1 == f2:
                 continue
-            assert pp.synth_time(b, f2, params, 1024) < pp.synth_time(b, f1, params, 1024)
+            assert cell(b, f2, params, 1024)[0] < cell(b, f1, params, 1024)[0]
 
 
 class TestSynthCounts:
@@ -111,13 +118,17 @@ class TestSynthCounts:
 
 class TestGenerateProfile:
     def test_validation_sweep(self):
-        # every generated profile must pass DeviceProfile validation
+        # every generated profile must pass DeviceProfile validation, which
+        # rejects power falling in batch size or in frequency; time must also
+        # fall strictly in frequency and average power never exceed peak
         rng = np.random.default_rng(45)
         for _ in range(1000):
             params = random_device_params(rng)
             batches, freqs = random_grid(rng, max_batches=5, max_freqs=8)
             profile = pp.generate_profile(batches, freqs, params, 1024)
             assert profile.shape == (len(batches), len(freqs))
+            assert np.all(np.diff(profile.time_table, axis=1) < 0)
+            assert np.all(profile.avg_power_table <= profile.power_table)
 
     def test_deterministic_for_seed(self):
         params = random_device_params(np.random.default_rng(46))
@@ -134,18 +145,6 @@ class TestGenerateProfile:
         a = pp.generate_profile(*grid, base, 1024)
         b = pp.generate_profile(*grid, noisy, 1024)
         assert not np.array_equal(a.power_table, b.power_table)
-
-    def test_scalar_model_matches_grid_cells(self):
-        rng = np.random.default_rng(47)
-        for _ in range(50):
-            params = random_device_params(rng)
-            batches, freqs = random_grid(rng, max_batches=4, max_freqs=6)
-            prof = pp.generate_profile(batches, freqs, params, 512)
-            for i, b in enumerate(batches):
-                for j, f in enumerate(freqs):
-                    assert pp.synth_power(b, f, params) == prof.power_table[i, j]
-                    assert pp.synth_time(b, f, params, 512) == prof.time_table[i, j]
-                    assert pp.synth_avg_power(b, f, params) == prof.avg_power_table[i, j]
 
 
 class TestParamsValidation:
@@ -170,28 +169,13 @@ class TestParamsValidation:
             make_params(voltage_curve=((100.0, 1.2), (200.0, 1.0)))
 
     def test_voltage_interpolation_clamps(self):
+        # a cell's power equals that of a flat curve at the interpolated voltage
         params = make_params(voltage_curve=((100.0, 0.8), (200.0, 1.0)))
-        assert params.voltage_at(50.0) == 0.8
-        assert params.voltage_at(150.0) == pytest.approx(0.9)
-        assert params.voltage_at(400.0) == 1.0
 
+        def peak(f, v=None):
+            p = params if v is None else make_params(voltage_curve=flat_voltage(v))
+            return cell(64, f, p)[1]
 
-class TestParamsFile:
-    def test_round_trip(self):
-        rng = np.random.default_rng(48)
-        for _ in range(50):
-            params = random_device_params(rng)
-            assert pp.parse_device_params(pp.format_device_params(params)) == params
-
-    def test_unknown_key(self):
-        with pytest.raises(pp.DataError, match="unknown params key"):
-            pp.parse_device_params("p_static=1.0\nwattage=3\n")
-
-    def test_missing_keys(self):
-        with pytest.raises(pp.DataError, match="missing params keys"):
-            pp.parse_device_params("p_static=1.0\n")
-
-    def test_duplicate_key(self):
-        text = pp.format_device_params(make_params()) + "p_static=2.0\n"
-        with pytest.raises(pp.DataError, match="duplicate params key"):
-            pp.parse_device_params(text)
+        assert peak(50.0) == peak(50.0, 0.8)
+        assert peak(150.0) == pytest.approx(peak(150.0, 0.9))
+        assert peak(400.0) == peak(400.0, 1.0)
