@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -57,19 +60,60 @@ class UsageError(Exception):
 
 def _parse_file(path: str, parse, *args, **kwargs):
     """Read ``path`` and parse its text; any DataError is prefixed with the path."""
+    # Every parser splits with str.splitlines, which breaks on \r\n and \r
+    # as text-mode reading would translate them, so bytes are decoded as is.
+    # One unbuffered read of the whole file needs no buffer object.
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DataError(f"{path}: not valid UTF-8 at line {line_no}, byte {exc.start}") from None
     try:
         return parse(text, *args, **kwargs)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``, then rename it over ``path``.
+
+    The rename is atomic, so a run that fails leaves any existing file as it
+    was, never truncated or half written.  A new file gets the mode
+    ``open(path, "w")`` would give it; an existing one keeps its mode.
+    """
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        # A symlink, pipe or device (such as /dev/stdout) is written through,
+        # in place: renaming would replace the link or node itself.
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    # O_EXCL never reuses a file; 0o666 less the umask is what open(path, "w") creates.
+    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    _replace_file(path, out.getvalue())
 
 
 def _parse_caps(tokens) -> list[PowerCap]:
@@ -108,8 +152,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         samples_per_unit=args.s,
         avg_power_table=avg,
     )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(save_profile(profile))
+    _replace_file(args.out, save_profile(profile))
     print(f"wrote {args.out}: {len(batch_sizes)}x{len(frequencies)} grid, model_id={args.model_id}")
     return EXIT_OK
 

@@ -3,9 +3,10 @@
 File grammars (UTF-8, LF line endings; '#' starts a comment line and blank
 lines are ignored everywhere):
 
-* power log: one sample per line, ``timestamp_s,power_mw``.
+* power log: one sample per line, ``timestamp_s,power_mw``; finite values,
+  strictly increasing timestamps, non-negative power.
 * timing log: header ``b=<int>,f_mhz=<num>,warmup=<int>`` then one mini-batch
-  duration (seconds) per line.
+  duration (seconds) per line, finite and positive.
 * device profile: header ``model_id,s``; a batch-size axis line; a frequency
   axis line; then one cell per line, ``b,f_mhz,t_s_seconds,peak_w[,avg_w]``,
   covering the full grid exactly once.
@@ -18,6 +19,8 @@ save/load cycle is bit-exact.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -49,6 +52,20 @@ def _numbered_lines(text: str | Iterable[str]):
         yield n, line
 
 
+def _data_lines(lines: Iterable[str]) -> list[str]:
+    """The lines ``_numbered_lines`` yields, without their numbers."""
+    return [line for line in map(str.strip, lines) if line and line[0] != "#"]
+
+
+def _lines_of(text: str | Iterable[str]) -> list[str]:
+    return text.splitlines() if isinstance(text, str) else list(text)
+
+
+def _first_line_no(lines: list[str]) -> int:
+    """Line number of the first line that is neither blank nor a comment."""
+    return next(_numbered_lines(lines))[0]
+
+
 @dataclass(frozen=True)
 class PowerTrace:
     """Raw timestamped power samples, milliwatts, prior to aggregation."""
@@ -56,10 +73,12 @@ class PowerTrace:
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        ts = [t for t, _ in self.samples]
-        if any(a >= b for a, b in zip(ts, ts[1:])):
+        ts, mw = zip(*self.samples) if self.samples else ((), ())
+        if not all(map(math.isfinite, ts + mw)):
+            raise DataError("power samples must be finite")
+        if not all(map(operator.lt, ts, ts[1:])):
             raise DataError("power trace timestamps must be strictly increasing")
-        if any(p < 0 for _, p in self.samples):
+        if min(mw, default=0.0) < 0:
             raise DataError("power samples must be non-negative")
 
     def __len__(self) -> int:
@@ -75,7 +94,7 @@ class PowerTrace:
     def avg_w(self) -> float:
         if not self.samples:
             raise DataError("empty power trace")
-        return sum(p for _, p in self.samples) / len(self.samples) / 1000.0
+        return math.fsum(p for _, p in self.samples) / len(self.samples) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -96,7 +115,7 @@ class TimingTrace:
             raise DataError("batch size must be positive")
         if not self.frequency_mhz > 0:
             raise DataError("frequency must be positive")
-        if any(d <= 0 for d in self.minibatch_durations):
+        if any(map(operator.ge, repeat(0.0), self.minibatch_durations)):
             raise DataError("mini-batch durations must be positive")
         if self.warmup_discarded < 0:
             raise DataError("warm-up count must be non-negative")
@@ -149,23 +168,41 @@ def parse_power_log(text: str | Iterable[str]) -> PowerTrace:
     Every input line is either a sample, a comment/blank, or a ParseError
     naming its line number; nothing is dropped silently.
     """
-    samples: list[tuple[float, float]] = []
+    lines = _lines_of(text)
+    # The samples are parsed as whole columns, and PowerTrace checks them; on
+    # any fault a line-by-line re-check names the first faulty line.
+    kept = _data_lines(lines)
+    try:
+        if set(map(str.count, kept, repeat(","))) - {1}:
+            raise ValueError("a line without exactly two fields")
+        values = list(map(float, ",".join(kept).split(","))) if kept else []
+        return PowerTrace(tuple(zip(values[0::2], values[1::2])))
+    except (ValueError, DataError):
+        fault = _first_sample_fault(_numbered_lines(lines))
+        if fault is None:
+            raise  # the two checks disagree: a defect here, not in the file
+        raise fault from None
+
+
+def _first_sample_fault(numbered: Iterable[tuple[int, str]]) -> ParseError | None:
+    """Check power log lines one at a time, in file order; the first faulty line's error."""
     last_ts: float | None = None
-    for n, line in _numbered_lines(text):
+    for n, line in numbered:
         fields = line.split(",")
         if len(fields) != 2:
-            raise ParseError(n, f"expected timestamp_s,power_mw, got {line!r}")
+            return ParseError(n, f"expected timestamp_s,power_mw, got {line!r}")
         try:
             ts, mw = float(fields[0]), float(fields[1])
         except ValueError:
-            raise ParseError(n, f"expected timestamp_s,power_mw, got {line!r}") from None
+            return ParseError(n, f"expected timestamp_s,power_mw, got {line!r}")
+        if not (math.isfinite(ts) and math.isfinite(mw)):
+            return ParseError(n, f"non-finite value in {line!r}")
         if last_ts is not None and ts <= last_ts:
-            raise ParseError(n, f"non-monotone timestamp {ts!r}")
+            return ParseError(n, f"non-monotone timestamp {ts!r}")
         if mw < 0:
-            raise ParseError(n, f"negative power {mw!r}")
+            return ParseError(n, f"negative power {mw!r}")
         last_ts = ts
-        samples.append((ts, mw))
-    return PowerTrace(tuple(samples))
+    return None
 
 
 def parse_timing_log(
@@ -179,33 +216,35 @@ def parse_timing_log(
     ``max_minibatches`` is given, at most that many retained durations are
     kept (extra trailing measurements are trimmed).
     """
-    header: tuple[int, float, int] | None = None
-    durations: list[float] = []
-    for n, line in _numbered_lines(text):
-        if header is None:
-            parts = line.split(",")
-            keys = [p.partition("=")[0] for p in parts]
-            if keys != ["b", "f_mhz", "warmup"]:
-                raise ParseError(n, f"expected header b=<int>,f_mhz=<num>,warmup=<int>, got {line!r}")
-            try:
-                header = (
-                    int(parts[0].partition("=")[2]),
-                    float(parts[1].partition("=")[2]),
-                    int(parts[2].partition("=")[2]),
-                )
-            except ValueError:
-                raise ParseError(n, f"invalid header values in {line!r}") from None
-            continue
-        try:
-            duration = float(line)
-        except ValueError:
-            raise ParseError(n, f"expected one duration per line, got {line!r}") from None
-        if duration <= 0:
-            raise ParseError(n, f"non-positive duration {duration!r}")
-        durations.append(duration)
-    if header is None:
+    lines = _lines_of(text)
+    kept = _data_lines(lines)
+    if not kept:
         raise DataError("timing log has no header line")
-    b, f_mhz, warmup = header
+    header = kept[0]
+    parts = header.split(",")
+    keys = [p.partition("=")[0] for p in parts]
+    if keys != ["b", "f_mhz", "warmup"]:
+        raise ParseError(_first_line_no(lines), f"expected header b=<int>,f_mhz=<num>,warmup=<int>, got {header!r}")
+    try:
+        b = int(parts[0].partition("=")[2])
+        f_mhz = float(parts[1].partition("=")[2])
+        warmup = int(parts[2].partition("=")[2])
+    except ValueError:
+        raise ParseError(_first_line_no(lines), f"invalid header values in {header!r}") from None
+
+    # The durations are parsed and checked as one column; on any fault a
+    # line-by-line re-check names the first faulty line.
+    try:
+        durations = list(map(float, kept[1:]))
+        if not (all(map(math.isfinite, durations)) and all(map(operator.lt, repeat(0.0), durations))):
+            raise ValueError("non-finite or non-positive duration")
+    except ValueError:
+        numbered = _numbered_lines(lines)
+        next(numbered)  # the header
+        fault = _first_duration_fault(numbered)
+        if fault is None:
+            raise  # the two checks disagree: a defect here, not in the file
+        raise fault from None
     if warmup_override is not None:
         warmup = warmup_override
     if max_minibatches is not None:
@@ -218,6 +257,20 @@ def parse_timing_log(
         minibatch_durations=tuple(durations),
         warmup_discarded=warmup,
     )
+
+
+def _first_duration_fault(numbered: Iterable[tuple[int, str]]) -> ParseError | None:
+    """Check duration lines one at a time, in file order; the first faulty line's error."""
+    for n, line in numbered:
+        try:
+            duration = float(line)
+        except ValueError:
+            return ParseError(n, f"expected one duration per line, got {line!r}")
+        if not math.isfinite(duration):
+            return ParseError(n, f"non-finite value in {line!r}")
+        if duration <= 0:
+            return ParseError(n, f"non-positive duration {duration!r}")
+    return None
 
 
 class AggregatedPoint(NamedTuple):
@@ -247,16 +300,17 @@ def aggregate_point(
         raise DataError("all samples discarded")
     if not power.samples:
         raise DataError("empty power trace")
-    mean_duration = sum(retained) / len(retained)
+    # fsum is correctly rounded on every Python; sum() changed in 3.12.
+    mean_duration = math.fsum(retained) / len(retained)
     t_s = mean_duration * (s / timing.batch_size)
-    mws = [p for _, p in power.samples]
+    mws = list(map(operator.itemgetter(1), power.samples))
     if peak_percentile is None:
         peak_w = max(mws) / 1000.0
     else:
         if not 0 < peak_percentile <= 100:
             raise DataError("peak percentile must lie in (0, 100]")
         peak_w = float(np.percentile(mws, peak_percentile)) / 1000.0
-    avg_w = sum(mws) / len(mws) / 1000.0
+    avg_w = math.fsum(mws) / len(mws) / 1000.0
     return AggregatedPoint(t_s, peak_w, avg_w)
 
 
@@ -461,7 +515,7 @@ def load_profile(text: str | Iterable[str]) -> DeviceProfile:
     Cell lines may come in any order.  Any malformed cell line raises a
     ParseError naming the first such line in the file.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+    lines = _lines_of(text)
     numbered = _numbered_lines(lines)
     try:
         n, header = next(numbered)
@@ -486,9 +540,8 @@ def load_profile(text: str | Iterable[str]) -> DeviceProfile:
         raise ParseError(n, "invalid axis line") from None
 
     # Cells are parsed column by column; on any fault a line-by-line re-check
-    # of the remaining lines names the first faulty one.  ``cells`` holds the
-    # lines _numbered_lines would yield, without their numbers.
-    cells = [line for line in map(str.strip, islice(lines, n, None)) if line and line[0] != "#"]
+    # of the remaining lines names the first faulty one.
+    cells = _data_lines(islice(lines, n, None))
     try:
         cell_b, cell_f, values = _cell_columns(cells)
         placed = place_cells(batch_sizes, frequencies, cell_b, cell_f)

@@ -74,7 +74,6 @@ class SynthConvergenceParams:
 
     n_min: int
     b_noise: float
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n_min, (int, np.integer)) and self.n_min > 0):
@@ -129,8 +128,10 @@ def generate_profile(
     The result passes every DeviceProfile invariant for any valid params and
     seed, and identical (params, seed) produce bit-identical tables.
     """
-    bs = np.array([int(b) for b in batch_sizes], dtype=float)
-    fs = np.array([float(f) for f in frequencies], dtype=float)
+    batch_sizes = tuple(int(b) for b in batch_sizes)
+    frequencies = tuple(float(f) for f in frequencies)
+    bs = np.array(batch_sizes, dtype=float)
+    fs = np.array(frequencies, dtype=float)
     p_static, power_coeff, per_sample_cost = _effective_coefficients(params)
 
     curve_f = np.array([f for f, _ in params.voltage_curve])
@@ -147,8 +148,8 @@ def generate_profile(
 
     return DeviceProfile(
         model_id=model_id,
-        batch_sizes=tuple(int(b) for b in batch_sizes),
-        frequencies=tuple(float(f) for f in frequencies),
+        batch_sizes=batch_sizes,
+        frequencies=frequencies,
         time_table=time,
         power_table=power,
         samples_per_unit=int(s),

@@ -7,6 +7,7 @@ own seed and the whole corpus is reproducible.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -175,4 +176,81 @@ def brute_force_select(
         feasible_count=len(cells),
         policy_tag=policy_tag,
         estimated_energy=energy,
+    )
+
+
+def _reference_lines(text):
+    """(line number, stripped line) for each line that is neither blank nor a comment."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    for n, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield n, line
+
+
+def reference_parse_power_log(text) -> pp.PowerTrace:
+    """``parse_power_log`` one line at a time: the first faulty line raises."""
+    samples: list[tuple[float, float]] = []
+    last_ts: float | None = None
+    for n, line in _reference_lines(text):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise pp.ParseError(n, f"expected timestamp_s,power_mw, got {line!r}")
+        try:
+            ts, mw = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise pp.ParseError(n, f"expected timestamp_s,power_mw, got {line!r}") from None
+        if not (math.isfinite(ts) and math.isfinite(mw)):
+            raise pp.ParseError(n, f"non-finite value in {line!r}")
+        if last_ts is not None and ts <= last_ts:
+            raise pp.ParseError(n, f"non-monotone timestamp {ts!r}")
+        if mw < 0:
+            raise pp.ParseError(n, f"negative power {mw!r}")
+        last_ts = ts
+        samples.append((ts, mw))
+    return pp.PowerTrace(tuple(samples))
+
+
+def reference_parse_timing_log(text, warmup_override=None, max_minibatches=None) -> pp.TimingTrace:
+    """``parse_timing_log`` one line at a time: the first faulty line raises."""
+    header: tuple[int, float, int] | None = None
+    durations: list[float] = []
+    for n, line in _reference_lines(text):
+        if header is None:
+            parts = line.split(",")
+            keys = [p.partition("=")[0] for p in parts]
+            if keys != ["b", "f_mhz", "warmup"]:
+                raise pp.ParseError(n, f"expected header b=<int>,f_mhz=<num>,warmup=<int>, got {line!r}")
+            try:
+                header = (
+                    int(parts[0].partition("=")[2]),
+                    float(parts[1].partition("=")[2]),
+                    int(parts[2].partition("=")[2]),
+                )
+            except ValueError:
+                raise pp.ParseError(n, f"invalid header values in {line!r}") from None
+            continue
+        try:
+            duration = float(line)
+        except ValueError:
+            raise pp.ParseError(n, f"expected one duration per line, got {line!r}") from None
+        if not math.isfinite(duration):
+            raise pp.ParseError(n, f"non-finite value in {line!r}")
+        if duration <= 0:
+            raise pp.ParseError(n, f"non-positive duration {duration!r}")
+        durations.append(duration)
+    if header is None:
+        raise pp.DataError("timing log has no header line")
+    b, f_mhz, warmup = header
+    if warmup_override is not None:
+        warmup = warmup_override
+    if max_minibatches is not None:
+        if max_minibatches < 1:
+            raise pp.DataError("max_minibatches must be at least 1")
+        durations = durations[: warmup + max_minibatches]
+    return pp.TimingTrace(
+        batch_size=b,
+        frequency_mhz=f_mhz,
+        minibatch_durations=tuple(durations),
+        warmup_discarded=warmup,
     )

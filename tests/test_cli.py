@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 import powerplan as pp
-from powerplan.cli import main
+from powerplan.cli import _replace_file, _write_csv, main
 from synth_corpus import random_counts, random_profile, random_relation
 
 FLIP_CAPS = ["4.5", "7.0", "unlimited"]
@@ -47,6 +49,42 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert "bad_power.csv" in err
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "log, text, line",
+        [
+            ("power_b16_f307.csv", "0.0,4000\nnan,4100\n2.0,4200\n", "nan,4100"),
+            ("power_b16_f307.csv", "0.0,4000\n1.0,nan\n2.0,4200\n", "1.0,nan"),
+            ("timing_b16_f307.csv", "b=16,f_mhz=307.0,warmup=0\nnan\n0.2\n", "nan"),
+        ],
+    )
+    def test_non_finite_value_names_file_and_line(self, data_dir, tmp_path, capsys, log, text, line):
+        bad = tmp_path / log
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        args = ingest_args(data_dir, out)
+        args[args.index(str(data_dir / log))] = str(bad)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {bad}: line 2: non-finite value in {line!r}\n"
+        assert not out.exists()
+
+    def test_failed_run_keeps_existing_out(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        out.write_bytes(b"previous\n")
+        args = ingest_args(data_dir, out)
+        args[args.index("--model-id") + 1] = "a\x0bb"  # save_profile rejects it
+        assert main(args) == 3
+        assert "newlines" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_replaced_out_keeps_its_mode(self, data_dir, tmp_path):
+        out = tmp_path / "p.csv"
+        out.write_bytes(b"previous\n")
+        out.chmod(0o640)
+        assert main(ingest_args(data_dir, out)) == 0
+        assert out.read_bytes() == (data_dir / "golden_profile.csv").read_bytes()
+        assert out.stat().st_mode & 0o777 == 0o640
 
     def test_incomplete_grid_rejected(self, data_dir, tmp_path, capsys):
         args = ingest_args(data_dir, tmp_path / "p.csv")
@@ -124,6 +162,29 @@ class TestSelectCommand:
             "--p-max", "5.0",
         ])
         assert rc == 3
+
+    def test_undecodable_profile_exits_3(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"model_id,s\n\xff\n")
+        rc = main([
+            "select",
+            "--profile", str(bad),
+            "--relation", str(data_dir / "relation_uniform_b64_b128.csv"),
+            "--p-max", "5.0",
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 at line 2, byte 11\n"
+
+    def test_crlf_files_read_as_lf(self, data_dir, tmp_path, capsys):
+        def select(profile, relation):
+            assert main(["select", "--profile", str(profile), "--relation", str(relation), "--p-max", "5.0"]) == 0
+            return capsys.readouterr().out
+
+        files = []
+        for name in ("profile_b64_b128.csv", "relation_uniform_b64_b128.csv"):
+            files.append(tmp_path / name)
+            files[-1].write_bytes((data_dir / name).read_bytes().replace(b"\n", b"\r\n"))
+        assert select(*files) == select(*(data_dir / f.name for f in files))
 
     def test_matches_library_exactly_on_random_profile(self, tmp_path, capsys):
         rng = np.random.default_rng(90)
@@ -300,6 +361,37 @@ class TestSweepCommand:
             "--step", "0.5",
         ])
         assert rc == 3
+
+
+class TestOutputFiles:
+    def test_csv_not_touched_when_rendering_fails(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"previous\n")
+
+        def rows():
+            yield ["a", "b"]
+            raise RuntimeError("renderer failed")
+
+        with pytest.raises(RuntimeError):
+            _write_csv(str(path), rows())
+        assert path.read_bytes() == b"previous\n"
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"previous\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        _replace_file(str(link), "new\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(UnicodeEncodeError):
+            _replace_file(str(path), "ok\udcff")  # a lone surrogate has no UTF-8 form
+        assert path.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["p.csv"]
 
 
 class TestParserBasics:

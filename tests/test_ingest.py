@@ -4,7 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
-from synth_corpus import random_device_params, random_grid, random_profile
+from synth_corpus import (
+    random_device_params,
+    random_grid,
+    random_profile,
+    reference_parse_power_log,
+    reference_parse_timing_log,
+)
 
 
 class TestParsePowerLog:
@@ -28,6 +34,14 @@ class TestParsePowerLog:
     def test_negative_power_rejected(self):
         with pytest.raises(pp.ParseError, match="negative power"):
             pp.parse_power_log("0.0,-5")
+
+    @pytest.mark.parametrize("line", ["nan,4100", "1.0,nan", "inf,4100", "1.0,inf", "-inf,4100"])
+    def test_non_finite_value_locates_error(self, line):
+        # a nan timestamp used to pass the monotone check, and a nan or inf
+        # power sample reached the profile with no file or line
+        with pytest.raises(pp.ParseError) as exc:
+            pp.parse_power_log(f"0.0,4000\n{line}\n2.0,4200")
+        assert str(exc.value) == f"line 2: non-finite value in {line!r}"
 
     def test_generated_file_round_trips_count_and_peak(self):
         rng = np.random.default_rng(60)
@@ -61,6 +75,12 @@ class TestParseTimingLog:
     def test_missing_header(self):
         with pytest.raises(pp.DataError, match="no header"):
             pp.parse_timing_log("# only comments\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_duration_locates_error(self, token):
+        with pytest.raises(pp.ParseError) as exc:
+            pp.parse_timing_log(f"b=32,f_mhz=307.0,warmup=0\n# note\n0.2\n{token}\n0.2")
+        assert str(exc.value) == f"line 4: non-finite value in {token!r}"
 
     def test_warmup_override(self):
         text = "b=32,f_mhz=307.0,warmup=1\n0.5\n0.2\n0.2"
@@ -115,6 +135,14 @@ class TestAggregatePoint:
         with pytest.raises(pp.DataError, match="percentile"):
             pp.aggregate_point(power, timing, 100, peak_percentile=0.0)
 
+    def test_means_are_correctly_rounded(self):
+        # sum() of floats rounds differently before and after Python 3.12
+        power = pp.parse_power_log("0,0.1\n1,0.2\n2,0.3")
+        timing = pp.parse_timing_log("b=1,f_mhz=100.0,warmup=0\n0.1\n0.2\n0.3")
+        point = pp.aggregate_point(power, timing, 1)
+        assert power.avg_w == point.avg_w == 0.6 / 3 / 1000
+        assert point.t_s_seconds == 0.6 / 3
+
     def test_empty_power_trace(self):
         timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
         with pytest.raises(pp.DataError, match="empty power trace"):
@@ -137,6 +165,79 @@ class TestAggregatePoint:
             point = pp.aggregate_point(power, timing, s)
             assert point.t_s_seconds == pytest.approx(t_true, rel=1e-9)
             assert point.peak_w == pytest.approx(peak_true, rel=1e-9)
+
+
+def _outcome(parse, *args):
+    """What ``parse`` returns, or the type and text of the DataError it raises."""
+    try:
+        return parse(*args)
+    except pp.DataError as exc:
+        return type(exc), str(exc)
+
+
+NOISE_LINES = ["", "   ", "\t", "# note", "#1.0,x", "  # 5,5"]
+
+
+def _render(data, lines: list[str]) -> str | list[str]:
+    """Lines with comments, blanks and padding drawn in, as text or as a list of lines."""
+    out = []
+    for line in lines:
+        out += data.draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2))
+        pad = data.draw(st.sampled_from(["", " ", "\t", "  "]))
+        out.append(pad + line + data.draw(st.sampled_from(["", " ", "\t"])))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(out) + data.draw(st.sampled_from(["", end]))
+    return text.splitlines(keepends=True) if data.draw(st.booleans()) else text
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+BAD_TOKENS = ["x", "", "1..0", "0x10", "nan", "inf", "-inf", "NaN", "1e999"]
+
+
+class TestLogParsersAgainstReference:
+    """The column parsers against the line-by-line reference, over fuzzed logs."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_power_log(self, data):
+        ts = sorted(data.draw(st.lists(finite, max_size=12, unique=True)))
+        mw = data.draw(
+            st.lists(st.floats(0.0, 1e7) | st.just(-0.0), min_size=len(ts), max_size=len(ts))
+        )
+        fields = [[repr(t), repr(p)] for t, p in zip(ts, mw)]
+        for _ in range(data.draw(st.integers(0, 2)) if fields else 0):
+            k = data.draw(st.integers(0, len(fields) - 1))
+            fault = data.draw(st.sampled_from(["token", "count", "repeat", "negative"]))
+            if fault == "token":
+                fields[k][data.draw(st.integers(0, len(fields[k]) - 1))] = data.draw(st.sampled_from(BAD_TOKENS))
+            elif fault == "count":
+                fields[k] = data.draw(st.sampled_from([fields[k][:1], fields[k] + ["1"], ["1;2"]]))
+            elif fault == "repeat" and k > 0:
+                fields[k][0] = fields[k - 1][0]
+            else:
+                fields[k][-1] = data.draw(st.sampled_from(["-1", "-0.5", "-1e-300"]))
+        text = _render(data, [",".join(f) for f in fields])
+        assert _outcome(pp.parse_power_log, text) == _outcome(reference_parse_power_log, text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_timing_log(self, data):
+        warmup = data.draw(st.integers(0, 3))
+        header = f"b={data.draw(st.integers(1, 512))},f_mhz={data.draw(st.floats(1.0, 2e3))!r},warmup={warmup}"
+        header = data.draw(
+            st.sampled_from([header, header.replace("f_mhz", "f"), header.replace("warmup=", "warmup=x"), "0.5"])
+        )
+        tokens = [repr(d) for d in data.draw(st.lists(st.floats(1e-9, 1e3), max_size=8))]
+        for _ in range(data.draw(st.integers(0, 2)) if tokens else 0):
+            k = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = data.draw(st.sampled_from(BAD_TOKENS + ["0", "-0.0", "-2.5", "1,2"]))
+        lines = data.draw(st.sampled_from([[header], []])) + tokens
+        args = (
+            _render(data, lines),
+            data.draw(st.none() | st.integers(0, 3)),
+            data.draw(st.none() | st.integers(0, 4)),
+        )
+        assert _outcome(pp.parse_timing_log, *args) == _outcome(reference_parse_timing_log, *args)
 
 
 class TestProfilingSchedule:
@@ -417,6 +518,15 @@ class TestTraceInvariants:
     def test_power_trace_monotone_timestamps(self):
         with pytest.raises(pp.DataError, match="strictly increasing"):
             pp.PowerTrace(((0.0, 1.0), (0.0, 2.0)))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [((0.0, 1.0), (1.0, float("nan")), (2.0, 3.0)), ((0.0, float("nan")), (1.0, 1.0)), ((float("inf"), 1.0),)],
+    )
+    def test_power_trace_rejects_non_finite_samples(self, samples):
+        # peak_w used to depend on where a nan sat in the trace
+        with pytest.raises(pp.DataError, match="must be finite"):
+            pp.PowerTrace(samples)
 
     def test_timing_trace_positive_durations(self):
         with pytest.raises(pp.DataError, match="positive"):

@@ -138,6 +138,11 @@ class TestGenerateProfile:
         assert a == b
         assert pp.save_profile(a) == pp.save_profile(b)
 
+    def test_axes_may_be_one_shot_iterators(self):
+        params = make_params()
+        once = pp.generate_profile(iter([8, 16]), iter([100.0, 200.0]), params, 1024)
+        assert once == pp.generate_profile((8, 16), (100.0, 200.0), params, 1024)
+
     def test_noise_moves_tables_but_keeps_invariants(self):
         base = make_params(noise_level=0.0, rng_seed=9)
         noisy = make_params(noise_level=0.25, rng_seed=9)
