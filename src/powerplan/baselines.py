@@ -14,11 +14,10 @@ feasibility; average power decides energy.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-
-import numpy as np
 
 from .core import (
     DataError,
@@ -82,6 +81,8 @@ def parse_safe_table(text: str | Iterable[str]) -> SafeFrequencyTable:
             f = float(fields[1])
         except (DataError, ValueError):
             raise ParseError(n, f"expected p_max_w,f_mhz, got {line!r}") from None
+        if not math.isfinite(f):
+            raise ParseError(n, f"non-finite frequency in {line!r}")
         if cap.p_max in entries:
             raise ParseError(n, f"duplicate cap {fields[0]!r}")
         entries[cap.p_max] = f
@@ -111,13 +112,11 @@ def compute_safe_table(
     freqs = profiles[0].frequencies
     if any(p.frequencies != freqs for p in profiles):
         raise DataError("profiles have differing frequency axes")
-    worst = profiles[0].power_table.max(axis=0)
-    for p in profiles[1:]:
-        worst = np.maximum(worst, p.power_table.max(axis=0))
+    worst = [max(column) for column in zip(*(row for p in profiles for row in p.power_rows))]
     entries: dict[float, float] = {}
     for cap in caps:
         # The column-wise worst case of non-decreasing rows is non-decreasing.
-        j = int(_feasible_index(worst, cap.p_max))
+        j = _feasible_index(worst, cap.p_max)
         if j < 0:
             raise DataError(f"no frequency is safe under cap {cap}")
         entries[cap.p_max] = freqs[j]
@@ -148,7 +147,7 @@ def baseline1_select(
             raise DataError(f"relation vector incomplete: no entry for batch size {b_max}")
     else:
         ratio = 1.0
-    tt = float(profile.time_table[i, j] * ratio)
+    tt = profile.time_rows[i][j] * ratio
     return SelectionResult(
         batch_size=b_max,
         frequency_mhz=f,
@@ -177,10 +176,10 @@ def baseline2_select(
         raise DataError(f"relation vector incomplete: no entry for batch size {missing[0]}")
     f = safe.frequency_for(cap)
     j = profile.frequency_index(f)
-    ratios = np.array([r.entries[b] for b in profile.batch_sizes], dtype=float)
+    ratios = [r.entries[b] for b in profile.batch_sizes]
     i = _last_near_min(ratios)
     best_b = profile.batch_sizes[i]
-    tt = float(profile.time_table[i, j] * ratios[i])
+    tt = profile.time_rows[i][j] * ratios[i]
     return SelectionResult(
         batch_size=best_b,
         frequency_mhz=f,
@@ -220,9 +219,9 @@ def energy_estimate(
     energy based on: the relation ratio gives normalized energy, a true
     count gives absolute joules.
     """
-    if profile.avg_power_table is None:
+    if profile.avg_power_rows is None:
         raise DataError("profile lacks average power")
     _check_counts({result.batch_size: ratio_or_count})
     i = profile.batch_index(result.batch_size)
     j = profile.frequency_index(result.frequency_mhz)
-    return _energy_at(profile, i, j, float(profile.time_table[i, j] * ratio_or_count))
+    return _energy_at(profile, i, j, float(profile.time_rows[i][j] * ratio_or_count))

@@ -86,6 +86,7 @@ def _replace_file(path: str, text: str) -> None:
     was, never truncated or half written.  A new file gets the mode
     ``open(path, "w")`` would give it; an existing one keeps its mode.
     """
+    data = text.encode("utf-8")  # text with no UTF-8 form fails before any file is made
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
@@ -93,27 +94,37 @@ def _replace_file(path: str, text: str) -> None:
     if mode is not None and not stat.S_ISREG(mode):
         # A symlink, pipe or device (such as /dev/stdout) is written through,
         # in place: renaming would replace the link or node itself.
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
         return
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     # O_EXCL never reuses a file; 0o666 less the umask is what open(path, "w") creates.
-    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", encoding="utf-8", newline="")
+    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:
         with fh:
             if mode is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-            fh.write(text)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+def _write_output(path: str, text: str) -> None:
+    """``_replace_file``, with a failed write reported as a DataError naming ``path``."""
+    try:
+        _replace_file(path, text)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{path}: cannot write as UTF-8: {exc.reason}") from None
+
+
 def _write_csv(path: str, rows) -> None:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
-    _replace_file(path, out.getvalue())
+    _write_output(path, out.getvalue())
 
 
 def _parse_caps(tokens) -> list[PowerCap]:
@@ -152,7 +163,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         samples_per_unit=args.s,
         avg_power_table=avg,
     )
-    _replace_file(args.out, save_profile(profile))
+    _write_output(args.out, save_profile(profile))
     print(f"wrote {args.out}: {len(batch_sizes)}x{len(frequencies)} grid, model_id={args.model_id}")
     return EXIT_OK
 

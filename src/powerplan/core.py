@@ -11,11 +11,17 @@ the product of the two while keeping peak power strictly below the cap.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+import numbers
+import operator
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Two estimates within this relative distance count as a tie and fall
 # through to the deterministic tie-break (larger batch, then higher
@@ -74,14 +80,74 @@ class PowerCap:
         return "unlimited" if self.is_unlimited else repr(self.p_max)
 
 
-def _readonly_table(table: object, name: str, shape: tuple[int, int]) -> np.ndarray:
-    arr = np.array(table, dtype=float)
-    if arr.shape != shape:
-        raise DataError(f"dimension mismatch: {name} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+Rows = tuple[tuple[float, ...], ...]
+
+
+def _table_rows(
+    table: object, name: str, shape: tuple[int, int], descending: bool = False
+) -> tuple[Rows, int | None]:
+    """A table's rows as tuples of floats, checked for shape, finiteness and sign.
+
+    Also returns the index of the first row that is not sorted ascending
+    (descending when ``descending``), or None when every row is.
+    """
+    if hasattr(table, "tolist"):  # an ndarray: one C-level conversion to lists
+        table = table.tolist()
+    try:
+        rows = tuple(tuple(map(float, row)) for row in table)
+    except TypeError:  # not a sequence of rows
+        raise DataError(f"dimension mismatch: {name} is not a table of rows, expected {shape}") from None
+    widths = set(map(len, rows))
+    if len(rows) != shape[0] or widths != {shape[1]}:
+        got = f"shape {(len(rows), *widths)}" if len(widths) <= 1 else f"rows of widths {sorted(widths)}"
+        raise DataError(f"dimension mismatch: {name} has {got}, expected {shape}")
+    ordered = [sorted(row, reverse=descending) for row in rows]
+    # A finite row sum proves every entry finite; only an overflowing sum of
+    # finite entries needs the entries checked one by one.  A row's least
+    # entry is an end of its sorted copy.
+    finite = all(math.isfinite(sum(row)) or all(map(math.isfinite, row)) for row in rows)
+    if not finite or min(min(s[0], s[-1]) for s in ordered) <= 0.0:
         raise DataError(f"{name} entries must be finite and strictly positive")
-    arr.setflags(write=False)
-    return arr
+    return rows, next((i for i, (s, row) in enumerate(zip(ordered, rows)) if s != list(row)), None)
+
+
+class _Table:
+    """A table field of DeviceProfile, stored as rows and read as an ndarray.
+
+    The constructor takes an ndarray or nested sequences; ``__post_init__``
+    validates them and keeps tuples of row tuples of floats in the
+    ``<name>_rows`` attribute, which the planner reads.  Reading the field
+    itself returns a read-only float64 ndarray built on first access, so
+    numpy is imported only by code that asks for arrays.
+    """
+
+    def __init__(self, optional: bool = False):
+        self.optional = optional
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+        self.rows = name.removesuffix("_table") + "_rows"
+        self.array = f"_{name}_array"
+
+    def __get__(self, obj: object, owner: type | None = None):
+        if obj is None:
+            if self.optional:
+                return None  # the dataclass field's default
+            raise AttributeError(self.name)  # no default: a required field
+        rows = obj.__dict__[self.rows]
+        if rows is None:
+            return None
+        arr = obj.__dict__.get(self.array)
+        if arr is None:
+            import numpy as np
+
+            arr = np.array(rows, dtype=float)
+            arr.setflags(write=False)
+            obj.__dict__[self.array] = arr
+        return arr
+
+    def __set__(self, obj: object, value: object) -> None:
+        obj.__dict__[self.rows] = value  # validated and replaced by __post_init__
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +159,18 @@ class DeviceProfile:
     ``frequencies[j]`` (MHz).  ``power_table`` holds the matching peak watts;
     ``avg_power_table``, when present, the average watts used for energy
     estimates.  Tables are validated on construction and frozen; instances
-    are immutable and safe to share across threads.
+    are immutable and safe to share across threads.  The same values are
+    kept as tuples of rows in ``time_rows``, ``power_rows`` and
+    ``avg_power_rows`` (``time_rows[i][j] == time_table[i, j]``).
     """
 
     model_id: str
     batch_sizes: tuple[int, ...]
     frequencies: tuple[float, ...]
-    time_table: np.ndarray
-    power_table: np.ndarray
+    time_table: np.ndarray = _Table()
+    power_table: np.ndarray = _Table()
     samples_per_unit: int
-    avg_power_table: np.ndarray | None = None
+    avg_power_table: np.ndarray | None = _Table(optional=True)
 
     def __post_init__(self) -> None:
         bs = tuple(int(b) for b in self.batch_sizes)
@@ -115,44 +183,39 @@ class DeviceProfile:
             or any(a >= b for a, b in zip(fs, fs[1:]))
         ):
             raise DataError("frequencies must be strictly increasing positive values")
-        if not isinstance(self.samples_per_unit, (int, np.integer)) or self.samples_per_unit <= 0:
+        if not isinstance(self.samples_per_unit, numbers.Integral) or self.samples_per_unit <= 0:
             raise DataError("samples_per_unit must be a positive integer")
         object.__setattr__(self, "batch_sizes", bs)
         object.__setattr__(self, "frequencies", fs)
         object.__setattr__(self, "samples_per_unit", int(self.samples_per_unit))
 
         shape = (len(bs), len(fs))
-        time = _readonly_table(self.time_table, "time table", shape)
-        power = _readonly_table(self.power_table, "power table", shape)
-        object.__setattr__(self, "time_table", time)
-        object.__setattr__(self, "power_table", power)
-        if self.avg_power_table is not None:
-            avg = _readonly_table(self.avg_power_table, "average power table", shape)
-            object.__setattr__(self, "avg_power_table", avg)
+        stored = vars(self)  # the rows each _Table field keeps
+        time, rising = _table_rows(stored["time_rows"], "time table", shape, descending=True)
+        power, falling = _table_rows(stored["power_rows"], "power table", shape)
+        stored["time_rows"], stored["power_rows"] = time, power
+        if stored["avg_power_rows"] is not None:
+            stored["avg_power_rows"] = _table_rows(stored["avg_power_rows"], "average power table", shape)[0]
 
         # Monotonicity violations point at sensor faults; reject rather than
         # smooth so the owner re-profiles the offending row.
-        rising = np.argwhere(np.diff(time, axis=1) > 0)
-        if rising.size:
-            b = bs[int(rising[0][0])]
+        if rising is not None:
             raise DataError(
-                f"time table increases with frequency for batch size {b}; "
+                f"time table increases with frequency for batch size {bs[rising]}; "
                 "noisy measurement, re-profile this row"
             )
-        falling = np.argwhere(np.diff(power, axis=1) < 0)
-        if falling.size:
-            b = bs[int(falling[0][0])]
+        if falling is not None:
             raise DataError(
-                f"power table decreases with frequency for batch size {b}; "
+                f"power table decreases with frequency for batch size {bs[falling]}; "
                 "noisy measurement, re-profile this row"
             )
-        falling_b = np.argwhere(np.diff(power, axis=0) < 0)
-        if falling_b.size:
-            f = fs[int(falling_b[0][1])]
-            raise DataError(
-                f"power table decreases with batch size at frequency {f}; "
-                "noisy measurement, re-profile this column"
-            )
+        for lower, upper in zip(power, power[1:]):
+            if not all(map(operator.le, lower, upper)):
+                j = next(j for j, (a, b) in enumerate(zip(lower, upper)) if a > b)
+                raise DataError(
+                    f"power table decreases with batch size at frequency {fs[j]}; "
+                    "noisy measurement, re-profile this column"
+                )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -175,19 +238,14 @@ class DeviceProfile:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeviceProfile):
             return NotImplemented
-        if (self.avg_power_table is None) != (other.avg_power_table is None):
-            return False
         return (
             self.model_id == other.model_id
             and self.batch_sizes == other.batch_sizes
             and self.frequencies == other.frequencies
             and self.samples_per_unit == other.samples_per_unit
-            and np.array_equal(self.time_table, other.time_table)
-            and np.array_equal(self.power_table, other.power_table)
-            and (
-                self.avg_power_table is None
-                or np.array_equal(self.avg_power_table, other.avg_power_table)
-            )
+            and self.time_rows == other.time_rows
+            and self.power_rows == other.power_rows
+            and self.avg_power_rows == other.avg_power_rows
         )
 
 
@@ -207,7 +265,7 @@ class RelationVector:
             raise DataError("no batch sizes")
         clean: dict[int, float] = {}
         for b, ratio in self.entries.items():
-            if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b <= 0:
+            if not isinstance(b, numbers.Integral) or isinstance(b, bool) or b <= 0:
                 raise DataError(f"batch sizes must be positive integers, got {b!r}")
             r = float(ratio)
             if not (0.0 < r <= 1.0):
@@ -302,26 +360,29 @@ def relation_vector(counts: Mapping[int, float], source_id: str = "counts") -> R
     return RelationVector({b: count / worst for b, count in counts.items()}, source_id=source_id)
 
 
-def _feasible_index(power: np.ndarray, p_max: float) -> np.ndarray:
-    """Per power row, the highest index with peak power < p_max, or -1 for none.
+def _feasible_index(power_row: Sequence[float], p_max: float) -> int:
+    """The highest index in a power row with peak power < p_max, or -1 for none.
 
-    Exact because rows are validated non-decreasing: each row's feasible
-    cells form a prefix, so counting them locates its end.
+    Exact because rows are validated non-decreasing: the row's feasible
+    cells form a prefix, and bisection finds where it ends.
     """
-    return np.count_nonzero(power < p_max, axis=-1) - 1
+    return bisect_left(power_row, p_max) - 1
 
 
-def _frontier(profile: DeviceProfile, p_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Batch indices with a feasible frequency, and that highest frequency index."""
-    cols = _feasible_index(profile.power_table, p_max)
-    rows = np.flatnonzero(cols >= 0)
-    return rows, cols[rows]
+def _frontier(profile: DeviceProfile, p_max: float) -> tuple[list[int], list[int]]:
+    """Batch indices with a feasible frequency, and that highest frequency index.
+
+    ``ends[i]`` is ``_feasible_index(row i, p_max) + 1``, for all rows in one
+    C-level map.
+    """
+    ends = list(map(bisect_left, profile.power_rows, repeat(p_max)))
+    rows = [i for i, end in enumerate(ends) if end]
+    return rows, [ends[i] - 1 for i in rows]
 
 
 def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> FeasibleSet:
     """Collect, per batch size, the highest frequency with peak power < cap."""
-    rows, cols = _frontier(profile, cap.p_max)
-    return FeasibleSet(tuple(zip(rows.tolist(), cols.tolist())))
+    return FeasibleSet(tuple(zip(*_frontier(profile, cap.p_max))))
 
 
 def estimate_tt_acc(
@@ -342,25 +403,28 @@ def estimate_tt_acc(
     ratio = r.entries.get(b)
     if ratio is None:
         raise DataError(f"relation vector incomplete: no entry for batch size {b}")
-    return float(profile.time_table[i, j] * ratio)
+    return profile.time_rows[i][j] * ratio
 
 
-def _last_near_min(values: np.ndarray) -> int:
+def _last_near_min(values: Sequence[float]) -> int:
     """Index of the last entry within TIE_REL_TOL of the global minimum.
 
     Ties are judged against the minimum itself, never against a running
     best, so the result does not depend on scan order.
     """
-    low = values.min()
+    low = min(values)
     if low == math.inf:  # time * count overflowed: SelectionResult rejects it
         return len(values) - 1
-    return int(np.flatnonzero(values - low <= TIE_REL_TOL * values)[-1])
+    k = len(values) - 1
+    while not values[k] - low <= TIE_REL_TOL * values[k]:
+        k -= 1
+    return k
 
 
 def _energy_at(profile: DeviceProfile, i: int, j: int, tt: float) -> float | None:
-    if profile.avg_power_table is None:
+    if profile.avg_power_rows is None:
         return None
-    return float(profile.avg_power_table[i, j] * tt)
+    return profile.avg_power_rows[i][j] * tt
 
 
 def _check_relation_keys(profile: DeviceProfile, r: RelationVector) -> None:
@@ -374,8 +438,8 @@ def _check_relation_keys(profile: DeviceProfile, r: RelationVector) -> None:
 def _pick(
     profile: DeviceProfile,
     multipliers: Mapping[int, float],
-    rows: np.ndarray,
-    cols: np.ndarray,
+    rows: Sequence[int],
+    cols: Sequence[int],
     policy_tag: str,
     missing_label: str = "relation vector",
 ) -> SelectionResult:
@@ -387,14 +451,15 @@ def _pick(
     """
     if not len(rows):
         raise InfeasibleError("no configuration satisfies power cap")
-    batches = [profile.batch_sizes[i] for i in rows.tolist()]
+    batches = [profile.batch_sizes[i] for i in rows]
     mults = list(map(multipliers.get, batches))
     if None in mults:
         b = batches[mults.index(None)]
         raise DataError(f"{missing_label} incomplete: no entry for batch size {b}")
-    tts = profile.time_table[rows, cols] * np.array(mults, dtype=float)
+    time = profile.time_rows
+    tts = [time[i][j] * m for i, j, m in zip(rows, cols, map(float, mults))]
     k = _last_near_min(tts)
-    i, j, tt = int(rows[k]), int(cols[k]), float(tts[k])
+    i, j, tt = int(rows[k]), int(cols[k]), tts[k]
     return SelectionResult(
         batch_size=batches[k],
         frequency_mhz=profile.frequencies[j],

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import DataError, DeviceProfile, PowerCap, RelationVector, _check_counts
 
 DEFAULT_MINIBATCHES = 5
@@ -229,6 +227,8 @@ def parse_timing_log(
         b = int(parts[0].partition("=")[2])
         f_mhz = float(parts[1].partition("=")[2])
         warmup = int(parts[2].partition("=")[2])
+        if not math.isfinite(f_mhz):
+            raise ValueError("non-finite frequency")
     except ValueError:
         raise ParseError(_first_line_no(lines), f"invalid header values in {header!r}") from None
 
@@ -309,6 +309,8 @@ def aggregate_point(
     else:
         if not 0 < peak_percentile <= 100:
             raise DataError("peak percentile must lie in (0, 100]")
+        import numpy as np
+
         peak_w = float(np.percentile(mws, peak_percentile)) / 1000.0
     avg_w = math.fsum(mws) / len(mws) / 1000.0
     return AggregatedPoint(t_s, peak_w, avg_w)
@@ -379,16 +381,18 @@ def _fmt(x: float) -> str:
 class CellPlacement(NamedTuple):
     """Where the cells of a (batch size, frequency) grid land, one entry per cell."""
 
-    index: np.ndarray  # flat row-major grid position i * n_freqs + j of each cell
+    # Cell numbers sorted by flat row-major grid position i * n_freqs + j;
+    # None when the cells come in that order already, as save_profile writes them.
+    order: list[int] | None
     shape: tuple[int, int]
     duplicate: int | None  # first cell that lands where an earlier cell did
     missing: tuple[int, float] | None  # first (b, f) grid point no cell covers
 
-    def fill(self, values: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Table holding each cell's value at its grid position."""
-        table = np.empty(self.shape[0] * self.shape[1])
-        table[self.index] = values
-        return table.reshape(self.shape)
+    def fill(self, values: Sequence[float]) -> list[Sequence[float]]:
+        """Rows holding each cell's value at its grid position; the grid must be complete."""
+        flat = values if self.order is None else list(map(values.__getitem__, self.order))
+        n_freqs = self.shape[1]
+        return [flat[k : k + n_freqs] for k in range(0, len(flat), n_freqs)]
 
 
 def place_cells(
@@ -397,32 +401,40 @@ def place_cells(
     cell_b: Sequence[int],
     cell_f: Sequence[float],
 ) -> CellPlacement:
-    """Place cells on the grid through axis lookups and count occupancy.
+    """Place cells on the grid through axis lookups and sort them into grid order.
 
     A grid point covered twice or not at all is reported, not raised, so the
     caller can name the offending line or file.  Raises KeyError for a cell
-    whose batch size or frequency is not on its axis.
+    whose batch size or frequency is not on its axis.  Memory follows the
+    number of cells, never the size of the grid the axes declare.
     """
-    batch_pos = {b: i for i, b in enumerate(batch_sizes)}
-    freq_pos = {f: j for j, f in enumerate(frequencies)}
     shape = (len(batch_sizes), len(frequencies))
-    rows = np.fromiter(map(batch_pos.__getitem__, cell_b), np.intp, len(cell_b))
-    cols = np.fromiter(map(freq_pos.__getitem__, cell_f), np.intp, len(cell_f))
-    index = rows * shape[1] + cols
-    occupancy = np.bincount(index, minlength=shape[0] * shape[1])
+    n_grid = shape[0] * shape[1]
+    row_start = {b: i * shape[1] for i, b in enumerate(batch_sizes)}
+    freq_pos = {f: j for j, f in enumerate(frequencies)}
+    if (
+        len(cell_b) == n_grid
+        and (len(row_start), len(freq_pos)) == shape  # no axis value repeats
+        and list(cell_f) == list(frequencies) * shape[0]
+        and list(cell_b) == [b for b in batch_sizes for _ in frequencies]
+    ):
+        return CellPlacement(None, shape, None, None)  # already in grid order: no lookups
+    index = list(map(operator.add, map(row_start.__getitem__, cell_b), map(freq_pos.__getitem__, cell_f)))
+    order = sorted(range(len(index)), key=index.__getitem__)
     duplicate = missing = None
-    if occupancy.max(initial=0) > 1:
+    if len(order) != n_grid or list(map(index.__getitem__, order)) != list(range(n_grid)):
         seen: set[int] = set()
-        for k, p in enumerate(index.tolist()):
+        for k, p in enumerate(index):
             if p in seen:
                 duplicate = k
                 break
             seen.add(p)
-    gaps = np.flatnonzero(occupancy == 0)
-    if gaps.size:
-        i, j = divmod(int(gaps[0]), shape[1])
-        missing = (batch_sizes[i], frequencies[j])
-    return CellPlacement(index, shape, duplicate, missing)
+        covered = sorted(set(index))
+        gap = next((p for p, q in enumerate(covered) if p != q), len(covered))
+        if gap < n_grid:
+            i, j = divmod(gap, shape[1])
+            missing = (batch_sizes[i], frequencies[j])
+    return CellPlacement(order, shape, duplicate, missing)
 
 
 def save_profile(profile: DeviceProfile) -> str:
@@ -432,14 +444,14 @@ def save_profile(profile: DeviceProfile) -> str:
         raise DataError("model_id must not contain newlines")
     batch_text = [str(b) for b in profile.batch_sizes]
     freq_text = [_fmt(f) for f in profile.frequencies]
-    tables = [profile.time_table, profile.power_table]
-    if profile.avg_power_table is not None:
-        tables.append(profile.avg_power_table)
+    tables = [profile.time_rows, profile.power_rows]
+    if profile.avg_power_rows is not None:
+        tables.append(profile.avg_power_rows)
     lines = [f"{profile.model_id},{profile.samples_per_unit}", ",".join(batch_text), ",".join(freq_text)]
-    # One batch row at a time keeps the rendered numbers small; tolist()
-    # yields Python floats, so repr renders exactly as _fmt does.
+    # One batch row at a time keeps the rendered numbers small; rows hold
+    # Python floats, so repr renders exactly as _fmt does.
     for b, *rows in zip(batch_text, *tables):
-        values = (map(repr, row.tolist()) for row in rows)
+        values = (map(repr, row) for row in rows)
         lines.extend(map(",".join, zip(repeat(b), freq_text, *values)))
     lines.append("")  # trailing newline
     return "\n".join(lines)
@@ -451,8 +463,8 @@ def _parse_each(convert: Callable[[str], object], tokens: list[str]):
     return map(parsed.__getitem__, tokens)
 
 
-def _cell_columns(cells: list[str]) -> tuple[list[int], list[float], np.ndarray]:
-    """Batch sizes, frequencies and value rows of the cell lines.
+def _cell_columns(cells: list[str]) -> tuple[list[int], list[float], list[list[float]]]:
+    """Batch sizes, frequencies and value columns of the cell lines.
 
     Raises ValueError on any malformed line without saying which; the
     caller finds it with ``_first_cell_fault``.
@@ -463,15 +475,13 @@ def _cell_columns(cells: list[str]) -> tuple[list[int], list[float], np.ndarray]
     (width,) = widths
     cell_b: list[int] = []
     cell_f: list[float] = []
-    values = np.empty((width - 2, len(cells)))
+    values: list[list[float]] = [[] for _ in range(width - 2)]
     for start in range(0, len(cells), _CELL_CHUNK):
-        chunk = cells[start : start + _CELL_CHUNK]
-        tokens = ",".join(chunk).split(",")
+        tokens = ",".join(cells[start : start + _CELL_CHUNK]).split(",")
         cell_b += _parse_each(int, tokens[0::width])
         cell_f += _parse_each(float, tokens[1::width])
-        for k in range(2, width):
-            # np.array parses each token exactly as float() does
-            values[k - 2, start : start + len(chunk)] = np.array(tokens[k::width], dtype=float)
+        for k, column in enumerate(values, start=2):
+            column += map(float, tokens[k::width])
     return cell_b, cell_f, values
 
 

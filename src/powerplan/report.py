@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .baselines import (
     SafeFrequencyTable,
@@ -32,6 +31,9 @@ from .core import (
     _energy_at,
     select_configuration_fast,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POLICY_ORDER = ("baseline1", "baseline2", "ours", "fastest")
 
@@ -88,6 +90,8 @@ class SensitivityMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.array(self.values, dtype=float)
         if arr.shape != (len(self.proxy_ids), len(self.target_ids)):
             raise DataError("sensitivity matrix shape does not match id axes")
@@ -113,7 +117,7 @@ def _realized(profile: DeviceProfile, sel: SelectionResult, counts: Mapping[int,
         raise DataError(f"true counts incomplete: no entry for batch size {sel.batch_size}")
     i = profile.batch_index(sel.batch_size)
     j = profile.frequency_index(sel.frequency_mhz)
-    return float(profile.time_table[i, j] * count)
+    return float(profile.time_rows[i][j] * count)
 
 
 def _sorted_caps(caps: Sequence[PowerCap]) -> list[PowerCap]:
@@ -212,13 +216,13 @@ def build_sensitivity(
     proxy_ids = tuple(sorted(proxies))
     target_ids = tuple(sorted(targets))
     chosen = {pid: select_configuration_fast(profile, proxies[pid], cap) for pid in proxy_ids}
-    values = np.zeros((len(proxy_ids), len(target_ids)))
+    values = [[0.0] * len(target_ids) for _ in proxy_ids]
     for t_idx, tid in enumerate(target_ids):
         counts = targets[tid]
         fastest_tt = fastest_configuration(profile, counts, cap).estimated_tt_acc
         for p_idx, pid in enumerate(proxy_ids):
             realized = _realized(profile, chosen[pid], counts)
-            values[p_idx, t_idx] = (realized - fastest_tt) / fastest_tt * 100.0
+            values[p_idx][t_idx] = (realized - fastest_tt) / fastest_tt * 100.0
     return SensitivityMatrix(cap.p_max, proxy_ids, target_ids, values)
 
 

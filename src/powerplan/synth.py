@@ -16,10 +16,9 @@ monotonicity invariants of DeviceProfile.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import DataError, DeviceProfile
 
@@ -48,7 +47,7 @@ class SynthDeviceParams:
         for name in ("p_static", "power_coeff", "per_sample_cost", "freq_efficiency"):
             if not getattr(self, name) > 0:
                 raise DataError(f"{name} must be positive")
-        if not (isinstance(self.parallel_cap, (int, np.integer)) and self.parallel_cap > 0):
+        if not (isinstance(self.parallel_cap, numbers.Integral) and self.parallel_cap > 0):
             raise DataError("parallel_cap must be a positive integer")
         if not 0.0 <= self.noise_level < 1.0:
             raise DataError("noise_level must lie in [0, 1)")
@@ -76,7 +75,7 @@ class SynthConvergenceParams:
     b_noise: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_min, (int, np.integer)) and self.n_min > 0):
+        if not (isinstance(self.n_min, numbers.Integral) and self.n_min > 0):
             raise DataError("n_min must be a positive integer")
         if not self.b_noise > 0:
             raise DataError("b_noise must be positive")
@@ -85,6 +84,8 @@ class SynthConvergenceParams:
 
 
 def _effective_coefficients(params: SynthDeviceParams) -> tuple[float, float, float]:
+    import numpy as np
+
     # One seeded draw per profile; noise_level == 0 yields exactly 1.0
     # factors so noiseless profiles are bit-stable across runs.
     rng = np.random.default_rng(params.rng_seed)
@@ -128,6 +129,8 @@ def generate_profile(
     The result passes every DeviceProfile invariant for any valid params and
     seed, and identical (params, seed) produce bit-identical tables.
     """
+    import numpy as np
+
     batch_sizes = tuple(int(b) for b in batch_sizes)
     frequencies = tuple(float(f) for f in frequencies)
     bs = np.array(batch_sizes, dtype=float)

@@ -68,6 +68,33 @@ class TestIngestCommand:
         assert capsys.readouterr().err == f"error: {bad}: line 2: non-finite value in {line!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_header_frequency_names_file_and_line(self, data_dir, tmp_path, capsys, token):
+        bad = tmp_path / "timing_b16_f307.csv"
+        header = f"b=16,f_mhz={token},warmup=1"
+        bad.write_text(f"{header}\n0.5\n0.2\n", encoding="utf-8")
+        args = ingest_args(data_dir, tmp_path / "p.csv")
+        args[args.index(str(data_dir / "timing_b16_f307.csv"))] = str(bad)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {bad}: line 1: invalid header values in {header!r}\n"
+
+    def test_unwritable_out_names_target(self, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(ingest_args(data_dir, "nodir/o.csv")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: nodir/o.csv: ") and ".tmp" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_unencodable_model_id_keeps_existing_out(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        out.write_bytes(b"previous\n")
+        args = ingest_args(data_dir, out)
+        args[args.index("--model-id") + 1] = "a\udcffb"  # how argv decodes a byte that is not UTF-8
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {out}: cannot write as UTF-8: surrogates not allowed\n"
+        assert out.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["p.csv"]
+
     def test_failed_run_keeps_existing_out(self, data_dir, tmp_path, capsys):
         out = tmp_path / "p.csv"
         out.write_bytes(b"previous\n")
@@ -270,6 +297,15 @@ class TestCompareCommand:
         args[args.index("--safe-freqs") + 1] = str(safe)
         assert main(args) == 3
         assert capsys.readouterr().err.startswith(f"error: {safe}: line 2:")
+
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_safe_frequency_names_file_and_line(self, data_dir, tmp_path, capsys, token):
+        safe = tmp_path / "safe.csv"
+        safe.write_text(f"5.0,{token}\n")
+        args = self.compare_args(data_dir)
+        args[args.index("--safe-freqs") + 1] = str(safe)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {safe}: line 1: non-finite frequency in '5.0,{token}'\n"
 
     def test_works_without_counts(self, data_dir, capsys):
         args = self.compare_args(data_dir)

@@ -145,6 +145,29 @@ class TestDeviceProfileValidation:
         with pytest.raises(ValueError):
             profile_joint.time_table[0, 0] = 1.0
 
+    def test_array_views_match_rows(self, profile_joint):
+        for name in ("time", "power", "avg_power"):
+            view = getattr(profile_joint, f"{name}_table")
+            assert view.dtype == np.float64 and not view.flags.writeable
+            assert view.tolist() == [list(row) for row in getattr(profile_joint, f"{name}_rows")]
+
+    def test_array_views_survive_replace(self, profile_joint):
+        renamed = dataclasses.replace(profile_joint, model_id="renamed")
+        assert renamed.time_rows == profile_joint.time_rows
+        assert np.array_equal(renamed.power_table, profile_joint.power_table)
+        assert not renamed.power_table.flags.writeable
+        assert dataclasses.replace(renamed, model_id=profile_joint.model_id) == profile_joint
+        halved = dataclasses.replace(profile_joint, avg_power_table=profile_joint.avg_power_table / 2)
+        assert halved.avg_power_rows == tuple(tuple(w / 2 for w in row) for row in profile_joint.avg_power_rows)
+        assert np.array_equal(halved.avg_power_table, profile_joint.avg_power_table / 2)
+        assert halved.power_rows == profile_joint.power_rows
+
+    def test_rows_hold_floats_from_any_nested_sequence(self):
+        prof = tiny_profile(np.array([[3, 2]]), [(1, 2)], frequencies=(100.0, 200.0))
+        assert prof.time_rows == ((3.0, 2.0),) and prof.power_rows == ((1.0, 2.0),)
+        assert {type(v) for row in prof.time_rows + prof.power_rows for v in row} == {float}
+        assert prof.avg_power_rows is None and prof.avg_power_table is None
+
     def test_axis_lookup(self, profile_joint):
         assert profile_joint.batch_index(128) == 1
         assert profile_joint.frequency_index(460.0) == 1

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -467,6 +473,32 @@ class TestProfilePersistence:
         )
         with pytest.raises(pp.DataError, match="newline"):
             pp.save_profile(prof)
+
+    def test_huge_declared_grid_rejected_without_grid_memory(self):
+        # 34 kB declaring 3000 x 3000 = 9M grid points, with one cell: the
+        # rejection must cost memory in proportion to the file, not the grid.
+        pytest.importorskip("resource")  # the child measures its own peak RSS
+        child = textwrap.dedent(r"""
+            import resource
+            import powerplan as pp
+
+            axis = range(1, 3001)
+            text = "m,4\n" + ",".join(map(str, axis)) + "\n" + ",".join(map(repr, map(float, axis))) + "\n1,1.0,2.0,3.0\n"
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            try:
+                pp.load_profile(text)
+            except pp.DataError as exc:
+                print(exc)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+        src = str(Path(pp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        message, grew = proc.stdout.splitlines()
+        assert message == "missing cell (1, 2.0)"
+        kb_per_mb = 1024 * 1024 if sys.platform == "darwin" else 1024  # ru_maxrss is bytes on macOS
+        assert int(grew) / kb_per_mb < 10
 
 
 class TestRelationAndCountsFiles:
