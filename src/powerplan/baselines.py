@@ -15,6 +15,7 @@ feasibility; average power decides energy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -28,10 +29,8 @@ from .core import (
     _check_counts,
     _check_relation_keys,
     _energy_at,
-    _feasible_index,
-    _frontier,
     _last_near_min,
-    _pick,
+    _select_one,
 )
 from .ingest import ParseError, _numbered_lines
 
@@ -115,8 +114,9 @@ def compute_safe_table(
     worst = [max(column) for column in zip(*(row for p in profiles for row in p.power_rows))]
     entries: dict[float, float] = {}
     for cap in caps:
-        # The column-wise worst case of non-decreasing rows is non-decreasing.
-        j = _feasible_index(worst, cap.p_max)
+        # The column-wise worst case of non-decreasing rows is non-decreasing,
+        # so its cells under the cap are a prefix.
+        j = bisect_left(worst, cap.p_max) - 1
         if j < 0:
             raise DataError(f"no frequency is safe under cap {cap}")
         entries[cap.p_max] = freqs[j]
@@ -205,9 +205,7 @@ def fastest_configuration(
     unknown = set(true_counts) - set(profile.batch_sizes)
     if unknown:
         raise DataError(f"true counts name batch sizes not in profile: {sorted(unknown)}")
-    return _pick(
-        profile, true_counts, *_frontier(profile, cap.p_max), "fastest", missing_label="true counts"
-    )
+    return _select_one(profile, true_counts, cap, "fastest", missing_label="true counts")
 
 
 def energy_estimate(

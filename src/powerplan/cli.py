@@ -132,6 +132,10 @@ def _parse_caps(tokens) -> list[PowerCap]:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    if args.m is not None and args.m < 1:
+        raise UsageError("--m must be at least 1")
+    if args.warmup is not None and args.warmup < 0:
+        raise UsageError("--warmup must be non-negative")
     if len(args.timing) != len(args.power):
         raise UsageError("need one --power log per --timing log")
     keys: list[tuple[int, float]] = []

@@ -360,29 +360,22 @@ def relation_vector(counts: Mapping[int, float], source_id: str = "counts") -> R
     return RelationVector({b: count / worst for b, count in counts.items()}, source_id=source_id)
 
 
-def _feasible_index(power_row: Sequence[float], p_max: float) -> int:
-    """The highest index in a power row with peak power < p_max, or -1 for none.
+def _prefix_frontier(power: Rows, firsts: Sequence[float], p_max: float) -> list[int]:
+    """Per batch row with a cell under the cap, in row order, the highest
+    frequency index of such a cell; ``firsts`` is the first power column.
 
-    Exact because rows are validated non-decreasing: the row's feasible
-    cells form a prefix, and bisection finds where it ends.
+    Power is validated non-decreasing along both axes, so the rows with a
+    feasible cell are a prefix (those whose first entry is under the cap)
+    and so are each row's feasible cells; bisection finds both ends.
     """
-    return bisect_left(power_row, p_max) - 1
-
-
-def _frontier(profile: DeviceProfile, p_max: float) -> tuple[list[int], list[int]]:
-    """Batch indices with a feasible frequency, and that highest frequency index.
-
-    ``ends[i]`` is ``_feasible_index(row i, p_max) + 1``, for all rows in one
-    C-level map.
-    """
-    ends = list(map(bisect_left, profile.power_rows, repeat(p_max)))
-    rows = [i for i, end in enumerate(ends) if end]
-    return rows, [ends[i] - 1 for i in rows]
+    n = bisect_left(firsts, p_max)
+    return [end - 1 for end in map(bisect_left, power[:n], repeat(p_max))]
 
 
 def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> FeasibleSet:
     """Collect, per batch size, the highest frequency with peak power < cap."""
-    return FeasibleSet(tuple(zip(*_frontier(profile, cap.p_max))))
+    power = profile.power_rows
+    return FeasibleSet(tuple(enumerate(_prefix_frontier(power, next(zip(*power)), cap.p_max))))
 
 
 def estimate_tt_acc(
@@ -435,39 +428,57 @@ def _check_relation_keys(profile: DeviceProfile, r: RelationVector) -> None:
         )
 
 
-def _pick(
+def _select_caps(
     profile: DeviceProfile,
     multipliers: Mapping[int, float],
-    rows: Sequence[int],
-    cols: Sequence[int],
+    p_maxes: Sequence[float],
+    policy_tag: str,
+    missing_label: str = "relation vector",
+) -> list[tuple[int, int, SelectionResult] | None]:
+    """Per cap, the argmin cell (i, j) of time * multiplier over the cap's
+    frontier and its SelectionResult, or None when nothing fits.
+
+    Every cell within TIE_REL_TOL of the minimum ties, and the last one in
+    (i, j) order wins: the larger batch size, then the higher frequency
+    (equal time, fewer optimizer steps).  Multipliers are looked up once
+    per call and each cap needs O(rows) working memory, so caps may be
+    many and in any order.
+    """
+    batches, time, power = profile.batch_sizes, profile.time_rows, profile.power_rows
+    firsts = next(zip(*power))
+    looked_up = list(map(multipliers.get, batches))
+    missing = looked_up.index(None) if None in looked_up else len(batches)
+    # Rows no cap reaches never have their multiplier used, so it is not converted.
+    reach = min(missing, bisect_left(firsts, max(p_maxes, default=0.0)))
+    mults = list(map(float, looked_up[:reach]))
+    picks: list[tuple[int, int, SelectionResult] | None] = []
+    for p_max in p_maxes:
+        cols = _prefix_frontier(power, firsts, p_max)
+        if not cols:
+            picks.append(None)
+            continue
+        if len(cols) > missing:
+            raise DataError(f"{missing_label} incomplete: no entry for batch size {batches[missing]}")
+        tts = list(map(operator.mul, map(operator.getitem, time, cols), mults))
+        i = _last_near_min(tts)
+        j, tt = cols[i], tts[i]
+        energy = _energy_at(profile, i, j, tt)
+        picks.append((i, j, SelectionResult(batches[i], profile.frequencies[j], tt, len(cols), policy_tag, energy)))
+    return picks
+
+
+def _select_one(
+    profile: DeviceProfile,
+    multipliers: Mapping[int, float],
+    cap: PowerCap,
     policy_tag: str,
     missing_label: str = "relation vector",
 ) -> SelectionResult:
-    """Argmin of time * multiplier over the cells (rows[k], cols[k]).
-
-    Cells come in ascending (i, j) order.  Every cell within TIE_REL_TOL of
-    the minimum ties, and the last one wins: the larger batch size, then the
-    higher frequency (equal time, fewer optimizer steps).
-    """
-    if not len(rows):
+    """``_select_caps`` at one cap; raises InfeasibleError when nothing fits."""
+    (pick,) = _select_caps(profile, multipliers, (cap.p_max,), policy_tag, missing_label)
+    if pick is None:
         raise InfeasibleError("no configuration satisfies power cap")
-    batches = [profile.batch_sizes[i] for i in rows]
-    mults = list(map(multipliers.get, batches))
-    if None in mults:
-        b = batches[mults.index(None)]
-        raise DataError(f"{missing_label} incomplete: no entry for batch size {b}")
-    time = profile.time_rows
-    tts = [time[i][j] * m for i, j, m in zip(rows, cols, map(float, mults))]
-    k = _last_near_min(tts)
-    i, j, tt = int(rows[k]), int(cols[k]), tts[k]
-    return SelectionResult(
-        batch_size=batches[k],
-        frequency_mhz=profile.frequencies[j],
-        estimated_tt_acc=tt,
-        feasible_count=len(rows),
-        policy_tag=policy_tag,
-        estimated_energy=_energy_at(profile, i, j, tt),
-    )
+    return pick[2]
 
 
 def select_configuration_fast(
@@ -480,7 +491,7 @@ def select_configuration_fast(
     of the search space would mask data bugs).
     """
     _check_relation_keys(profile, r)
-    return _pick(profile, r.entries, *_frontier(profile, cap.p_max), "ours")
+    return _select_one(profile, r.entries, cap, "ours")
 
 
 # The README documents both names; one kernel serves them.

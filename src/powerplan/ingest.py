@@ -227,8 +227,8 @@ def parse_timing_log(
         b = int(parts[0].partition("=")[2])
         f_mhz = float(parts[1].partition("=")[2])
         warmup = int(parts[2].partition("=")[2])
-        if not math.isfinite(f_mhz):
-            raise ValueError("non-finite frequency")
+        if b <= 0 or not 0 < f_mhz < math.inf or warmup < 0:
+            raise ValueError("header value out of range")
     except ValueError:
         raise ParseError(_first_line_no(lines), f"invalid header values in {header!r}") from None
 

@@ -11,7 +11,7 @@ estimated one.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -28,14 +28,14 @@ from .core import (
     PowerCap,
     RelationVector,
     SelectionResult,
+    _check_relation_keys,
     _energy_at,
+    _select_caps,
     select_configuration_fast,
 )
 
 if TYPE_CHECKING:
     import numpy as np
-
-POLICY_ORDER = ("baseline1", "baseline2", "ours", "fastest")
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -111,17 +111,19 @@ class SweepRow:
     status: str = STATUS_OK
 
 
-def _realized(profile: DeviceProfile, sel: SelectionResult, counts: Mapping[int, float]) -> float:
-    count = counts.get(sel.batch_size)
+def _realized(profile: DeviceProfile, i: int, j: int, counts: Mapping[int, float]) -> float:
+    b = profile.batch_sizes[i]
+    count = counts.get(b)
     if count is None:
-        raise DataError(f"true counts incomplete: no entry for batch size {sel.batch_size}")
-    i = profile.batch_index(sel.batch_size)
-    j = profile.frequency_index(sel.frequency_mhz)
+        raise DataError(f"true counts incomplete: no entry for batch size {b}")
     return float(profile.time_rows[i][j] * count)
 
 
-def _sorted_caps(caps: Sequence[PowerCap]) -> list[PowerCap]:
-    return sorted(caps, key=lambda c: c.p_max)
+def _cell_finder(profile: DeviceProfile) -> Callable[[SelectionResult], tuple[int, int]]:
+    """A lookup from a selection on ``profile`` to its grid cell (i, j)."""
+    rows = {b: i for i, b in enumerate(profile.batch_sizes)}
+    cols = {f: j for j, f in enumerate(profile.frequencies)}
+    return lambda sel: (rows[sel.batch_size], cols[sel.frequency_mhz])
 
 
 def build_comparison(
@@ -142,11 +144,14 @@ def build_comparison(
     empty feasible set produces an 'infeasible' row instead of aborting the
     whole report.
     """
+    cell = _cell_finder(profile)
     rows: list[ComparisonRow] = []
-    for cap in _sorted_caps(caps):
-        selections: dict[str, SelectionResult | None] = {}
-        selections["baseline1"] = baseline1_select(profile, cap, safe, r=r)
-        selections["baseline2"] = baseline2_select(profile, r, cap, safe)
+    for cap in sorted(caps, key=lambda c: c.p_max):
+        # Rows follow this order; baseline1, the speedup anchor, always fits.
+        selections: dict[str, SelectionResult | None] = {
+            "baseline1": baseline1_select(profile, cap, safe, r=r),
+            "baseline2": baseline2_select(profile, r, cap, safe),
+        }
         try:
             selections["ours"] = select_configuration_fast(profile, r, cap)
         except InfeasibleError:
@@ -157,32 +162,15 @@ def build_comparison(
             except InfeasibleError:
                 selections["fastest"] = None
 
-        basis: dict[str, float | None] = {}
-        realized: dict[str, float | None] = {}
         for tag, sel in selections.items():
             if sel is None:
-                basis[tag] = realized[tag] = None
-            elif true_counts is not None:
-                realized[tag] = _realized(profile, sel, true_counts)
-                basis[tag] = realized[tag]
-            else:
-                realized[tag] = None
-                basis[tag] = sel.estimated_tt_acc
-        anchor = basis.get("baseline1")
-
-        for tag in POLICY_ORDER:
-            if tag not in selections:
+                rows.append(ComparisonRow(cap.p_max, tag, None, None, None, None, None, None, STATUS_INFEASIBLE))
                 continue
-            sel = selections[tag]
-            if sel is None:
-                rows.append(
-                    ComparisonRow(cap.p_max, tag, None, None, None, None, None, None, STATUS_INFEASIBLE)
-                )
-                continue
-            i = profile.batch_index(sel.batch_size)
-            j = profile.frequency_index(sel.frequency_mhz)
-            energy = _energy_at(profile, i, j, basis[tag])
-            speedup = None if anchor is None else anchor / basis[tag]
+            i, j = cell(sel)
+            realized = None if true_counts is None else _realized(profile, i, j, true_counts)
+            basis = sel.estimated_tt_acc if realized is None else realized
+            if tag == "baseline1":
+                anchor = basis
             rows.append(
                 ComparisonRow(
                     p_max_w=cap.p_max,
@@ -190,9 +178,9 @@ def build_comparison(
                     batch_size=sel.batch_size,
                     frequency_mhz=sel.frequency_mhz,
                     estimated_tt_acc=sel.estimated_tt_acc,
-                    realized_tt_acc=realized[tag],
-                    energy_j=energy,
-                    speedup_vs_baseline1=speedup,
+                    realized_tt_acc=realized,
+                    energy_j=_energy_at(profile, i, j, basis),
+                    speedup_vs_baseline1=anchor / basis,
                 )
             )
     return ComparisonReport(tuple(rows))
@@ -215,13 +203,14 @@ def build_sensitivity(
         raise DataError("no target counts supplied")
     proxy_ids = tuple(sorted(proxies))
     target_ids = tuple(sorted(targets))
-    chosen = {pid: select_configuration_fast(profile, proxies[pid], cap) for pid in proxy_ids}
+    cell = _cell_finder(profile)
+    chosen = {pid: cell(select_configuration_fast(profile, proxies[pid], cap)) for pid in proxy_ids}
     values = [[0.0] * len(target_ids) for _ in proxy_ids]
     for t_idx, tid in enumerate(target_ids):
         counts = targets[tid]
         fastest_tt = fastest_configuration(profile, counts, cap).estimated_tt_acc
         for p_idx, pid in enumerate(proxy_ids):
-            realized = _realized(profile, chosen[pid], counts)
+            realized = _realized(profile, *chosen[pid], counts)
             values[p_idx][t_idx] = (realized - fastest_tt) / fastest_tt * 100.0
     return SensitivityMatrix(cap.p_max, proxy_ids, target_ids, values)
 
@@ -231,23 +220,20 @@ def build_sweep(
     r: RelationVector,
     caps: Sequence[PowerCap],
 ) -> tuple[SweepRow, ...]:
-    """Selector outcome per cap; caps with an empty feasible set are flagged."""
+    """Selector outcome per cap; caps with an empty feasible set are flagged.
+
+    One kernel call plans every cap, the same selection that
+    ``select_configuration_fast`` makes at each.
+    """
+    _check_relation_keys(profile, r)
+    picks = _select_caps(profile, r.entries, [cap.p_max for cap in caps], "ours")
     rows: list[SweepRow] = []
-    for cap in caps:
-        try:
-            sel = select_configuration_fast(profile, r, cap)
-        except InfeasibleError:
+    for cap, pick in zip(caps, picks):
+        if pick is None:
             rows.append(SweepRow(cap.p_max, None, None, None, None, STATUS_INFEASIBLE))
             continue
-        rows.append(
-            SweepRow(
-                p_max_w=cap.p_max,
-                batch_size=sel.batch_size,
-                frequency_mhz=sel.frequency_mhz,
-                estimated_tt_acc=sel.estimated_tt_acc,
-                energy_j=sel.estimated_energy,
-            )
-        )
+        sel = pick[2]
+        rows.append(SweepRow(cap.p_max, sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, sel.estimated_energy))
     return tuple(rows)
 
 

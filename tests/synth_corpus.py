@@ -229,6 +229,8 @@ def reference_parse_timing_log(text, warmup_override=None, max_minibatches=None)
                 )
             except ValueError:
                 raise pp.ParseError(n, f"invalid header values in {line!r}") from None
+            if header[0] <= 0 or not 0 < header[1] < math.inf or header[2] < 0:
+                raise pp.ParseError(n, f"invalid header values in {line!r}")
             continue
         try:
             duration = float(line)

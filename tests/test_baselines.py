@@ -179,6 +179,21 @@ class TestFastestConfiguration:
         with pytest.raises(pp.DataError, match="invalid count"):
             pp.fastest_configuration(profile_flip, {8: math.inf, 32: math.inf}, pp.PowerCap(7.0))
 
+    def test_overflowing_estimates_rejected(self, profile_flip):
+        # finite counts whose products with every feasible time overflow
+        for counts in ({8: 1e308, 32: 1.7e308}, {8: 1.7e308, 32: 9e307}):
+            with pytest.raises(pp.DataError) as exc:
+                pp.fastest_configuration(profile_flip, counts, pp.PowerCap(7.0))
+            assert str(exc.value) == "estimated time to accuracy must be positive and finite"
+        # one overflowing estimate just loses to the finite one
+        sel = pp.fastest_configuration(profile_flip, {8: 1.7e308, 32: 1.0}, pp.PowerCap(7.0))
+        assert (sel.batch_size, math.isfinite(sel.estimated_tt_acc)) == (32, True)
+
+    def test_count_of_unreachable_batch_never_converted(self, profile_flip):
+        # an int count with no float form, on a batch no cap here reaches (b=32 peaks at 4.2 W and up)
+        sel = pp.fastest_configuration(profile_flip, {8: 5, 32: 10**400}, pp.PowerCap(4.0))
+        assert (sel.batch_size, sel.estimated_tt_acc) == (8, 450.0)
+
     def test_upper_bound_against_distorted_proxies(self):
         rng = np.random.default_rng(71)
         checked = 0

@@ -40,6 +40,18 @@ class TestIngestCommand:
             main(args[:2] + args[3:])  # drop one timing log
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--m", "0", "--m must be at least 1"), ("--warmup", "-1", "--warmup must be non-negative")],
+    )
+    def test_out_of_range_option_is_usage_error_before_any_read(self, tmp_path, capsys, option, value, message):
+        absent = [str(tmp_path / "timing_absent.csv"), str(tmp_path / "power_absent.csv")]
+        args = ["ingest", "--timing", absent[0], "--power", absent[1], "--s", "4096", "--model-id", "x"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "p.csv"), option, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
     def test_invalid_file_names_file_and_line(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad_power.csv"
         bad.write_text("0.0,4000\nnot-a-sample\n", encoding="utf-8")

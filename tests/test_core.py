@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
-from powerplan.core import _pick
+from powerplan.core import _select_caps
 from synth_corpus import (
     brute_force_feasible,
     brute_force_min_estimate,
@@ -359,12 +359,13 @@ class TestTieBreaking:
         assert pp.select_configuration_fast(prof, r, pp.PowerCap.unlimited()) == sel
 
     def test_same_batch_ties_prefer_higher_frequency(self):
-        # only reachable through the raw argmin: a feasible set never holds
-        # two frequencies for one batch, but the tie contract still pins it
+        # the kernel keeps one cell per batch, its highest feasible
+        # frequency, so equal times at two frequencies go to the higher one
         prof = tiny_profile(
             [[10.0, 10.0]], [[2.0, 2.0]], frequencies=(100.0, 200.0)
         )
-        sel = _pick(prof, {32: 1.0}, np.array([0, 0]), np.array([0, 1]), "ours")
+        ((i, j, sel),) = _select_caps(prof, {32: 1.0}, [math.inf], "ours")
+        assert (i, j) == (0, 1)
         assert sel.frequency_mhz == 200.0
 
     def test_near_ties_within_tolerance_are_deterministic(self):

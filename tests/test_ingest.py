@@ -74,6 +74,21 @@ class TestParseTimingLog:
         with pytest.raises(pp.ParseError, match="line 1"):
             pp.parse_timing_log("b=32,f=307,warmup=1\n0.2")
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "b=0,f_mhz=307.0,warmup=1",
+            "b=-8,f_mhz=307.0,warmup=1",
+            "b=32,f_mhz=0.0,warmup=1",
+            "b=32,f_mhz=-307.0,warmup=1",
+            "b=32,f_mhz=307.0,warmup=-1",
+        ],
+    )
+    def test_out_of_range_header_value_names_header_line(self, header):
+        with pytest.raises(pp.ParseError) as exc:
+            pp.parse_timing_log(f"# recorder v2\n{header}\n0.5\n0.2\n")
+        assert str(exc.value) == f"line 2: invalid header values in {header!r}"
+
     def test_bad_duration_line(self):
         with pytest.raises(pp.ParseError, match="line 3"):
             pp.parse_timing_log("b=32,f_mhz=307.0,warmup=0\n0.2\nfast")
@@ -231,7 +246,10 @@ class TestLogParsersAgainstReference:
         warmup = data.draw(st.integers(0, 3))
         header = f"b={data.draw(st.integers(1, 512))},f_mhz={data.draw(st.floats(1.0, 2e3))!r},warmup={warmup}"
         header = data.draw(
-            st.sampled_from([header, header.replace("f_mhz", "f"), header.replace("warmup=", "warmup=x"), "0.5"])
+            st.sampled_from([
+                header, header.replace("f_mhz", "f"), header.replace("warmup=", "warmup=x"), "0.5",
+                header.replace("b=", "b=-"), header.replace("f_mhz=", "f_mhz=-"), header.replace("warmup=", "warmup=-"),
+            ])
         )
         tokens = [repr(d) for d in data.draw(st.lists(st.floats(1e-9, 1e3), max_size=8))]
         for _ in range(data.draw(st.integers(0, 2)) if tokens else 0):

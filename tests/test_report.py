@@ -1,12 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powerplan as pp
 from powerplan.report import (
     STATUS_INFEASIBLE,
     STATUS_OK,
+    SweepRow,
     comparison_csv_rows,
     format_comparison_table,
     format_sensitivity_table,
@@ -14,7 +22,13 @@ from powerplan.report import (
     sensitivity_csv_rows,
     sweep_csv_rows,
 )
-from synth_corpus import random_counts, random_profile
+from synth_corpus import (
+    brute_force_feasible,
+    brute_force_select,
+    plant_duplicate_row,
+    random_counts,
+    random_profile,
+)
 
 CAPS_FLIP = [pp.PowerCap(4.5), pp.PowerCap(7.0), pp.PowerCap.unlimited()]
 
@@ -233,6 +247,91 @@ class TestBuildSweep:
         for args in [(1.0, float(MAX_CAP_LADDER + 1), 1.0), (0.001, 1e6, 1e-3), (1.0, math.inf, 1.0)]:
             with pytest.raises(pp.DataError, match=f"more than {MAX_CAP_LADDER} caps"):
                 pp.cap_range(*args)
+
+
+def per_cap_brute_force(profile, multipliers, caps):
+    """The sweep by exhaustive scan, one cap at a time, or the error text of
+    the first cap whose feasible set holds a batch size with no multiplier."""
+    rows = []
+    for cap in caps:
+        feasible = [profile.batch_sizes[i] for i in sorted(brute_force_feasible(profile, cap))]
+        absent = [b for b in feasible if b not in multipliers]
+        if absent:
+            return f"relation vector incomplete: no entry for batch size {absent[0]}"
+        sel = brute_force_select(profile, multipliers, cap)
+        if sel is None:
+            rows.append(SweepRow(cap.p_max, None, None, None, None, STATUS_INFEASIBLE))
+        else:
+            rows.append(SweepRow(cap.p_max, sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, sel.estimated_energy))
+    return tuple(rows)
+
+
+class TestSweepMatchesBruteForce:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        duplicate=st.booleans(),
+        drop=st.booleans(),
+        n_entries=st.integers(0, 6),
+        n_random=st.integers(0, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_equals_per_cap_brute_force(self, seed, duplicate, drop, n_entries, n_random):
+        rng = np.random.default_rng(seed)
+        profile, _ = random_profile(rng, with_avg_power=bool(seed % 2))
+        batches = profile.batch_sizes
+        counts = random_counts(rng, batches)
+        if duplicate and len(batches) > 1:
+            # an exact copy of the row below it, with an equal count: ties
+            profile, k = plant_duplicate_row(rng, profile)
+            counts[batches[k]] = counts[batches[k - 1]]
+        if drop and len(batches) > 1:
+            del counts[batches[int(rng.integers(len(batches)))]]
+        r = pp.relation_vector(counts)
+        power = profile.power_table
+        caps = [pp.PowerCap(float(power.min()) * 0.5), pp.PowerCap.unlimited()]  # below every peak; all
+        caps += [pp.PowerCap(float(p)) for p in rng.choice(power.ravel(), n_entries)]  # on table entries
+        caps += [pp.PowerCap(float(p)) for p in rng.uniform(power.min() * 0.9, power.max() * 1.1, n_random)]
+        caps = [caps[k] for k in rng.permutation(len(caps))]  # in no particular order
+
+        expected = per_cap_brute_force(profile, r.entries, caps)
+        if isinstance(expected, str):
+            with pytest.raises(pp.DataError) as exc:
+                pp.build_sweep(profile, r, caps)
+            assert str(exc.value) == expected
+        else:
+            assert pp.build_sweep(profile, r, caps) == expected
+
+    def test_memory_stays_linear_in_caps(self):
+        # 9,999 caps over 512 batch rows: a caps x rows table of frontier
+        # indices alone would take over 40 MB.
+        child = textwrap.dedent("""
+            import resource
+            import powerplan as pp
+
+            n_b, n_f = 512, 64
+            profile = pp.DeviceProfile(
+                model_id="wide",
+                batch_sizes=tuple(range(1, n_b + 1)),
+                frequencies=tuple(100.0 + 10.0 * j for j in range(n_f)),
+                time_table=[[100.0 / (1 + j) + 0.01 * i for j in range(n_f)] for i in range(n_b)],
+                power_table=[[1.0 + 0.01 * i + 0.1 * j for j in range(n_f)] for i in range(n_b)],
+                samples_per_unit=1024,
+            )
+            r = pp.RelationVector({b: 1.0 for b in profile.batch_sizes})
+            caps = pp.cap_range(0.5, 0.5 + 9998 * 0.00125, 0.00125)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            rows = pp.build_sweep(profile, r, caps)
+            grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            print(len(rows), sum(row.status == "ok" for row in rows), grew)
+        """)
+        src = str(Path(pp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        n_rows, n_ok, grew = map(int, proc.stdout.split())
+        assert (n_rows, n_ok) == (9999, 9999 - 401)  # caps up to 1.0 W fit nothing: peak < cap
+        kb_per_mb = 1024 * 1024 if sys.platform == "darwin" else 1024  # ru_maxrss is bytes on macOS
+        assert grew / kb_per_mb < 20
 
 
 class TestRendering:
