@@ -30,6 +30,7 @@ from .core import (
     _check_relation_keys,
     _energy_at,
     _last_near_min,
+    _result_at,
     _select_one,
 )
 from .ingest import ParseError, _numbered_lines
@@ -125,37 +126,22 @@ def compute_safe_table(
 
 def baseline1_select(
     profile: DeviceProfile,
+    r: RelationVector,
     cap: PowerCap,
     safe: SafeFrequencyTable,
-    r: RelationVector | None = None,
 ) -> SelectionResult:
     """Largest batch size at the cap's precomputed safe frequency.
 
     The safe table is trusted by construction (worst-case precomputation),
     so the chosen point is deliberately not re-checked against the cap.
-    The time estimate uses the relation vector when supplied, raw T_s
-    otherwise.
     """
-    f = safe.frequency_for(cap)
-    j = profile.frequency_index(f)
+    j = profile.frequency_index(safe.frequency_for(cap))
     i = len(profile.batch_sizes) - 1
-    b_max = profile.batch_sizes[i]
-    if r is not None:
-        _check_relation_keys(profile, r)
-        ratio = r.entries.get(b_max)
-        if ratio is None:
-            raise DataError(f"relation vector incomplete: no entry for batch size {b_max}")
-    else:
-        ratio = 1.0
-    tt = profile.time_rows[i][j] * ratio
-    return SelectionResult(
-        batch_size=b_max,
-        frequency_mhz=f,
-        estimated_tt_acc=tt,
-        feasible_count=1,
-        policy_tag="baseline1",
-        estimated_energy=_energy_at(profile, i, j, tt),
-    )
+    _check_relation_keys(profile, r)
+    ratio = r.entries.get(profile.batch_sizes[i])
+    if ratio is None:
+        raise DataError(f"relation vector incomplete: no entry for batch size {profile.batch_sizes[i]}")
+    return _result_at(profile, i, j, profile.time_rows[i][j] * ratio, 1, "baseline1")
 
 
 def baseline2_select(
@@ -174,20 +160,10 @@ def baseline2_select(
     missing = [b for b in profile.batch_sizes if b not in r.entries]
     if missing:
         raise DataError(f"relation vector incomplete: no entry for batch size {missing[0]}")
-    f = safe.frequency_for(cap)
-    j = profile.frequency_index(f)
+    j = profile.frequency_index(safe.frequency_for(cap))
     ratios = [r.entries[b] for b in profile.batch_sizes]
     i = _last_near_min(ratios)
-    best_b = profile.batch_sizes[i]
-    tt = profile.time_rows[i][j] * ratios[i]
-    return SelectionResult(
-        batch_size=best_b,
-        frequency_mhz=f,
-        estimated_tt_acc=tt,
-        feasible_count=len(profile.batch_sizes),
-        policy_tag="baseline2",
-        estimated_energy=_energy_at(profile, i, j, tt),
-    )
+    return _result_at(profile, i, j, profile.time_rows[i][j] * ratios[i], len(ratios), "baseline2")
 
 
 def fastest_configuration(
@@ -197,8 +173,8 @@ def fastest_configuration(
 ) -> SelectionResult:
     """Upper bound: the joint selector driven by ground-truth counts.
 
-    Identical machinery to select_configuration, but the multiplier is the
-    measured samples-to-accuracy count, so the reported time is absolute
+    Identical machinery to select_configuration_fast, but the multiplier is
+    the measured samples-to-accuracy count, so the reported time is absolute
     seconds rather than a normalized estimate.
     """
     _check_counts(true_counts)

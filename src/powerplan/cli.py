@@ -136,6 +136,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise UsageError("--m must be at least 1")
     if args.warmup is not None and args.warmup < 0:
         raise UsageError("--warmup must be non-negative")
+    if args.s < 1:
+        raise UsageError("--s must be at least 1")
+    if args.peak_percentile is not None and not 0 < args.peak_percentile <= 100:
+        raise UsageError("--peak-percentile must lie in (0, 100]")
     if len(args.timing) != len(args.power):
         raise UsageError("need one --power log per --timing log")
     keys: list[tuple[int, float]] = []
@@ -145,7 +149,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             timing_path, parse_timing_log, warmup_override=args.warmup, max_minibatches=args.m
         )
         power = _parse_file(power_path, parse_power_log)
-        points.append(aggregate_point(power, timing, args.s, peak_percentile=args.peak_percentile))
+        try:
+            point = aggregate_point(power, timing, args.s, peak_percentile=args.peak_percentile)
+        except DataError as exc:  # the options are checked above: the power log is at fault
+            raise DataError(f"{power_path}: {exc}") from None
+        points.append(point)
         keys.append((timing.batch_size, timing.frequency_mhz))
 
     cell_b, cell_f = zip(*keys)

@@ -378,27 +378,6 @@ def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> FeasibleSet:
     return FeasibleSet(tuple(enumerate(_prefix_frontier(power, next(zip(*power)), cap.p_max))))
 
 
-def estimate_tt_acc(
-    profile: DeviceProfile, r: RelationVector, pair: tuple[int, int]
-) -> float:
-    """Estimated time-to-accuracy for one (batch index, frequency index) pair.
-
-    Returns ``time_table[i, j] * r[batch]``.  Because ratios are normalized,
-    this equals the absolute time to accuracy divided by the worst batch
-    size's sample count: a constant positive factor, so comparisons and
-    argmins over pairs are unaffected.  Supplying raw counts instead of
-    ratios (see ``fastest_configuration``) yields absolute seconds.
-    """
-    i, j = pair
-    if not (0 <= i < len(profile.batch_sizes) and 0 <= j < len(profile.frequencies)):
-        raise DataError(f"pair indices {pair!r} out of range for profile shape {profile.shape}")
-    b = profile.batch_sizes[i]
-    ratio = r.entries.get(b)
-    if ratio is None:
-        raise DataError(f"relation vector incomplete: no entry for batch size {b}")
-    return profile.time_rows[i][j] * ratio
-
-
 def _last_near_min(values: Sequence[float]) -> int:
     """Index of the last entry within TIE_REL_TOL of the global minimum.
 
@@ -418,6 +397,20 @@ def _energy_at(profile: DeviceProfile, i: int, j: int, tt: float) -> float | Non
     if profile.avg_power_rows is None:
         return None
     return profile.avg_power_rows[i][j] * tt
+
+
+def _result_at(
+    profile: DeviceProfile, i: int, j: int, tt: float, feasible_count: int, policy_tag: str
+) -> SelectionResult:
+    """The SelectionResult for grid cell (i, j) at estimated time ``tt``, with its energy."""
+    return SelectionResult(
+        batch_size=profile.batch_sizes[i],
+        frequency_mhz=profile.frequencies[j],
+        estimated_tt_acc=tt,
+        feasible_count=feasible_count,
+        policy_tag=policy_tag,
+        estimated_energy=_energy_at(profile, i, j, tt),
+    )
 
 
 def _check_relation_keys(profile: DeviceProfile, r: RelationVector) -> None:
@@ -461,9 +454,8 @@ def _select_caps(
             raise DataError(f"{missing_label} incomplete: no entry for batch size {batches[missing]}")
         tts = list(map(operator.mul, map(operator.getitem, time, cols), mults))
         i = _last_near_min(tts)
-        j, tt = cols[i], tts[i]
-        energy = _energy_at(profile, i, j, tt)
-        picks.append((i, j, SelectionResult(batches[i], profile.frequencies[j], tt, len(cols), policy_tag, energy)))
+        j = cols[i]
+        picks.append((i, j, _result_at(profile, i, j, tts[i], len(cols), policy_tag)))
     return picks
 
 
@@ -492,7 +484,3 @@ def select_configuration_fast(
     """
     _check_relation_keys(profile, r)
     return _select_one(profile, r.entries, cap, "ours")
-
-
-# The README documents both names; one kernel serves them.
-select_configuration = select_configuration_fast

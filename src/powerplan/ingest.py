@@ -86,13 +86,18 @@ class PowerTrace:
     def peak_w(self) -> float:
         if not self.samples:
             raise DataError("empty power trace")
-        return max(p for _, p in self.samples) / 1000.0
+        return max(map(operator.itemgetter(1), self.samples)) / 1000.0
 
     @property
     def avg_w(self) -> float:
         if not self.samples:
             raise DataError("empty power trace")
-        return math.fsum(p for _, p in self.samples) / len(self.samples) / 1000.0
+        # fsum is correctly rounded on every Python; sum() changed in 3.12.
+        try:
+            total = math.fsum(map(operator.itemgetter(1), self.samples))
+        except OverflowError:
+            raise DataError("power samples sum past the float range") from None
+        return total / len(self.samples) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,10 @@ class TimingTrace:
             raise DataError("warm-up count must be non-negative")
         if len(self.minibatch_durations) <= self.warmup_discarded:
             raise DataError("all samples discarded")
+        try:
+            math.fsum(self.retained)
+        except OverflowError:
+            raise DataError("retained mini-batch durations sum past the float range") from None
 
     @property
     def retained(self) -> tuple[float, ...]:
@@ -295,24 +304,18 @@ def aggregate_point(
     """
     if not s > 0:
         raise DataError("samples_per_unit must be positive")
-    retained = timing.retained
-    if not retained:
-        raise DataError("all samples discarded")
-    if not power.samples:
-        raise DataError("empty power trace")
-    # fsum is correctly rounded on every Python; sum() changed in 3.12.
-    mean_duration = math.fsum(retained) / len(retained)
-    t_s = mean_duration * (s / timing.batch_size)
-    mws = list(map(operator.itemgetter(1), power.samples))
+    avg_w = power.avg_w  # first: an empty trace is reported before a bad percentile
     if peak_percentile is None:
-        peak_w = max(mws) / 1000.0
+        peak_w = power.peak_w
     else:
         if not 0 < peak_percentile <= 100:
             raise DataError("peak percentile must lie in (0, 100]")
         import numpy as np
 
-        peak_w = float(np.percentile(mws, peak_percentile)) / 1000.0
-    avg_w = math.fsum(mws) / len(mws) / 1000.0
+        peak_w = float(np.percentile(list(map(operator.itemgetter(1), power.samples)), peak_percentile)) / 1000.0
+    # TimingTrace guarantees at least one retained duration.
+    retained = timing.retained
+    t_s = math.fsum(retained) / len(retained) * (s / timing.batch_size)
     return AggregatedPoint(t_s, peak_w, avg_w)
 
 

@@ -70,9 +70,6 @@ class ComparisonReport:
                 if row.speedup_vs_baseline1 != 1.0:
                     raise DataError("baseline1 speedup must be exactly 1")
 
-    def rows_for(self, policy_tag: str) -> tuple[ComparisonRow, ...]:
-        return tuple(r for r in self.rows if r.policy_tag == policy_tag)
-
 
 @dataclass(frozen=True, eq=False)
 class SensitivityMatrix:
@@ -149,7 +146,7 @@ def build_comparison(
     for cap in sorted(caps, key=lambda c: c.p_max):
         # Rows follow this order; baseline1, the speedup anchor, always fits.
         selections: dict[str, SelectionResult | None] = {
-            "baseline1": baseline1_select(profile, cap, safe, r=r),
+            "baseline1": baseline1_select(profile, r, cap, safe),
             "baseline2": baseline2_select(profile, r, cap, safe),
         }
         try:

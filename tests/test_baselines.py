@@ -74,29 +74,38 @@ class TestSafeFrequencyTable:
 
 
 class TestBaseline1:
-    def test_largest_batch_at_capped_frequency(self, profile_joint, safe_small):
-        sel = pp.baseline1_select(profile_joint, pp.PowerCap(4.5), safe_small)
+    def test_largest_batch_at_capped_frequency(self, profile_joint, relation_uniform, safe_small):
+        sel = pp.baseline1_select(profile_joint, relation_uniform, pp.PowerCap(4.5), safe_small)
         assert (sel.batch_size, sel.frequency_mhz) == (128, 307.0)
-        assert sel.estimated_tt_acc == 36.0  # raw T_s without a relation vector
+        assert sel.estimated_tt_acc == 36.0  # raw T_s: the ratio of b=128 is 1.0
         assert sel.policy_tag == "baseline1"
         assert sel.feasible_count == 1
 
-    def test_trusts_safe_table_without_cap_check(self, profile_joint, safe_small):
+    def test_trusts_safe_table_without_cap_check(self, profile_joint, relation_uniform, safe_small):
         # (128, 307) draws 4.6 W, over the 4.5 W cap; the table is trusted anyway
-        sel = pp.baseline1_select(profile_joint, pp.PowerCap(4.5), safe_small)
+        sel = pp.baseline1_select(profile_joint, relation_uniform, pp.PowerCap(4.5), safe_small)
         i = profile_joint.batch_index(sel.batch_size)
         j = profile_joint.frequency_index(sel.frequency_mhz)
         assert profile_joint.power_table[i, j] >= 4.5
 
     def test_uses_relation_when_supplied(self, profile_flip, relation_small, safe_small):
-        sel = pp.baseline1_select(profile_flip, pp.PowerCap(4.5), safe_small, r=relation_small)
+        sel = pp.baseline1_select(profile_flip, relation_small, pp.PowerCap(4.5), safe_small)
         assert sel.batch_size == 32
         assert sel.estimated_tt_acc == 52.0 * 1.0
 
-    def test_safe_frequency_must_be_on_axis(self, profile_joint):
+    def test_safe_frequency_must_be_on_axis(self, profile_joint, relation_uniform):
         off_axis = pp.SafeFrequencyTable({5.0: 533.0})
         with pytest.raises(pp.DataError, match="not in profile"):
-            pp.baseline1_select(profile_joint, pp.PowerCap(5.0), off_axis)
+            pp.baseline1_select(profile_joint, relation_uniform, pp.PowerCap(5.0), off_axis)
+
+    def test_relation_checked_after_safe_frequency(self, profile_joint, safe_shared):
+        no_largest = pp.RelationVector({64: 1.0})
+        with pytest.raises(pp.DataError, match="frequency 533.0 MHz not in profile"):
+            pp.baseline1_select(profile_joint, no_largest, pp.PowerCap(5.0), pp.SafeFrequencyTable({5.0: 533.0}))
+        with pytest.raises(pp.DataError, match="relation vector incomplete: no entry for batch size 128"):
+            pp.baseline1_select(profile_joint, no_largest, pp.PowerCap(5.0), safe_shared)
+        with pytest.raises(pp.DataError, match="not in profile: \\[256\\]"):
+            pp.baseline1_select(profile_joint, pp.RelationVector({128: 1.0, 256: 1.0}), pp.PowerCap(5.0), safe_shared)
 
     def test_single_batch_profile(self, safe_small):
         prof = pp.DeviceProfile(
@@ -107,7 +116,7 @@ class TestBaseline1:
             power_table=[[2.0, 3.0]],
             samples_per_unit=64,
         )
-        sel = pp.baseline1_select(prof, pp.PowerCap(7.0), safe_small)
+        sel = pp.baseline1_select(prof, pp.RelationVector({16: 1.0}), pp.PowerCap(7.0), safe_small)
         assert sel.batch_size == 16
 
 
@@ -121,7 +130,7 @@ class TestBaseline2:
     def test_uniform_ratios_degenerate_to_baseline1(self, profile_joint, relation_uniform, safe_shared):
         cap = pp.PowerCap(5.0)
         b2 = pp.baseline2_select(profile_joint, relation_uniform, cap, safe_shared)
-        b1 = pp.baseline1_select(profile_joint, cap, safe_shared, r=relation_uniform)
+        b1 = pp.baseline1_select(profile_joint, relation_uniform, cap, safe_shared)
         assert (b2.batch_size, b2.frequency_mhz) == (b1.batch_size, b1.frequency_mhz)
         assert b2.estimated_tt_acc == b1.estimated_tt_acc
 
@@ -150,7 +159,7 @@ class TestBaseline2:
 class TestFastestConfiguration:
     def test_proportional_proxy_matches_ours(self, profile_flip, relation_small, counts_small):
         cap = pp.PowerCap(4.5)
-        ours = pp.select_configuration(profile_flip, relation_small, cap)
+        ours = pp.select_configuration_fast(profile_flip, relation_small, cap)
         fastest = pp.fastest_configuration(profile_flip, counts_small, cap)
         assert (fastest.batch_size, fastest.frequency_mhz) == (ours.batch_size, ours.frequency_mhz)
         assert fastest.policy_tag == "fastest"
@@ -204,7 +213,7 @@ class TestFastestConfiguration:
             lo, hi = float(profile.power_table.min()), float(profile.power_table.max())
             cap = pp.PowerCap(float(rng.uniform(lo * 0.95, hi * 1.1)))
             try:
-                ours = pp.select_configuration(profile, proxy, cap)
+                ours = pp.select_configuration_fast(profile, proxy, cap)
             except pp.InfeasibleError:
                 continue
             fastest = pp.fastest_configuration(profile, counts, cap)
@@ -229,8 +238,8 @@ class TestDominance:
                 safe = pp.compute_safe_table([profile], [cap])
             except pp.DataError:
                 continue
-            ours = pp.select_configuration(profile, r, cap)
-            b1 = pp.baseline1_select(profile, cap, safe, r=r)
+            ours = pp.select_configuration_fast(profile, r, cap)
+            b1 = pp.baseline1_select(profile, r, cap, safe)
             b2 = pp.baseline2_select(profile, r, cap, safe)
             assert ours.estimated_tt_acc <= b1.estimated_tt_acc
             assert ours.estimated_tt_acc <= b2.estimated_tt_acc
@@ -253,7 +262,7 @@ class TestEnergyEstimate:
         assert pp.energy_estimate(sel, prof, 2.0) == 400.0  # 4 W * (50 s * 2)
 
     def test_linearity_in_multiplier(self, profile_flip):
-        sel = pp.select_configuration(
+        sel = pp.select_configuration_fast(
             profile_flip, pp.RelationVector({8: 1.0, 32: 1.0}), pp.PowerCap(4.5)
         )
         once = pp.energy_estimate(sel, profile_flip, 0.5)
@@ -291,7 +300,7 @@ class TestEnergyEstimate:
         lo, hi = float(profile.power_table.min()), float(profile.power_table.max())
         cap = pp.PowerCap(float(rng.uniform(lo, hi)))
         safe = pp.compute_safe_table([profile], [cap])
-        ours = pp.select_configuration(profile, r, cap)
+        ours = pp.select_configuration_fast(profile, r, cap)
         b2 = pp.baseline2_select(profile, r, cap, safe)
 
         def realized(sel):

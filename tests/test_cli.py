@@ -1,13 +1,21 @@
+import io
 import os
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powerplan as pp
 from powerplan.cli import _replace_file, _write_csv, main
 from synth_corpus import random_counts, random_profile, random_relation
 
 FLIP_CAPS = ["4.5", "7.0", "unlimited"]
+DATA = Path(__file__).parent / "data"
 
 
 def ingest_args(data_dir, out_path):
@@ -42,7 +50,17 @@ class TestIngestCommand:
 
     @pytest.mark.parametrize(
         "option, value, message",
-        [("--m", "0", "--m must be at least 1"), ("--warmup", "-1", "--warmup must be non-negative")],
+        [
+            ("--m", "0", "--m must be at least 1"),
+            ("--warmup", "-1", "--warmup must be non-negative"),
+            ("--s", "0", "--s must be at least 1"),
+            ("--s", "-4096", "--s must be at least 1"),
+            ("--peak-percentile", "0", "--peak-percentile must lie in (0, 100]"),
+            ("--peak-percentile", "100.5", "--peak-percentile must lie in (0, 100]"),
+            ("--peak-percentile", "-5", "--peak-percentile must lie in (0, 100]"),
+            ("--peak-percentile", "nan", "--peak-percentile must lie in (0, 100]"),
+            ("--peak-percentile", "inf", "--peak-percentile must lie in (0, 100]"),
+        ],
     )
     def test_out_of_range_option_is_usage_error_before_any_read(self, tmp_path, capsys, option, value, message):
         absent = [str(tmp_path / "timing_absent.csv"), str(tmp_path / "power_absent.csv")]
@@ -89,6 +107,23 @@ class TestIngestCommand:
         args[args.index(str(data_dir / "timing_b16_f307.csv"))] = str(bad)
         assert main(args) == 3
         assert capsys.readouterr().err == f"error: {bad}: line 1: invalid header values in {header!r}\n"
+
+    @pytest.mark.parametrize(
+        "log, text, message",
+        [
+            ("power_b16_f307.csv", "# no sample\n", "empty power trace"),
+            ("power_b16_f307.csv", "0.0,1e308\n1.0,1e308\n", "power samples sum past the float range"),
+            ("timing_b16_f307.csv", "b=16,f_mhz=307.0,warmup=0\n1e308\n1e308\n",
+             "retained mini-batch durations sum past the float range"),
+        ],
+    )
+    def test_log_invalid_as_a_whole_names_file(self, data_dir, tmp_path, capsys, log, text, message):
+        bad = tmp_path / log
+        bad.write_text(text, encoding="utf-8")
+        args = ingest_args(data_dir, tmp_path / "p.csv")
+        args[args.index(str(data_dir / log))] = str(bad)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_unwritable_out_names_target(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -452,3 +487,123 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(["optimize"])
         assert exc.value.code == 2
+
+
+# Each command over the committed fixtures; every token naming a file in
+# tests/data is a file argument the fuzz test may replace.
+INGEST_POINTS = [f"b{b}_f{f}" for b in (16, 32) for f in (307, 614)]
+FUZZ_ARGV = {
+    "select": ["select", "--profile", "profile_b64_b128.csv", "--relation", "relation_uniform_b64_b128.csv",
+               "--p-max", "5.0"],
+    "compare": ["compare", "--profile", "profile_b8_b32.csv", "--relation", "relation_b8_b32.csv",
+                "--counts", "counts_b8_b32.csv", "--p-max", *FLIP_CAPS, "--safe-freqs", "safe_freqs_b8_b32.csv"],
+    "sweep": ["sweep", "--profile", "profile_b8_b32.csv", "--relation", "relation_b8_b32.csv",
+              "--p-max-min", "3.5", "--p-max-max", "8.0", "--step", "0.5"],
+    "sensitivity": ["sensitivity", "--profile", "profile_b8_b32.csv", "--relation", "relation_b8_b32.csv",
+                    "--counts", "counts_b8_b32.csv", "--p-max", "4.5", "7.0"],
+    "ingest": ["ingest", "--timing", *(f"timing_{p}.csv" for p in INGEST_POINTS),
+               "--power", *(f"power_{p}.csv" for p in INGEST_POINTS), "--s", "4096", "--model-id", "fuzz"],
+}
+# The parser the CLI applies to each kind of file, by file-name prefix.
+FILE_PARSERS = {
+    "profile": pp.load_profile,
+    "relation": pp.parse_relation_file,
+    "counts": pp.parse_counts_file,
+    "safe": pp.parse_safe_table,
+    "timing": pp.parse_timing_log,
+    "power": pp.parse_power_log,
+}
+# Tokens that sit on the edges of the file grammars.
+EDGE_NUMBERS = [b"1e308", b"0", b"-1", b"nan", b"inf", b"1e-320"]
+EDGE_TOKENS = EDGE_NUMBERS + [b"-inf", b"", b",", b"#", b"=", b"\r", b"\n", b"\x00", b"\xff", b"\xc3", b"unlimited",
+                              b"source_id", b"b=", b"9" * 30]
+
+
+@st.composite
+def mutated(draw, base: bytes) -> bytes:
+    """``base`` after one to three edits: bytes, numeric tokens, a column or whole lines."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["byte", "insert", "delete", "token", "column", "line"]))
+        if kind == "byte" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[at:at] = draw(st.one_of(st.sampled_from(EDGE_TOKENS), st.binary(max_size=8)))
+        elif kind == "delete":
+            del data[at : at + draw(st.integers(1, 40))]
+        elif kind == "token":
+            numbers = list(re.finditer(rb"[0-9][0-9.]*", data))
+            if numbers:
+                m = draw(st.sampled_from(numbers))
+                plain = st.from_regex(rb"\A[0-9]{1,4}(\.[0-9]{1,3})?\Z")
+                data[m.start() : m.end()] = draw(st.one_of(st.sampled_from(EDGE_TOKENS), plain))
+        elif kind == "column":  # one field of every line from a point on, set to one value
+            lines = bytes(data).split(b"\n")
+            k, c = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, 2))
+            value = draw(st.sampled_from(EDGE_NUMBERS))
+            for n in range(k, len(lines)):
+                fields = lines[n].split(b",")
+                if c < len(fields):
+                    fields[c] = value
+                    lines[n] = b",".join(fields)
+            data = bytearray(b"\n".join(lines))
+        else:
+            lines = bytes(data).split(b"\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = draw(st.sampled_from([[], [lines[k]] * 2, [lines[-1 - k]]]))
+            data = bytearray(b"\n".join(lines))
+    return bytes(data)
+
+
+def file_contents(base: bytes):
+    grammar_text = st.text(alphabet="0123456789.,-+e#=\n bfmhzwarupsoucid_l", max_size=200).map(str.encode)
+    return st.one_of(st.binary(max_size=300), grammar_text, mutated(base), mutated(base))
+
+
+def invalid_on_its_own(name: str, data: bytes) -> bool:
+    """Whether the CLI's parser for ``name`` rejects ``data`` with no other file involved."""
+    try:
+        parsed = FILE_PARSERS[name.partition("_")[0]](data.decode("utf-8"))
+    except (UnicodeDecodeError, pp.DataError):
+        return True
+    return isinstance(parsed, pp.PowerTrace) and not parsed.samples  # ingest needs a sample
+
+
+class TestFileArgumentFuzz:
+    """Any bytes in any one input file end in exit 0, 3 or 4, never a traceback.
+
+    A file that is invalid on its own is reported with its path.  An error
+    between two valid files (say a relation naming a batch size the profile
+    lacks) names no single file, so it only has to be a one-line error.
+    """
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_file_replaced(self, command, data):
+        argv = [str(DATA / tok) if (DATA / tok).is_file() else tok for tok in FUZZ_ARGV[command]]
+        k = data.draw(st.sampled_from([k for k, tok in enumerate(FUZZ_ARGV[command]) if (DATA / tok).is_file()]))
+        name = FUZZ_ARGV[command][k]
+        content = data.draw(file_contents((DATA / name).read_bytes()), label=name)
+        with tempfile.TemporaryDirectory() as tmp:
+            argv[k] = os.path.join(tmp, name)
+            Path(argv[k]).write_bytes(content)
+            if command == "ingest":
+                argv += ["--out", os.path.join(tmp, "out.csv")]
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as exc:
+                pytest.fail(f"exit {exc.code} from argparse: {err.getvalue()!r}")
+        err = err.getvalue()
+        assert code in (0, 3, 4)
+        if code == 0:
+            assert err == ""
+        elif code == 4:
+            assert err == "error: no configuration satisfies power cap\n"
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            if invalid_on_its_own(name, content):
+                assert err.startswith(f"error: {argv[k]}: "), err

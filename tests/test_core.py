@@ -206,33 +206,36 @@ class TestFeasibleCombinations:
 
 
 class TestEstimateTtAcc:
+    """A selection's ``estimated_tt_acc`` is ``time_rows[i][j] * r[batch]`` at its cell."""
+
     def test_plain_multiplication(self):
         r = pp.relation_vector({32: 1, 64: 2})  # ratio 0.5 for b=32
         prof = tiny_profile([[25.6], [20.0]], [[4.0], [4.5]], batch_sizes=(32, 64))
-        assert pp.estimate_tt_acc(prof, r, (0, 0)) == 12.8
+        sel = pp.select_configuration_fast(prof, r, pp.PowerCap.unlimited())
+        assert (sel.batch_size, sel.estimated_tt_acc) == (32, 12.8)
 
     def test_identity_ratio(self, profile_joint, relation_uniform):
-        assert pp.estimate_tt_acc(profile_joint, relation_uniform, (1, 0)) == 36.0
+        # under 4.7 W both batch sizes run at 307 MHz, and b=128 is faster
+        sel = pp.select_configuration_fast(profile_joint, relation_uniform, pp.PowerCap(4.7))
+        assert (sel.batch_size, sel.frequency_mhz) == (128, 307.0)
+        assert sel.estimated_tt_acc == 36.0
 
     def test_flip_profile_ordering_under_low_cap(self, profile_flip, relation_small):
         # at the lowest cap, b=8 runs at 460 MHz and b=32 at 307 MHz
-        est_b8 = pp.estimate_tt_acc(profile_flip, relation_small, (0, 1))
-        est_b32 = pp.estimate_tt_acc(profile_flip, relation_small, (1, 0))
-        assert est_b8 < est_b32
+        sel = pp.select_configuration_fast(profile_flip, relation_small, pp.PowerCap(4.5))
+        assert (sel.batch_size, sel.frequency_mhz) == (8, 460.0)
+        est_b32 = profile_flip.time_rows[1][0] * relation_small.entries[32]
+        assert sel.estimated_tt_acc < est_b32
 
     def test_missing_entry(self, profile_joint):
         r = pp.RelationVector({64: 1.0})
         with pytest.raises(pp.DataError, match="relation vector incomplete"):
-            pp.estimate_tt_acc(profile_joint, r, (1, 0))
-
-    def test_index_range(self, profile_joint, relation_uniform):
-        with pytest.raises(pp.DataError, match="out of range"):
-            pp.estimate_tt_acc(profile_joint, relation_uniform, (2, 0))
+            pp.select_configuration_fast(profile_joint, r, pp.PowerCap.unlimited())
 
 
 class TestSelectConfiguration:
     def test_smaller_batch_higher_frequency_wins(self, profile_joint, relation_uniform):
-        sel = pp.select_configuration(profile_joint, relation_uniform, pp.PowerCap(5.0))
+        sel = pp.select_configuration_fast(profile_joint, relation_uniform, pp.PowerCap(5.0))
         assert (sel.batch_size, sel.frequency_mhz) == (64, 460.0)
         baseline_time = profile_joint.time_table[1, 0]
         reduction = (baseline_time - sel.estimated_tt_acc) / baseline_time
@@ -244,28 +247,28 @@ class TestSelectConfiguration:
         "cap_w,expected_b", [(4.5, 8), (5.0, 8), (7.0, 32), (math.inf, 32)]
     )
     def test_best_batch_flips_with_cap(self, profile_flip, relation_small, cap_w, expected_b):
-        sel = pp.select_configuration(profile_flip, relation_small, pp.PowerCap(cap_w))
+        sel = pp.select_configuration_fast(profile_flip, relation_small, pp.PowerCap(cap_w))
         assert sel.batch_size == expected_b
 
     def test_single_cell_profile(self):
         prof = tiny_profile([[10.0]], [[2.0]])
         r = pp.RelationVector({32: 1.0})
-        sel = pp.select_configuration(prof, r, pp.PowerCap(9.0))
+        sel = pp.select_configuration_fast(prof, r, pp.PowerCap(9.0))
         assert (sel.batch_size, sel.frequency_mhz) == (32, 307.0)
 
     def test_empty_feasible_set(self, profile_joint, relation_uniform):
         with pytest.raises(pp.InfeasibleError, match="no configuration satisfies power cap"):
-            pp.select_configuration(profile_joint, relation_uniform, pp.PowerCap(3.0))
+            pp.select_configuration_fast(profile_joint, relation_uniform, pp.PowerCap(3.0))
 
     def test_missing_feasible_batch_is_hard_error(self, profile_joint):
         r = pp.RelationVector({64: 1.0})
         with pytest.raises(pp.DataError, match="relation vector incomplete"):
-            pp.select_configuration(profile_joint, r, pp.PowerCap(5.0))
+            pp.select_configuration_fast(profile_joint, r, pp.PowerCap(5.0))
 
     def test_unknown_relation_batch_rejected(self, profile_joint):
         r = pp.RelationVector({64: 1.0, 128: 1.0, 256: 1.0})
         with pytest.raises(pp.DataError, match="not in profile"):
-            pp.select_configuration(profile_joint, r, pp.PowerCap(5.0))
+            pp.select_configuration_fast(profile_joint, r, pp.PowerCap(5.0))
 
     def test_selected_pair_is_strictly_feasible(self):
         rng = np.random.default_rng(21)
@@ -274,7 +277,7 @@ class TestSelectConfiguration:
             r = random_relation(rng, profile.batch_sizes)
             cap = random_cap(rng, profile)
             try:
-                sel = pp.select_configuration(profile, r, cap)
+                sel = pp.select_configuration_fast(profile, r, cap)
             except pp.InfeasibleError:
                 continue
             i = profile.batch_index(sel.batch_size)
@@ -282,18 +285,18 @@ class TestSelectConfiguration:
             assert profile.power_table[i, j] < cap.p_max
 
     def test_energy_reported_only_with_avg_power(self, profile_joint, relation_uniform):
-        sel = pp.select_configuration(profile_joint, relation_uniform, pp.PowerCap(5.0))
+        sel = pp.select_configuration_fast(profile_joint, relation_uniform, pp.PowerCap(5.0))
         assert sel.estimated_energy == pytest.approx(4.3 * 24.516)
         rng = np.random.default_rng(3)
         bare, _ = random_profile(rng, with_avg_power=False)
-        sel = pp.select_configuration(
+        sel = pp.select_configuration_fast(
             bare, random_relation(rng, bare.batch_sizes), pp.PowerCap.unlimited()
         )
         assert sel.estimated_energy is None
 
 
 class TestFastPathEquivalence:
-    """``select_configuration`` is an alias; both names must match the oracle."""
+    """The kernel's selections match the brute-force oracle."""
 
     def test_named_cases(self, profile_joint, profile_flip, relation_uniform, relation_small):
         cases = [
@@ -303,7 +306,6 @@ class TestFastPathEquivalence:
         ]
         for prof, r, cap in cases:
             expected = brute_force_select(prof, r.entries, cap)
-            assert pp.select_configuration(prof, r, cap) == expected
             assert pp.select_configuration_fast(prof, r, cap) == expected
 
     def test_single_frequency_rows_degenerate(self):
@@ -354,7 +356,7 @@ class TestTieBreaking:
             frequencies=(100.0, 200.0),
         )
         r = pp.RelationVector({8: 1.0, 16: 1.0})
-        sel = pp.select_configuration(prof, r, pp.PowerCap.unlimited())
+        sel = pp.select_configuration_fast(prof, r, pp.PowerCap.unlimited())
         assert sel.batch_size == 16
         assert pp.select_configuration_fast(prof, r, pp.PowerCap.unlimited()) == sel
 
@@ -376,7 +378,7 @@ class TestTieBreaking:
             batch_sizes=(8, 16),
         )
         r = pp.RelationVector({8: 1.0, 16: 1.0})
-        sel = pp.select_configuration(prof, r, pp.PowerCap.unlimited())
+        sel = pp.select_configuration_fast(prof, r, pp.PowerCap.unlimited())
         assert sel.batch_size == 16
 
     def test_near_tie_chain_judged_against_global_minimum(self):
@@ -391,7 +393,7 @@ class TestTieBreaking:
         )
         r = pp.RelationVector({1: 1.0, 2: 1.0, 3: 1.0})
         cap = pp.PowerCap.unlimited()
-        assert pp.select_configuration(prof, r, cap).batch_size == 2
+        assert pp.select_configuration_fast(prof, r, cap).batch_size == 2
         assert pp.select_configuration_fast(prof, r, cap).batch_size == 2
         assert pp.fastest_configuration(prof, {1: 1, 2: 1, 3: 1}, cap).batch_size == 2
 
@@ -424,7 +426,7 @@ class TestArgminScaleInvariance:
             cap = random_cap(rng, profile)
             r = pp.relation_vector(counts)
             try:
-                ours = pp.select_configuration(profile, r, cap)
+                ours = pp.select_configuration_fast(profile, r, cap)
             except pp.InfeasibleError:
                 continue
             fastest = pp.fastest_configuration(profile, counts, cap)
@@ -447,7 +449,7 @@ class TestCapMonotonicity:
             prev_tt = None
             for cap in caps:
                 try:
-                    sel = pp.select_configuration(profile, r, cap)
+                    sel = pp.select_configuration_fast(profile, r, cap)
                 except pp.InfeasibleError:
                     assert prev_tt is None  # feasibility is monotone in the cap
                     continue
@@ -466,7 +468,7 @@ class TestOracleEquivalenceSampled:
             best = brute_force_min_estimate(profile, r.entries, cap)
             if best is None:
                 with pytest.raises(pp.InfeasibleError):
-                    pp.select_configuration(profile, r, cap)
+                    pp.select_configuration_fast(profile, r, cap)
                 continue
-            sel = pp.select_configuration(profile, r, cap)
+            sel = pp.select_configuration_fast(profile, r, cap)
             assert sel.estimated_tt_acc == best

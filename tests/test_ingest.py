@@ -585,3 +585,15 @@ class TestTraceInvariants:
     def test_empty_trace_peak_errors(self):
         with pytest.raises(pp.DataError, match="empty power trace"):
             pp.PowerTrace(()).peak_w
+
+    def test_timing_trace_rejects_overflowing_retained_sum(self):
+        with pytest.raises(pp.DataError, match="retained mini-batch durations sum past the float range"):
+            pp.TimingTrace(8, 100.0, (1e308, 1e308), warmup_discarded=0)
+        # a discarded warm-up duration does not count
+        assert pp.TimingTrace(8, 100.0, (1e308, 1e308), warmup_discarded=1).retained == (1e308,)
+
+    def test_power_trace_average_rejects_overflowing_sum(self):
+        trace = pp.PowerTrace(((0.0, 1e308), (1.0, 1e308)))
+        assert trace.peak_w == 1e308 / 1000.0
+        with pytest.raises(pp.DataError, match="power samples sum past the float range"):
+            trace.avg_w

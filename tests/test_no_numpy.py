@@ -2,10 +2,14 @@
 
 Each command runs in a child process that blocks ``import numpy`` before it
 imports ``powerplan.cli``; its stdout and output files must match the
-outputs recorded in ``tests/data`` byte for byte.
+outputs recorded in ``tests/data`` byte for byte.  The README's library
+example runs the same way, and the functions it lists are the package's.
 """
 
+import inspect
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,15 +28,19 @@ BLOCKED = (
 )
 
 
-def run_without_numpy(args, cwd):
+def run_without_numpy(args, cwd, code=BLOCKED):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-c", BLOCKED, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
     )
 
 
+def readme_lines() -> list[str]:
+    return (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+
+
 def readme_select_block() -> str:
-    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    lines = readme_lines()
     start = lines.index("policy=ours")
     end = next(k for k in range(start, len(lines)) if lines[k].startswith("feasible_count="))
     return "\n".join(lines[start : end + 1]) + "\n"
@@ -81,3 +89,30 @@ def test_ingest_matches_golden_profile(tmp_path):
     assert proc.stdout == f"wrote {out}: 2x2 grid, model_id=bench-cnn\n"
     assert out.read_bytes() == (DATA / "golden_profile.csv").read_bytes()
 
+
+def readme_library_block() -> str:
+    lines = readme_lines()
+    start = lines.index("```python") + 1
+    return "\n".join(lines[start : lines.index("```", start)]) + "\n"
+
+
+def test_readme_library_example_runs(tmp_path):
+    shutil.copyfile(DATA / "profile_b8_b32.csv", tmp_path / "profile.csv")
+    # The block's last line is an expression; the child prints the selection it made.
+    code = (
+        "import sys; sys.modules['numpy'] = None; namespace = {}; "
+        "exec(compile(sys.argv[1], 'README.md', 'exec'), namespace); "
+        "print(namespace['sel'].batch_size, namespace['sel'].frequency_mhz)"
+    )
+    proc = run_without_numpy([readme_library_block()], cwd=tmp_path, code=code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "8 614.0\n"
+
+
+def test_readme_key_operations_are_the_public_functions():
+    lines = readme_lines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("Key operations"))
+    end = lines.index("", start + 2)  # the blank line that ends the list
+    listed = re.findall(r"`([a-z0-9_]+)`", "\n".join(lines[start:end]))
+    public = [name for name in powerplan.__all__ if inspect.isfunction(getattr(powerplan, name))]
+    assert sorted(listed) == sorted(public)

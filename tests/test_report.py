@@ -33,6 +33,10 @@ from synth_corpus import (
 CAPS_FLIP = [pp.PowerCap(4.5), pp.PowerCap(7.0), pp.PowerCap.unlimited()]
 
 
+def policy_rows(report, policy_tag):
+    return [row for row in report.rows if row.policy_tag == policy_tag]
+
+
 class TestBuildComparison:
     def test_ours_row_switches_batch_size_across_caps(
         self, profile_flip, relation_small, counts_small, safe_small
@@ -40,7 +44,7 @@ class TestBuildComparison:
         report = pp.build_comparison(
             profile_flip, relation_small, CAPS_FLIP, safe_small, true_counts=counts_small
         )
-        ours = report.rows_for("ours")
+        ours = policy_rows(report, "ours")
         assert [row.batch_size for row in ours] == [8, 32, 32]
         assert [row.p_max_w for row in ours] == [4.5, 7.0, math.inf]
 
@@ -50,7 +54,7 @@ class TestBuildComparison:
         report = pp.build_comparison(
             profile_flip, relation_small, CAPS_FLIP, safe_small, true_counts=counts_small
         )
-        for ours, fastest in zip(report.rows_for("ours"), report.rows_for("fastest")):
+        for ours, fastest in zip(policy_rows(report, "ours"), policy_rows(report, "fastest")):
             assert (ours.batch_size, ours.frequency_mhz) == (
                 fastest.batch_size,
                 fastest.frequency_mhz,
@@ -63,7 +67,7 @@ class TestBuildComparison:
         report = pp.build_comparison(
             profile_flip, relation_small, CAPS_FLIP, safe_small, true_counts=counts_small
         )
-        for row in report.rows_for("baseline1"):
+        for row in policy_rows(report, "baseline1"):
             assert row.speedup_vs_baseline1 == 1.0
 
     def test_ours_speedup_at_least_one_with_true_proxy(
@@ -72,17 +76,17 @@ class TestBuildComparison:
         report = pp.build_comparison(
             profile_flip, relation_small, CAPS_FLIP, safe_small, true_counts=counts_small
         )
-        for row in report.rows_for("ours"):
+        for row in policy_rows(report, "ours"):
             assert row.speedup_vs_baseline1 >= 1.0
 
     def test_without_counts_no_fastest_no_realized(
         self, profile_flip, relation_small, safe_small
     ):
         report = pp.build_comparison(profile_flip, relation_small, CAPS_FLIP, safe_small)
-        assert not report.rows_for("fastest")
+        assert not policy_rows(report, "fastest")
         assert all(row.realized_tt_acc is None for row in report.rows)
         # speedups fall back to the estimated basis
-        for row in report.rows_for("baseline1"):
+        for row in policy_rows(report, "baseline1"):
             assert row.speedup_vs_baseline1 == 1.0
 
     def test_infeasible_cap_flagged_not_fatal(self, profile_flip, relation_small, counts_small):
@@ -169,7 +173,7 @@ class TestBuildSensitivity:
         profile, proxies, targets, cap = self.scenario(seed=83)
         matrix = pp.build_sensitivity(profile, proxies, targets, cap)
         for p_idx, pid in enumerate(matrix.proxy_ids):
-            sel = pp.select_configuration(profile, proxies[pid], cap)
+            sel = pp.select_configuration_fast(profile, proxies[pid], cap)
             i = profile.batch_index(sel.batch_size)
             j = profile.frequency_index(sel.frequency_mhz)
             for t_idx, tid in enumerate(matrix.target_ids):
