@@ -256,3 +256,62 @@ def reference_parse_timing_log(text, warmup_override=None, max_minibatches=None)
         minibatch_durations=tuple(durations),
         warmup_discarded=warmup,
     )
+
+
+def _reference_id_and_values(text) -> tuple[str, dict[int, float]]:
+    """The optional first ``source_id,<name>`` line, then ``batch_size,value`` lines."""
+    source_id = ""
+    values: dict[int, float] = {}
+    for k, (n, line) in enumerate(_reference_lines(text)):
+        fields = line.split(",")
+        if k == 0 and fields[0] == "source_id":
+            if len(fields) != 2:
+                raise pp.ParseError(n, "expected source_id,<name>")
+            source_id = fields[1]
+            continue
+        if len(fields) != 2:
+            raise pp.ParseError(n, f"expected batch_size,value, got {line!r}")
+        try:
+            b, v = int(fields[0]), float(fields[1])
+        except ValueError:
+            raise pp.ParseError(n, f"expected batch_size,value, got {line!r}") from None
+        if b in values:
+            raise pp.ParseError(n, f"duplicate batch size {b}")
+        values[b] = v
+    return source_id, values
+
+
+def reference_parse_relation_file(text) -> pp.RelationVector:
+    """``parse_relation_file`` one line at a time: the first faulty line raises."""
+    source_id, values = _reference_id_and_values(text)
+    return pp.RelationVector(values, source_id=source_id)
+
+
+def reference_parse_counts_file(text) -> tuple[dict[int, float], str]:
+    """``parse_counts_file`` one line at a time: the first faulty line raises."""
+    source_id, counts = _reference_id_and_values(text)
+    if not counts:
+        raise pp.DataError("no batch sizes")
+    for b, count in counts.items():
+        if not 0 < count < math.inf:
+            raise pp.DataError(f"invalid count for batch size {b}: {count!r}")
+    return counts, source_id
+
+
+def reference_parse_safe_table(text) -> pp.SafeFrequencyTable:
+    """``parse_safe_table`` one line at a time: the first faulty line raises."""
+    entries: dict[float, float] = {}
+    for n, line in _reference_lines(text):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise pp.ParseError(n, f"expected p_max_w,f_mhz, got {line!r}")
+        try:
+            cap, f = pp.PowerCap.parse(fields[0]), float(fields[1])
+        except (pp.DataError, ValueError):
+            raise pp.ParseError(n, f"expected p_max_w,f_mhz, got {line!r}") from None
+        if not math.isfinite(f):
+            raise pp.ParseError(n, f"non-finite frequency in {line!r}")
+        if cap.p_max in entries:
+            raise pp.ParseError(n, f"duplicate cap {fields[0]!r}")
+        entries[cap.p_max] = f
+    return pp.SafeFrequencyTable(entries)

@@ -381,6 +381,29 @@ class TestSensitivityCommand:
         assert lines[1] == "4.5,proxy-small,truth-small,0.0"
         assert lines[2] == "7.0,proxy-small,truth-small,0.0"
 
+    def test_ids_fall_back_to_file_stems(self, data_dir, tmp_path):
+        # One relation file without a source_id line, one counts file with an empty one.
+        relation = tmp_path / "proxy_plain.csv"
+        relation.write_text("8,0.6666666666666666\n32,1.0\n", encoding="utf-8")
+        counts = tmp_path / "target_blank.csv"
+        counts.write_text("source_id,\n8,10\n32,15\n", encoding="utf-8")
+        csv_path = tmp_path / "sens.csv"
+        assert main([
+            "sensitivity",
+            "--profile", str(data_dir / "profile_b8_b32.csv"),
+            "--relation", str(data_dir / "relation_b8_b32.csv"), str(relation),
+            "--counts", str(counts), str(data_dir / "counts_b8_b32.csv"),
+            "--p-max", "4.5",
+            "--csv", str(csv_path),
+        ]) == 0
+        labels = [line.split(",")[1:3] for line in csv_path.read_text().splitlines()[1:]]
+        assert labels == [
+            ["proxy-small", "target_blank"],
+            ["proxy-small", "truth-small"],
+            ["proxy_plain", "target_blank"],
+            ["proxy_plain", "truth-small"],
+        ]
+
     def test_infeasible_cap_exits_4(self, data_dir, capsys):
         rc = main([
             "sensitivity",

@@ -14,7 +14,10 @@ from synth_corpus import (
     random_device_params,
     random_grid,
     random_profile,
+    reference_parse_counts_file,
     reference_parse_power_log,
+    reference_parse_relation_file,
+    reference_parse_safe_table,
     reference_parse_timing_log,
 )
 
@@ -262,6 +265,52 @@ class TestLogParsersAgainstReference:
             data.draw(st.none() | st.integers(0, 4)),
         )
         assert _outcome(pp.parse_timing_log, *args) == _outcome(reference_parse_timing_log, *args)
+
+
+# Per two-field file: its parser, its line-by-line reference, and the key and
+# value tokens of valid lines.
+TWO_FIELD_FILES = {
+    "relation": (pp.parse_relation_file, reference_parse_relation_file,
+                 ["8", "16", "32", "64"], ["1.0", "1", "0.5", "0.6666666666666666", "1e-3"]),
+    "counts": (pp.parse_counts_file, reference_parse_counts_file,
+               ["8", "16", "32", "64"], ["10", "15", "2.5", "1e3"]),
+    "safe": (pp.parse_safe_table, reference_parse_safe_table,
+             ["4.5", "5.0", "7.0", "unlimited", "inf"], ["307.0", "460.0", "614.0", "921"]),
+}
+SOURCE_ID_LINES = ["source_id,proxy-a", "source_id,proxy-a", "source_id,", "source_id,a,b", "source_id"]
+
+
+class TestTwoFieldFilesAgainstReference:
+    """Relation, counts and safe-frequency parsers against their line-by-line references."""
+
+    @pytest.mark.parametrize("kind", sorted(TWO_FIELD_FILES))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome(self, kind, data):
+        parse, reference, keys, values = TWO_FIELD_FILES[kind]
+        drawn = data.draw(st.lists(st.sampled_from(keys), unique=True))
+        fields = [[key, data.draw(st.sampled_from(values))] for key in drawn]
+        if fields and data.draw(st.booleans()):  # one value throughout: a valid file of any kind
+            fields = [[key, fields[0][1]] for key, _ in fields]
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2])) if fields else 0):
+            k = data.draw(st.integers(0, len(fields) - 1))
+            fault = data.draw(st.sampled_from(["token", "count", "duplicate", "non-finite"]))
+            if fault == "token":
+                fields[k][data.draw(st.integers(0, len(fields[k]) - 1))] = data.draw(
+                    st.sampled_from(BAD_TOKENS + ["0", "-1", "1.5"])
+                )
+            elif fault == "count":
+                fields[k] = data.draw(st.sampled_from([fields[k][:1], fields[k] + ["1"], ["1;2"]]))
+            elif fault == "duplicate":
+                fields[k][0] = fields[data.draw(st.integers(0, len(fields) - 1))][0]
+            else:
+                fields[k][-1] = data.draw(st.sampled_from(["inf", "-inf", "nan"]))
+        lines = [",".join(f) for f in fields]
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+            at = data.draw(st.sampled_from([0, 0, len(lines)]) | st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(SOURCE_ID_LINES)))
+        text = _render(data, lines)
+        assert _outcome(parse, text) == _outcome(reference, text)
 
 
 class TestProfilingSchedule:
