@@ -33,7 +33,7 @@ from .core import (
     _result_at,
     _select_one,
 )
-from .ingest import ParseError, _numbered_lines
+from .ingest import ParseError, _format_key_values, _key_value_lines, _numbered_lines
 
 
 @dataclass(frozen=True)
@@ -69,31 +69,21 @@ class SafeFrequencyTable:
         return f
 
 
-def parse_safe_table(text: str | Iterable[str]) -> SafeFrequencyTable:
+def parse_safe_table(text: str) -> SafeFrequencyTable:
     """Parse CSV lines ``p_max_w,f_mhz`` ('unlimited' allowed for the cap)."""
     entries: dict[float, float] = {}
-    for n, line in _numbered_lines(text):
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ParseError(n, f"expected p_max_w,f_mhz, got {line!r}")
-        try:
-            cap = PowerCap.parse(fields[0])
-            f = float(fields[1])
-        except (DataError, ValueError):
-            raise ParseError(n, f"expected p_max_w,f_mhz, got {line!r}") from None
+    rows = _key_value_lines(_numbered_lines(text.splitlines()), "p_max_w,f_mhz", PowerCap.parse, float)
+    for n, line, cap, f in rows:
         if not math.isfinite(f):
             raise ParseError(n, f"non-finite frequency in {line!r}")
         if cap.p_max in entries:
-            raise ParseError(n, f"duplicate cap {fields[0]!r}")
+            raise ParseError(n, f"duplicate cap {line.split(',')[0]!r}")
         entries[cap.p_max] = f
     return SafeFrequencyTable(entries)
 
 
 def format_safe_table(table: SafeFrequencyTable) -> str:
-    lines = [
-        f"{PowerCap(cap)},{repr(float(f))}" for cap, f in table.entries.items()
-    ]
-    return "\n".join(lines) + "\n"
+    return _format_key_values((PowerCap(cap), repr(float(f))) for cap, f in table.entries.items())
 
 
 def compute_safe_table(

@@ -26,6 +26,7 @@ from .core import (
 from .ingest import (
     DEFAULT_MINIBATCHES,
     DEFAULT_WARMUP,
+    TimeScaleError,
     aggregate_point,
     load_profile,
     parse_counts_file,
@@ -58,6 +59,14 @@ class UsageError(Exception):
     pass
 
 
+def _in_file(path: str, func, *args, **kwargs):
+    """``func(*args, **kwargs)``, with any DataError it raises prefixed by ``path``."""
+    try:
+        return func(*args, **kwargs)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _parse_file(path: str, parse, *args, **kwargs):
     """Read ``path`` and parse its text; any DataError is prefixed with the path."""
     # Every parser splits with str.splitlines, which breaks on \r\n and \r
@@ -73,10 +82,7 @@ def _parse_file(path: str, parse, *args, **kwargs):
     except UnicodeDecodeError as exc:
         line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise DataError(f"{path}: not valid UTF-8 at line {line_no}, byte {exc.start}") from None
-    try:
-        return parse(text, *args, **kwargs)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return _in_file(path, parse, text, *args, **kwargs)
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -151,6 +157,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         power = _parse_file(power_path, parse_power_log)
         try:
             point = aggregate_point(power, timing, args.s, peak_percentile=args.peak_percentile)
+        except TimeScaleError as exc:  # the timing log's durations, scaled by --s
+            raise DataError(f"{timing_path}: {exc}") from None
         except DataError as exc:  # the options are checked above: the power log is at fault
             raise DataError(f"{power_path}: {exc}") from None
         points.append(point)
@@ -182,9 +190,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     profile = _parse_file(args.profile, load_profile)
-    r = _parse_file(args.relation, parse_relation_file, default_source_id=Path(args.relation).stem)
+    r = _parse_file(args.relation, parse_relation_file)
     cap = PowerCap.parse(args.p_max)
-    sel = select_configuration_fast(profile, r, cap)
+    # Both files are valid on their own, so a fault between them is the relation's.
+    sel = _in_file(args.relation, select_configuration_fast, profile, r, cap)
     print(f"policy={sel.policy_tag}")
     print(f"batch_size={sel.batch_size}")
     print(f"frequency_mhz={repr(sel.frequency_mhz)}")
@@ -210,14 +219,14 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     profile = _parse_file(args.profile, load_profile)
-    r = _parse_file(args.relation, parse_relation_file, default_source_id=Path(args.relation).stem)
+    r = _parse_file(args.relation, parse_relation_file)
     caps = _parse_caps(args.p_max)
     safe = _parse_file(args.safe_freqs, parse_safe_table)
+    for cap in sorted(caps, key=lambda c: c.p_max):  # in the table, at a frequency on the profile's axis
+        _in_file(args.safe_freqs, lambda: profile.frequency_index(safe.frequency_for(cap)))
     true_counts = None
     if args.counts:
-        true_counts, _ = _parse_file(
-            args.counts, parse_counts_file, default_source_id=Path(args.counts).stem
-        )
+        true_counts, _ = _parse_file(args.counts, parse_counts_file)
     report = build_comparison(profile, r, caps, safe, true_counts=true_counts)
     sys.stdout.write(format_comparison_table(report))
     if args.csv:
@@ -229,14 +238,14 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     profile = _parse_file(args.profile, load_profile)
     proxies = {}
     for path in args.relation:
-        rv = _parse_file(path, parse_relation_file, default_source_id=Path(path).stem)
+        rv = _parse_file(path, parse_relation_file)
         pid = rv.source_id or Path(path).stem
         if pid in proxies:
             raise DataError(f"duplicate proxy id {pid!r}")
         proxies[pid] = rv
     targets = {}
     for path in args.counts:
-        counts, tid = _parse_file(path, parse_counts_file, default_source_id=Path(path).stem)
+        counts, tid = _parse_file(path, parse_counts_file)
         tid = tid or Path(path).stem
         if tid in targets:
             raise DataError(f"duplicate target id {tid!r}")
@@ -255,9 +264,9 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     profile = _parse_file(args.profile, load_profile)
-    r = _parse_file(args.relation, parse_relation_file, default_source_id=Path(args.relation).stem)
+    r = _parse_file(args.relation, parse_relation_file)
     caps = cap_range(args.p_max_min, args.p_max_max, args.step)
-    rows = build_sweep(profile, r, caps)
+    rows = _in_file(args.relation, build_sweep, profile, r, caps)
     sys.stdout.write(format_sweep_table(rows))
     if args.csv:
         _write_csv(args.csv, sweep_csv_rows(rows))

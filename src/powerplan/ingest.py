@@ -11,7 +11,8 @@ lines are ignored everywhere):
   axis line; then one cell per line, ``b,f_mhz,t_s_seconds,peak_w[,avg_w]``,
   covering the full grid exactly once.
 * relation / counts files: optional ``source_id,<name>`` line, then one
-  ``batch_size,value`` line per batch size.
+  ``batch_size,value`` line per batch size, in the ``key,value`` grammar
+  of the safe-frequency table: one reader and one writer serve all three.
 
 Numbers are written with Python's shortest round-trip rendering so that a
 save/load cycle is bit-exact.
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 from .core import DataError, DeviceProfile, PowerCap, RelationVector, _check_counts
@@ -41,8 +42,7 @@ class ParseError(DataError):
         self.line_no = line_no
 
 
-def _numbered_lines(text: str | Iterable[str]):
-    lines = text.splitlines() if isinstance(text, str) else text
+def _numbered_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
     for n, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -50,18 +50,22 @@ def _numbered_lines(text: str | Iterable[str]):
         yield n, line
 
 
-def _data_lines(lines: Iterable[str]) -> list[str]:
+def _data_lines(lines: list[str]) -> list[str]:
     """The lines ``_numbered_lines`` yields, without their numbers."""
     return [line for line in map(str.strip, lines) if line and line[0] != "#"]
 
 
-def _lines_of(text: str | Iterable[str]) -> list[str]:
-    return text.splitlines() if isinstance(text, str) else list(text)
-
-
-def _first_line_no(lines: list[str]) -> int:
-    """Line number of the first line that is neither blank nor a comment."""
-    return next(_numbered_lines(lines))[0]
+def _key_value_lines(numbered: Iterable[tuple[int, str]], fields: str, key: Callable, value: Callable) -> Iterator:
+    """(line number, line, key, value) per ``key,value`` line; a line that is not two
+    fields that ``key`` and ``value`` convert raises ``expected <fields>, got <line>``.
+    """
+    for n, line in numbered:
+        try:
+            k, v = line.split(",")
+            k, v = key(k), value(v)
+        except (ValueError, DataError):
+            raise ParseError(n, f"expected {fields}, got {line!r}") from None
+        yield n, line, k, v
 
 
 @dataclass(frozen=True)
@@ -169,13 +173,13 @@ class ProfilingSchedule:
         return iter(self.points)
 
 
-def parse_power_log(text: str | Iterable[str]) -> PowerTrace:
+def parse_power_log(text: str) -> PowerTrace:
     """Parse ``timestamp_s,power_mw`` lines into a PowerTrace.
 
     Every input line is either a sample, a comment/blank, or a ParseError
     naming its line number; nothing is dropped silently.
     """
-    lines = _lines_of(text)
+    lines = text.splitlines()
     # The samples are parsed as whole columns, and PowerTrace checks them; on
     # any fault a line-by-line re-check names the first faulty line.
     kept = _data_lines(lines)
@@ -194,26 +198,22 @@ def parse_power_log(text: str | Iterable[str]) -> PowerTrace:
 def _first_sample_fault(numbered: Iterable[tuple[int, str]]) -> ParseError | None:
     """Check power log lines one at a time, in file order; the first faulty line's error."""
     last_ts: float | None = None
-    for n, line in numbered:
-        fields = line.split(",")
-        if len(fields) != 2:
-            return ParseError(n, f"expected timestamp_s,power_mw, got {line!r}")
-        try:
-            ts, mw = float(fields[0]), float(fields[1])
-        except ValueError:
-            return ParseError(n, f"expected timestamp_s,power_mw, got {line!r}")
-        if not (math.isfinite(ts) and math.isfinite(mw)):
-            return ParseError(n, f"non-finite value in {line!r}")
-        if last_ts is not None and ts <= last_ts:
-            return ParseError(n, f"non-monotone timestamp {ts!r}")
-        if mw < 0:
-            return ParseError(n, f"negative power {mw!r}")
-        last_ts = ts
+    try:
+        for n, line, ts, mw in _key_value_lines(numbered, "timestamp_s,power_mw", float, float):
+            if not (math.isfinite(ts) and math.isfinite(mw)):
+                return ParseError(n, f"non-finite value in {line!r}")
+            if last_ts is not None and ts <= last_ts:
+                return ParseError(n, f"non-monotone timestamp {ts!r}")
+            if mw < 0:
+                return ParseError(n, f"negative power {mw!r}")
+            last_ts = ts
+    except ParseError as fault:
+        return fault
     return None
 
 
 def parse_timing_log(
-    text: str | Iterable[str],
+    text: str,
     warmup_override: int | None = None,
     max_minibatches: int | None = None,
 ) -> TimingTrace:
@@ -223,7 +223,7 @@ def parse_timing_log(
     ``max_minibatches`` is given, at most that many retained durations are
     kept (extra trailing measurements are trimmed).
     """
-    lines = _lines_of(text)
+    lines = text.splitlines()
     kept = _data_lines(lines)
     if not kept:
         raise DataError("timing log has no header line")
@@ -231,7 +231,8 @@ def parse_timing_log(
     parts = header.split(",")
     keys = [p.partition("=")[0] for p in parts]
     if keys != ["b", "f_mhz", "warmup"]:
-        raise ParseError(_first_line_no(lines), f"expected header b=<int>,f_mhz=<num>,warmup=<int>, got {header!r}")
+        message = f"expected header b=<int>,f_mhz=<num>,warmup=<int>, got {header!r}"
+        raise ParseError(next(_numbered_lines(lines))[0], message)
     try:
         b = int(parts[0].partition("=")[2])
         f_mhz = float(parts[1].partition("=")[2])
@@ -239,7 +240,7 @@ def parse_timing_log(
         if b <= 0 or not 0 < f_mhz < math.inf or warmup < 0:
             raise ValueError("header value out of range")
     except ValueError:
-        raise ParseError(_first_line_no(lines), f"invalid header values in {header!r}") from None
+        raise ParseError(next(_numbered_lines(lines))[0], f"invalid header values in {header!r}") from None
 
     # The durations are parsed and checked as one column; on any fault a
     # line-by-line re-check names the first faulty line.
@@ -282,6 +283,10 @@ def _first_duration_fault(numbered: Iterable[tuple[int, str]]) -> ParseError | N
     return None
 
 
+class TimeScaleError(DataError):
+    """T_s, the mean retained duration scaled to s samples, is not a positive float."""
+
+
 class AggregatedPoint(NamedTuple):
     """(t_s_seconds, peak_w, avg_w) for one grid point."""
 
@@ -300,7 +305,8 @@ def aggregate_point(
 
     T_s scales the mean retained mini-batch duration to s samples; s need not
     be a multiple of the batch size.  Peak is the maximum raw sample unless
-    ``peak_percentile`` selects a percentile for noisy sensors.
+    ``peak_percentile`` selects a percentile for noisy sensors.  Raises
+    TimeScaleError when T_s overflows or underflows the float range.
     """
     if not s > 0:
         raise DataError("samples_per_unit must be positive")
@@ -315,7 +321,10 @@ def aggregate_point(
         peak_w = float(np.percentile(list(map(operator.itemgetter(1), power.samples)), peak_percentile)) / 1000.0
     # TimingTrace guarantees at least one retained duration.
     retained = timing.retained
-    t_s = math.fsum(retained) / len(retained) * (s / timing.batch_size)
+    mean = math.fsum(retained) / len(retained)
+    t_s = mean * (s / timing.batch_size)
+    if not 0 < t_s < math.inf:
+        raise TimeScaleError(f"T_s out of range: mean duration {mean!r} s times {s} / b={timing.batch_size} is {t_s!r} s")
     return AggregatedPoint(t_s, peak_w, avg_w)
 
 
@@ -522,13 +531,13 @@ def _first_cell_fault(
     return None
 
 
-def load_profile(text: str | Iterable[str]) -> DeviceProfile:
+def load_profile(text: str) -> DeviceProfile:
     """Parse the profile file grammar back into a validated DeviceProfile.
 
     Cell lines may come in any order.  Any malformed cell line raises a
     ParseError naming the first such line in the file.
     """
-    lines = _lines_of(text)
+    lines = text.splitlines()
     numbered = _numbered_lines(lines)
     try:
         n, header = next(numbered)
@@ -554,7 +563,7 @@ def load_profile(text: str | Iterable[str]) -> DeviceProfile:
 
     # Cells are parsed column by column; on any fault a line-by-line re-check
     # of the remaining lines names the first faulty one.
-    cells = _data_lines(islice(lines, n, None))
+    cells = _data_lines(lines[n:])
     try:
         cell_b, cell_f, values = _cell_columns(cells)
         placed = place_cells(batch_sizes, frequencies, cell_b, cell_f)
@@ -579,62 +588,45 @@ def load_profile(text: str | Iterable[str]) -> DeviceProfile:
     )
 
 
-def _parse_id_and_values(
-    text: str | Iterable[str], default_source_id: str
-) -> tuple[str, dict[int, float]]:
-    source_id = default_source_id
+def _format_key_values(pairs: Iterable[tuple[object, object]], source_id: str = "") -> str:
+    """``key,value`` lines, after a ``source_id`` line when one is given."""
+    lines = [f"source_id,{source_id}"] if source_id else []
+    return "\n".join(lines + [f"{k},{v}" for k, v in pairs]) + "\n"
+
+
+def _parse_id_and_values(text: str) -> tuple[str, dict[int, float]]:
+    numbered = list(_numbered_lines(text.splitlines()))
+    source_id = ""
+    if numbered and numbered[0][1].split(",")[0] == "source_id":
+        n, line = numbered.pop(0)
+        if line.count(",") != 1:
+            raise ParseError(n, "expected source_id,<name>")
+        source_id = line.partition(",")[2]
     values: dict[int, float] = {}
-    first_data_line = True
-    for n, line in _numbered_lines(text):
-        fields = line.split(",")
-        if first_data_line and fields[0] == "source_id":
-            if len(fields) != 2:
-                raise ParseError(n, "expected source_id,<name>")
-            source_id = fields[1]
-            first_data_line = False
-            continue
-        first_data_line = False
-        if len(fields) != 2:
-            raise ParseError(n, f"expected batch_size,value, got {line!r}")
-        try:
-            b = int(fields[0])
-            v = float(fields[1])
-        except ValueError:
-            raise ParseError(n, f"expected batch_size,value, got {line!r}") from None
+    for n, _, b, v in _key_value_lines(numbered, "batch_size,value", int, float):
         if b in values:
             raise ParseError(n, f"duplicate batch size {b}")
         values[b] = v
     return source_id, values
 
 
-def parse_relation_file(text: str | Iterable[str], default_source_id: str = "") -> RelationVector:
+def parse_relation_file(text: str) -> RelationVector:
     """Parse ``batch_size,ratio`` lines into a validated RelationVector."""
-    source_id, values = _parse_id_and_values(text, default_source_id)
+    source_id, values = _parse_id_and_values(text)
     return RelationVector(values, source_id=source_id)
 
 
-def parse_counts_file(
-    text: str | Iterable[str], default_source_id: str = ""
-) -> tuple[dict[int, float], str]:
+def parse_counts_file(text: str) -> tuple[dict[int, float], str]:
     """Parse ``batch_size,count`` lines; returns (counts, source_id)."""
-    source_id, values = _parse_id_and_values(text, default_source_id)
+    source_id, values = _parse_id_and_values(text)
     _check_counts(values)
     return values, source_id
 
 
 def format_relation_file(r: RelationVector) -> str:
-    lines = []
-    if r.source_id:
-        lines.append(f"source_id,{r.source_id}")
-    lines.extend(f"{b},{_fmt(v)}" for b, v in r.entries.items())
-    return "\n".join(lines) + "\n"
+    return _format_key_values(((b, _fmt(v)) for b, v in r.entries.items()), r.source_id)
 
 
 def format_counts_file(counts: Mapping[int, float], source_id: str = "") -> str:
-    lines = []
-    if source_id:
-        lines.append(f"source_id,{source_id}")
-    for b in sorted(counts):
-        v = counts[b]
-        lines.append(f"{b},{v if isinstance(v, int) else _fmt(v)}")
-    return "\n".join(lines) + "\n"
+    pairs = ((b, v if isinstance(v, int) else _fmt(v)) for b, v in sorted(counts.items()))
+    return _format_key_values(pairs, source_id)

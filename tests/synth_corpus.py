@@ -181,8 +181,7 @@ def brute_force_select(
 
 def _reference_lines(text):
     """(line number, stripped line) for each line that is neither blank nor a comment."""
-    lines = text.splitlines() if isinstance(text, str) else text
-    for n, raw in enumerate(lines, start=1):
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield n, line

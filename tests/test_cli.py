@@ -125,6 +125,16 @@ class TestIngestCommand:
         assert main(args) == 3
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+    def test_overflowing_t_s_names_timing_log(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "timing_b16_f307.csv"
+        bad.write_text("b=16,f_mhz=307.0,warmup=1\n0.5\n1e307\n", encoding="utf-8")
+        args = ingest_args(data_dir, tmp_path / "p.csv")
+        args[args.index(str(data_dir / "timing_b16_f307.csv"))] = str(bad)
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            f"error: {bad}: T_s out of range: mean duration 1e+307 s times 4096 / b=16 is inf s\n"
+        )
+
     def test_unwritable_out_names_target(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(ingest_args(data_dir, "nodir/o.csv")) == 3
@@ -288,6 +298,24 @@ class TestSelectCommand:
         assert int(out["feasible_count"]) == sel.feasible_count
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("source_id,x\n8,1.0\n9,0.5\n", "relation vector names batch sizes not in profile: [9]"),
+        ("32,1.0\n", "relation vector incomplete: no entry for batch size 8"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", [["select", "--p-max", "7.0"], ["sweep", "--p-max-min", "3.5", "--p-max-max", "8.0", "--step", "0.5"]]
+)
+def test_relation_at_odds_with_profile_names_relation(data_dir, tmp_path, capsys, command, text, message):
+    relation = tmp_path / "relation.csv"
+    relation.write_text(text, encoding="utf-8")
+    args = [command[0], "--profile", str(data_dir / "profile_b8_b32.csv"), "--relation", str(relation), *command[1:]]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {relation}: {message}\n"
+
+
 class TestCompareCommand:
     def compare_args(self, data_dir, extra=()):
         return [
@@ -353,6 +381,23 @@ class TestCompareCommand:
         args[args.index("--safe-freqs") + 1] = str(safe)
         assert main(args) == 3
         assert capsys.readouterr().err == f"error: {safe}: line 1: non-finite frequency in '5.0,{token}'\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # checked smallest cap first: 4.6 is missing, unlimited too
+            ("4.5,307.0\n7.0,614.0\n", "safe-frequency table does not define cap 4.6"),
+            ("4.6,300.0\n7.0,614.0\nunlimited,921.0\n", "frequency 300.0 MHz not in profile 'edge-cnn-small'"),
+        ],
+    )
+    def test_safe_table_at_odds_with_caps_or_profile_names_table(self, data_dir, tmp_path, capsys, text, message):
+        safe = tmp_path / "safe.csv"
+        safe.write_text(text, encoding="utf-8")
+        args = self.compare_args(data_dir)
+        args[args.index("--safe-freqs") + 1] = str(safe)
+        args[args.index("--p-max") + 1 : args.index("--safe-freqs")] = ["7.0", "4.6", "unlimited"]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {safe}: {message}\n"
 
     def test_works_without_counts(self, data_dir, capsys):
         args = self.compare_args(data_dir)
@@ -597,8 +642,10 @@ class TestFileArgumentFuzz:
     """Any bytes in any one input file end in exit 0, 3 or 4, never a traceback.
 
     A file that is invalid on its own is reported with its path.  An error
-    between two valid files (say a relation naming a batch size the profile
-    lacks) names no single file, so it only has to be a one-line error.
+    between two valid files names the relation in ``select`` and ``sweep``
+    and the safe-frequency table in ``compare``; the others (``compare``'s
+    relation or counts against the profile, ``sensitivity``, an ingest grid
+    with a hole) only have to be one-line errors.
     """
 
     @pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
@@ -630,3 +677,6 @@ class TestFileArgumentFuzz:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             if invalid_on_its_own(name, content):
                 assert err.startswith(f"error: {argv[k]}: "), err
+            elif command in ("select", "sweep") or name.startswith("safe"):
+                blamed = argv[k] if name.startswith(("relation", "safe")) else argv[argv.index("--relation") + 1]
+                assert err.startswith(f"error: {blamed}: "), err

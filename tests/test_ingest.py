@@ -167,6 +167,12 @@ class TestAggregatePoint:
         assert power.avg_w == point.avg_w == 0.6 / 3 / 1000
         assert point.t_s_seconds == 0.6 / 3
 
+    @pytest.mark.parametrize("b, duration, s", [(16, 1e307, 4096), (512, 5e-324, 1)])
+    def test_t_s_out_of_float_range_rejected(self, b, duration, s):
+        timing = pp.parse_timing_log(f"b={b},f_mhz=460.0,warmup=0\n{duration!r}")
+        with pytest.raises(pp.DataError, match="T_s out of range"):
+            pp.aggregate_point(pp.parse_power_log("0.0,2000"), timing, s)
+
     def test_empty_power_trace(self):
         timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
         with pytest.raises(pp.DataError, match="empty power trace"):
@@ -202,16 +208,15 @@ def _outcome(parse, *args):
 NOISE_LINES = ["", "   ", "\t", "# note", "#1.0,x", "  # 5,5"]
 
 
-def _render(data, lines: list[str]) -> str | list[str]:
-    """Lines with comments, blanks and padding drawn in, as text or as a list of lines."""
+def _render(data, lines: list[str]) -> str:
+    """Lines with comments, blanks and padding drawn in, joined with LF or CRLF."""
     out = []
     for line in lines:
         out += data.draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2))
         pad = data.draw(st.sampled_from(["", " ", "\t", "  "]))
         out.append(pad + line + data.draw(st.sampled_from(["", " ", "\t"])))
     end = data.draw(st.sampled_from(["\n", "\r\n"]))
-    text = end.join(out) + data.draw(st.sampled_from(["", end]))
-    return text.splitlines(keepends=True) if data.draw(st.booleans()) else text
+    return end.join(out) + data.draw(st.sampled_from(["", end]))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -573,10 +578,6 @@ class TestRelationAndCountsFiles:
         r = pp.relation_vector({8: 10, 32: 15}, source_id="proxy-a")
         again = pp.parse_relation_file(pp.format_relation_file(r))
         assert again == r
-
-    def test_default_source_id(self):
-        r = pp.parse_relation_file("8,1.0\n", default_source_id="from-stem")
-        assert r.source_id == "from-stem"
 
     def test_counts_round_trip(self):
         counts, source = pp.parse_counts_file(pp.format_counts_file({8: 10, 32: 15}, "t1"))
