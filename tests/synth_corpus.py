@@ -6,7 +6,6 @@ own seed and the whole corpus is reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -137,10 +136,13 @@ def plant_duplicate_row(rng: np.random.Generator, profile: pp.DeviceProfile) -> 
         return out
 
     return (
-        dataclasses.replace(
-            profile,
+        pp.DeviceProfile(
+            model_id=profile.model_id,
+            batch_sizes=profile.batch_sizes,
+            frequencies=profile.frequencies,
             time_table=dup(profile.time_table),
             power_table=dup(profile.power_table),
+            samples_per_unit=profile.samples_per_unit,
             avg_power_table=dup(profile.avg_power_table),
         ),
         k,
