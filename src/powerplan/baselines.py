@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .core import (
@@ -30,14 +29,15 @@ from .core import (
     _check_relation_keys,
     _energy_at,
     _last_near_min,
+    _Record,
     _result_at,
     _select_one,
+    _set,
 )
 from .ingest import ParseError, _format_key_values, _key_value_lines, _numbered_lines
 
 
-@dataclass(frozen=True)
-class SafeFrequencyTable:
+class SafeFrequencyTable(_Record):
     """Per-cap frequency ceilings guaranteeing the cap for any model or batch.
 
     Keys are cap watts (``math.inf`` for unlimited); the mapping must be
@@ -45,13 +45,13 @@ class SafeFrequencyTable:
     configuration, not something interpolated at run time.
     """
 
-    entries: Mapping[float, float]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: Mapping[float, float]) -> None:
+        if not entries:
             raise DataError("safe-frequency table is empty")
         clean: dict[float, float] = {}
-        for cap_w, f in self.entries.items():
+        for cap_w, f in entries.items():
             cap = PowerCap(cap_w).p_max  # validates positivity
             clean[cap] = float(f)
             if not clean[cap] > 0:
@@ -60,7 +60,7 @@ class SafeFrequencyTable:
         freqs = list(ordered.values())
         if any(a > b for a, b in zip(freqs, freqs[1:])):
             raise DataError("safe frequencies must be non-decreasing in the cap")
-        object.__setattr__(self, "entries", MappingProxyType(ordered))
+        _set(self, "entries", MappingProxyType(ordered))
 
     def frequency_for(self, cap: PowerCap) -> float:
         f = self.entries.get(cap.p_max)

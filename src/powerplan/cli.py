@@ -21,6 +21,7 @@ from .core import (
     DeviceProfile,
     InfeasibleError,
     PowerCap,
+    _check_relation_keys,
     select_configuration_fast,
 )
 from .ingest import (
@@ -220,6 +221,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
+    _in_file(args.relation, _check_relation_keys, profile, r)
     caps = _parse_caps(args.p_max)
     safe = _parse_file(args.safe_freqs, parse_safe_table)
     for cap in sorted(caps, key=lambda c: c.p_max):  # in the table, at a frequency on the profile's axis
@@ -239,6 +241,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     proxies = {}
     for path in args.relation:
         rv = _parse_file(path, parse_relation_file)
+        _in_file(path, _check_relation_keys, profile, rv)
         pid = rv.source_id or Path(path).stem
         if pid in proxies:
             raise DataError(f"duplicate proxy id {pid!r}")

@@ -15,13 +15,8 @@ import numbers
 import operator
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from types import MappingProxyType
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Two estimates within this relative distance count as a tie and fall
 # through to the deterministic tie-break (larger batch, then higher
@@ -39,22 +34,63 @@ class InfeasibleError(RuntimeError):
     """No (batch size, frequency) combination stays under the power cap."""
 
 
-@dataclass(frozen=True)
-class PowerCap:
+_set = object.__setattr__  # stores a field of a _Record from its __init__
+
+
+class _Record:
+    """An immutable value whose ``__slots__`` name its fields in constructor order.
+
+    Each subclass writes its own ``__init__``, which validates its arguments
+    and stores the fields with ``_set``.  The base compares and hashes
+    instances of the same type field by field, renders them as
+    ``Type(field=value, ...)`` and refuses assignment and deletion, as a
+    frozen dataclass would.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        """The fields' values, in constructor order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._astuple()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PowerCap(_Record):
     """Hard upper bound on device power draw, in watts.
 
     ``math.inf`` stands for an unconstrained device.  Feasibility checks use
     a strict ``power < p_max`` comparison.
     """
 
-    p_max: float
+    __slots__ = ("p_max",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p_max, (int, float)) or isinstance(self.p_max, bool):
-            raise DataError(f"power cap must be a number, got {self.p_max!r}")
-        object.__setattr__(self, "p_max", float(self.p_max))
-        if math.isnan(self.p_max) or self.p_max <= 0:
-            raise DataError(f"power cap must be positive, got {self.p_max!r}")
+    def __init__(self, p_max: float) -> None:
+        if not isinstance(p_max, (int, float)) or isinstance(p_max, bool):
+            raise DataError(f"power cap must be a number, got {p_max!r}")
+        p_max = float(p_max)
+        if math.isnan(p_max) or p_max <= 0:
+            raise DataError(f"power cap must be positive, got {p_max!r}")
+        _set(self, "p_max", p_max)
 
     @classmethod
     def unlimited(cls) -> "PowerCap":
@@ -111,47 +147,32 @@ def _table_rows(
     return rows, next((i for i, (s, row) in enumerate(zip(ordered, rows)) if s != list(row)), None)
 
 
-class _Table:
-    """A table field of DeviceProfile, stored as rows and read as an ndarray.
+def _array_view(rows: str) -> property:
+    """A read-only float64 ndarray of the ``rows`` attribute (None when it is None).
 
-    The constructor takes an ndarray or nested sequences; ``__post_init__``
-    validates them and keeps tuples of row tuples of floats in the
-    ``<name>_rows`` attribute, which the planner reads.  Reading the field
-    itself returns a read-only float64 ndarray built on first access, so
-    numpy is imported only by code that asks for arrays.
+    The array is built on first read and kept in the ``_<rows>_array``
+    slot, so numpy is imported only by code that asks for arrays.
     """
+    cache = f"_{rows}_array"
 
-    def __init__(self, optional: bool = False):
-        self.optional = optional
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-        self.rows = name.removesuffix("_table") + "_rows"
-        self.array = f"_{name}_array"
-
-    def __get__(self, obj: object, owner: type | None = None):
-        if obj is None:
-            if self.optional:
-                return None  # the dataclass field's default
-            raise AttributeError(self.name)  # no default: a required field
-        rows = obj.__dict__[self.rows]
-        if rows is None:
-            return None
-        arr = obj.__dict__.get(self.array)
-        if arr is None:
+    def view(self):
+        try:
+            return getattr(self, cache)
+        except AttributeError:  # first read
+            pass
+        arr = getattr(self, rows)
+        if arr is not None:
             import numpy as np
 
-            arr = np.array(rows, dtype=float)
+            arr = np.array(arr, dtype=float)
             arr.setflags(write=False)
-            obj.__dict__[self.array] = arr
+        _set(self, cache, arr)
         return arr
 
-    def __set__(self, obj: object, value: object) -> None:
-        obj.__dict__[self.rows] = value  # validated and replaced by __post_init__
+    return property(view)
 
 
-@dataclass(frozen=True, eq=False)
-class DeviceProfile:
+class DeviceProfile(_Record):
     """Measured time and peak-power lookup tables for one model on one device.
 
     ``time_table[i, j]`` is the seconds needed to process ``samples_per_unit``
@@ -159,18 +180,56 @@ class DeviceProfile:
     ``frequencies[j]`` (MHz).  ``power_table`` holds the matching peak watts;
     ``avg_power_table``, when present, the average watts used for energy
     estimates.  Tables are validated on construction and frozen; instances
-    are immutable and safe to share across threads.  The same values are
-    kept as tuples of rows in ``time_rows``, ``power_rows`` and
-    ``avg_power_rows`` (``time_rows[i][j] == time_table[i, j]``).
+    are immutable and safe to share across threads.  The tables are kept
+    as tuples of rows in ``time_rows``, ``power_rows`` and
+    ``avg_power_rows`` (``time_rows[i][j] == time_table[i, j]``), and the
+    ``*_table`` attributes are read-only ndarray views of them.
     """
 
-    model_id: str
-    batch_sizes: tuple[int, ...]
-    frequencies: tuple[float, ...]
-    time_table: np.ndarray = _Table()
-    power_table: np.ndarray = _Table()
-    samples_per_unit: int
-    avg_power_table: np.ndarray | None = _Table(optional=True)
+    __slots__ = (
+        "model_id",
+        "batch_sizes",
+        "frequencies",
+        "time_rows",
+        "power_rows",
+        "samples_per_unit",
+        "avg_power_rows",
+        "_time_rows_array",
+        "_power_rows_array",
+        "_avg_power_rows_array",
+    )
+    _PARAMETERS = (
+        "model_id",
+        "batch_sizes",
+        "frequencies",
+        "time_table",
+        "power_table",
+        "samples_per_unit",
+        "avg_power_table",
+    )
+
+    time_table = _array_view("time_rows")
+    power_table = _array_view("power_rows")
+    avg_power_table = _array_view("avg_power_rows")
+
+    def __init__(
+        self,
+        model_id: str,
+        batch_sizes: Sequence[int],
+        frequencies: Sequence[float],
+        time_table: object,
+        power_table: object,
+        samples_per_unit: int,
+        avg_power_table: object = None,
+    ) -> None:
+        _set(self, "model_id", model_id)
+        _set(self, "batch_sizes", batch_sizes)
+        _set(self, "frequencies", frequencies)
+        _set(self, "time_rows", time_table)  # each table is replaced by its rows in __post_init__
+        _set(self, "power_rows", power_table)
+        _set(self, "samples_per_unit", samples_per_unit)
+        _set(self, "avg_power_rows", avg_power_table)
+        self.__post_init__()  # looked up on the class, where it may be rebound
 
     def __post_init__(self) -> None:
         bs = tuple(int(b) for b in self.batch_sizes)
@@ -185,17 +244,17 @@ class DeviceProfile:
             raise DataError("frequencies must be strictly increasing positive values")
         if not isinstance(self.samples_per_unit, numbers.Integral) or self.samples_per_unit <= 0:
             raise DataError("samples_per_unit must be a positive integer")
-        object.__setattr__(self, "batch_sizes", bs)
-        object.__setattr__(self, "frequencies", fs)
-        object.__setattr__(self, "samples_per_unit", int(self.samples_per_unit))
+        _set(self, "batch_sizes", bs)
+        _set(self, "frequencies", fs)
+        _set(self, "samples_per_unit", int(self.samples_per_unit))
 
         shape = (len(bs), len(fs))
-        stored = vars(self)  # the rows each _Table field keeps
-        time, rising = _table_rows(stored["time_rows"], "time table", shape, descending=True)
-        power, falling = _table_rows(stored["power_rows"], "power table", shape)
-        stored["time_rows"], stored["power_rows"] = time, power
-        if stored["avg_power_rows"] is not None:
-            stored["avg_power_rows"] = _table_rows(stored["avg_power_rows"], "average power table", shape)[0]
+        time, rising = _table_rows(self.time_rows, "time table", shape, descending=True)
+        power, falling = _table_rows(self.power_rows, "power table", shape)
+        _set(self, "time_rows", time)
+        _set(self, "power_rows", power)
+        if self.avg_power_rows is not None:
+            _set(self, "avg_power_rows", _table_rows(self.avg_power_rows, "average power table", shape)[0])
 
         # Monotonicity violations point at sensor faults; reject rather than
         # smooth so the owner re-profiles the offending row.
@@ -248,23 +307,39 @@ class DeviceProfile:
             and self.avg_power_rows == other.avg_power_rows
         )
 
+    def _astuple(self) -> tuple:
+        """The constructor's arguments, each table as its rows."""
+        return (
+            self.model_id,
+            self.batch_sizes,
+            self.frequencies,
+            self.time_rows,
+            self.power_rows,
+            self.samples_per_unit,
+            self.avg_power_rows,
+        )
 
-@dataclass(frozen=True)
-class RelationVector:
+    def __repr__(self) -> str:
+        # From the rows, never the ndarray views: no numpy is needed, and
+        # evaluating the text rebuilds an equal profile.
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._PARAMETERS, self._astuple()))
+        return f"DeviceProfile({fields})"
+
+
+class RelationVector(_Record):
     """Per-batch-size samples-to-accuracy ratios, normalized to the worst case.
 
     Every ratio lies in (0, 1] and at least one entry equals 1.0 exactly (the
     batch size needing the most samples).
     """
 
-    entries: Mapping[int, float]
-    source_id: str = ""
+    __slots__ = ("entries", "source_id")
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: Mapping[int, float], source_id: str = "") -> None:
+        if not entries:
             raise DataError("no batch sizes")
         clean: dict[int, float] = {}
-        for b, ratio in self.entries.items():
+        for b, ratio in entries.items():
             if not isinstance(b, numbers.Integral) or isinstance(b, bool) or b <= 0:
                 raise DataError(f"batch sizes must be positive integers, got {b!r}")
             r = float(ratio)
@@ -273,16 +348,15 @@ class RelationVector:
             clean[int(b)] = r
         if not any(r == 1.0 for r in clean.values()):
             raise DataError("relation vector must contain an entry exactly equal to 1.0")
-        ordered = dict(sorted(clean.items()))
-        object.__setattr__(self, "entries", MappingProxyType(ordered))
+        _set(self, "entries", MappingProxyType(dict(sorted(clean.items()))))
+        _set(self, "source_id", source_id)
 
     @property
     def batch_sizes(self) -> tuple[int, ...]:
         return tuple(self.entries)
 
 
-@dataclass(frozen=True)
-class FeasibleSet:
+class FeasibleSet(_Record):
     """Per batch size, the maximal frequency index staying under the cap.
 
     ``pairs`` holds (batch index, frequency index) tuples, ascending in batch
@@ -290,16 +364,16 @@ class FeasibleSet:
     simply absent; an empty set is a legal value.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+    def __init__(self, pairs: Sequence[tuple[int, int]]) -> None:
+        pairs = tuple((int(i), int(j)) for i, j in pairs)
         if any(i < 0 or j < 0 for i, j in pairs):
             raise DataError("feasible pair indices must be non-negative")
         batches = [i for i, _ in pairs]
         if any(a >= b for a, b in zip(batches, batches[1:])):
             raise DataError("feasible pairs must be strictly ascending in batch index")
-        object.__setattr__(self, "pairs", pairs)
+        _set(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -312,8 +386,7 @@ class FeasibleSet:
         return tuple((profile.batch_sizes[i], profile.frequencies[j]) for i, j in self.pairs)
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(_Record):
     """A chosen operating point plus the estimates that justified it.
 
     ``feasible_count`` records how many candidate configurations the policy
@@ -322,22 +395,38 @@ class SelectionResult:
     only when the profile carries an average-power table.
     """
 
-    batch_size: int
-    frequency_mhz: float
-    estimated_tt_acc: float
-    feasible_count: int
-    policy_tag: str
-    estimated_energy: float | None = None
+    __slots__ = (
+        "batch_size",
+        "frequency_mhz",
+        "estimated_tt_acc",
+        "feasible_count",
+        "policy_tag",
+        "estimated_energy",
+    )
 
-    def __post_init__(self) -> None:
-        if self.policy_tag not in POLICY_TAGS:
-            raise DataError(f"unknown policy tag {self.policy_tag!r}")
-        if not (self.estimated_tt_acc > 0 and math.isfinite(self.estimated_tt_acc)):
+    def __init__(
+        self,
+        batch_size: int,
+        frequency_mhz: float,
+        estimated_tt_acc: float,
+        feasible_count: int,
+        policy_tag: str,
+        estimated_energy: float | None = None,
+    ) -> None:
+        if policy_tag not in POLICY_TAGS:
+            raise DataError(f"unknown policy tag {policy_tag!r}")
+        if not (estimated_tt_acc > 0 and math.isfinite(estimated_tt_acc)):
             raise DataError("estimated time to accuracy must be positive and finite")
-        if self.estimated_energy is not None and not self.estimated_energy > 0:
+        if estimated_energy is not None and not estimated_energy > 0:
             raise DataError("estimated energy must be positive")
-        if self.feasible_count < 1:
+        if feasible_count < 1:
             raise DataError("feasible_count must be at least 1")
+        _set(self, "batch_size", batch_size)
+        _set(self, "frequency_mhz", frequency_mhz)
+        _set(self, "estimated_tt_acc", estimated_tt_acc)
+        _set(self, "feasible_count", feasible_count)
+        _set(self, "policy_tag", policy_tag)
+        _set(self, "estimated_energy", estimated_energy)
 
 
 def _check_counts(counts: Mapping[int, float]) -> None:

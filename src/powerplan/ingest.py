@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
-from .core import DataError, DeviceProfile, PowerCap, RelationVector, _check_counts
+from .core import DataError, DeviceProfile, PowerCap, RelationVector, _check_counts, _Record, _set
 
 DEFAULT_MINIBATCHES = 5
 DEFAULT_WARMUP = 1  # first mini-batch absorbs kernel compilation noise
@@ -68,20 +67,20 @@ def _key_value_lines(numbered: Iterable[tuple[int, str]], fields: str, key: Call
         yield n, line, k, v
 
 
-@dataclass(frozen=True)
-class PowerTrace:
+class PowerTrace(_Record):
     """Raw timestamped power samples, milliwatts, prior to aggregation."""
 
-    samples: tuple[tuple[float, float], ...]
+    __slots__ = ("samples",)
 
-    def __post_init__(self) -> None:
-        ts, mw = zip(*self.samples) if self.samples else ((), ())
+    def __init__(self, samples: tuple[tuple[float, float], ...]) -> None:
+        ts, mw = zip(*samples) if samples else ((), ())
         if not all(map(math.isfinite, ts + mw)):
             raise DataError("power samples must be finite")
         if not all(map(operator.lt, ts, ts[1:])):
             raise DataError("power trace timestamps must be strictly increasing")
         if min(mw, default=0.0) < 0:
             raise DataError("power samples must be non-negative")
+        _set(self, "samples", samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -104,52 +103,57 @@ class PowerTrace:
         return total / len(self.samples) / 1000.0
 
 
-@dataclass(frozen=True)
-class TimingTrace:
+class TimingTrace(_Record):
     """Per-mini-batch durations for one (batch size, frequency) point.
 
     The first ``warmup_discarded`` durations are kept for the record but
     excluded from aggregation.
     """
 
-    batch_size: int
-    frequency_mhz: float
-    minibatch_durations: tuple[float, ...]
-    warmup_discarded: int = 0
+    __slots__ = ("batch_size", "frequency_mhz", "minibatch_durations", "warmup_discarded")
 
-    def __post_init__(self) -> None:
-        if self.batch_size <= 0:
+    def __init__(
+        self,
+        batch_size: int,
+        frequency_mhz: float,
+        minibatch_durations: tuple[float, ...],
+        warmup_discarded: int = 0,
+    ) -> None:
+        if batch_size <= 0:
             raise DataError("batch size must be positive")
-        if not self.frequency_mhz > 0:
+        if not frequency_mhz > 0:
             raise DataError("frequency must be positive")
-        if any(map(operator.ge, repeat(0.0), self.minibatch_durations)):
+        if any(map(operator.ge, repeat(0.0), minibatch_durations)):
             raise DataError("mini-batch durations must be positive")
-        if self.warmup_discarded < 0:
+        if warmup_discarded < 0:
             raise DataError("warm-up count must be non-negative")
-        if len(self.minibatch_durations) <= self.warmup_discarded:
+        if len(minibatch_durations) <= warmup_discarded:
             raise DataError("all samples discarded")
         try:
-            math.fsum(self.retained)
+            math.fsum(minibatch_durations[warmup_discarded:])
         except OverflowError:
             raise DataError("retained mini-batch durations sum past the float range") from None
+        _set(self, "batch_size", batch_size)
+        _set(self, "frequency_mhz", frequency_mhz)
+        _set(self, "minibatch_durations", minibatch_durations)
+        _set(self, "warmup_discarded", warmup_discarded)
 
     @property
     def retained(self) -> tuple[float, ...]:
         return self.minibatch_durations[self.warmup_discarded :]
 
 
-@dataclass(frozen=True)
-class ProfilingSchedule:
+class ProfilingSchedule(_Record):
     """Ordered (batch size, frequency MHz) measurement points.
 
     Batch sizes run in descending order, each with one contiguous ascending
     frequency run; the run's last probe may be the infeasible stopping point.
     """
 
-    points: tuple[tuple[int, float], ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        points = tuple((int(b), float(f)) for b, f in self.points)
+    def __init__(self, points: Sequence[tuple[int, float]]) -> None:
+        points = tuple((int(b), float(f)) for b, f in points)
         seen: list[int] = []
         run_freqs: list[float] = []
         for b, f in points:
@@ -164,7 +168,7 @@ class ProfilingSchedule:
                 if f <= run_freqs[-1]:
                     raise DataError(f"frequency run for batch size {b} must ascend")
                 run_freqs.append(f)
-        object.__setattr__(self, "points", points)
+        _set(self, "points", points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -601,7 +605,7 @@ def _parse_id_and_values(text: str) -> tuple[str, dict[int, float]]:
         n, line = numbered.pop(0)
         if line.count(",") != 1:
             raise ParseError(n, "expected source_id,<name>")
-        source_id = line.partition(",")[2]
+        source_id = line.partition(",")[2].strip()  # padded like the numeric fields
     values: dict[int, float] = {}
     for n, _, b, v in _key_value_lines(numbered, "batch_size,value", int, float):
         if b in values:

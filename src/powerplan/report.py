@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .baselines import (
     SafeFrequencyTable,
@@ -30,12 +28,11 @@ from .core import (
     SelectionResult,
     _check_relation_keys,
     _energy_at,
+    _Record,
     _select_caps,
+    _set,
     select_configuration_fast,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -45,67 +42,108 @@ STATUS_INFEASIBLE = "infeasible"
 MAX_CAP_LADDER = 10_000
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    p_max_w: float
-    policy_tag: str
-    batch_size: int | None
-    frequency_mhz: float | None
-    estimated_tt_acc: float | None
-    realized_tt_acc: float | None
-    energy_j: float | None
-    speedup_vs_baseline1: float | None
-    status: str = STATUS_OK
+class ComparisonRow(_Record):
+    __slots__ = (
+        "p_max_w",
+        "policy_tag",
+        "batch_size",
+        "frequency_mhz",
+        "estimated_tt_acc",
+        "realized_tt_acc",
+        "energy_j",
+        "speedup_vs_baseline1",
+        "status",
+    )
+
+    def __init__(
+        self,
+        p_max_w: float,
+        policy_tag: str,
+        batch_size: int | None,
+        frequency_mhz: float | None,
+        estimated_tt_acc: float | None,
+        realized_tt_acc: float | None,
+        energy_j: float | None,
+        speedup_vs_baseline1: float | None,
+        status: str = STATUS_OK,
+    ) -> None:
+        _set(self, "p_max_w", p_max_w)
+        _set(self, "policy_tag", policy_tag)
+        _set(self, "batch_size", batch_size)
+        _set(self, "frequency_mhz", frequency_mhz)
+        _set(self, "estimated_tt_acc", estimated_tt_acc)
+        _set(self, "realized_tt_acc", realized_tt_acc)
+        _set(self, "energy_j", energy_j)
+        _set(self, "speedup_vs_baseline1", speedup_vs_baseline1)
+        _set(self, "status", status)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Per-(cap, policy) selection outcomes; baseline1 is the speedup anchor."""
 
-    rows: tuple[ComparisonRow, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
+    def __init__(self, rows: tuple[ComparisonRow, ...]) -> None:
+        for row in rows:
             if row.policy_tag == "baseline1" and row.status == STATUS_OK:
                 if row.speedup_vs_baseline1 != 1.0:
                     raise DataError("baseline1 speedup must be exactly 1")
+        _set(self, "rows", rows)
 
 
-@dataclass(frozen=True, eq=False)
-class SensitivityMatrix:
+class SensitivityMatrix(_Record):
     """Percent extra realized training time versus the fastest configuration.
 
     Rows are proxy sources, columns target ground truths, for one cap.  An
     entry is 0 exactly when the proxy-driven choice realizes the fastest
     configuration's time; entries are stored exact and only rounded when
-    rendered.
+    rendered.  ``values`` is a read-only ndarray, so instances compare and
+    hash by identity.
     """
 
-    p_max_w: float
-    proxy_ids: tuple[str, ...]
-    target_ids: tuple[str, ...]
-    values: np.ndarray
+    __slots__ = ("p_max_w", "proxy_ids", "target_ids", "values")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        p_max_w: float,
+        proxy_ids: tuple[str, ...],
+        target_ids: tuple[str, ...],
+        values: Sequence[Sequence[float]],
+    ) -> None:
         import numpy as np
 
-        arr = np.array(self.values, dtype=float)
-        if arr.shape != (len(self.proxy_ids), len(self.target_ids)):
+        arr = np.array(values, dtype=float)
+        if arr.shape != (len(proxy_ids), len(target_ids)):
             raise DataError("sensitivity matrix shape does not match id axes")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise DataError("sensitivity entries must be finite and non-negative")
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _set(self, "p_max_w", p_max_w)
+        _set(self, "proxy_ids", proxy_ids)
+        _set(self, "target_ids", target_ids)
+        _set(self, "values", arr)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    p_max_w: float
-    batch_size: int | None
-    frequency_mhz: float | None
-    estimated_tt_acc: float | None
-    energy_j: float | None
-    status: str = STATUS_OK
+class SweepRow(_Record):
+    __slots__ = ("p_max_w", "batch_size", "frequency_mhz", "estimated_tt_acc", "energy_j", "status")
+
+    def __init__(
+        self,
+        p_max_w: float,
+        batch_size: int | None,
+        frequency_mhz: float | None,
+        estimated_tt_acc: float | None,
+        energy_j: float | None,
+        status: str = STATUS_OK,
+    ) -> None:
+        _set(self, "p_max_w", p_max_w)
+        _set(self, "batch_size", batch_size)
+        _set(self, "frequency_mhz", frequency_mhz)
+        _set(self, "estimated_tt_acc", estimated_tt_acc)
+        _set(self, "energy_j", energy_j)
+        _set(self, "status", status)
 
 
 def _realized(profile: DeviceProfile, i: int, j: int, counts: Mapping[int, float]) -> float:

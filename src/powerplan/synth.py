@@ -18,13 +18,10 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass
-
-from .core import DataError, DeviceProfile
+from .core import DataError, DeviceProfile, _Record, _set
 
 
-@dataclass(frozen=True)
-class SynthDeviceParams:
+class SynthDeviceParams(_Record):
     """Generative knobs for one synthetic device/model pairing.
 
     ``voltage_curve`` is a non-decreasing piecewise-linear map from frequency
@@ -33,27 +30,46 @@ class SynthDeviceParams:
     never exceeds peak).
     """
 
-    p_static: float
-    power_coeff: float
-    voltage_curve: tuple[tuple[float, float], ...]
-    parallel_cap: int
-    per_sample_cost: float
-    freq_efficiency: float
-    rng_seed: int = 0
-    noise_level: float = 0.0
-    avg_duty: float = 0.9
+    __slots__ = (
+        "p_static",
+        "power_coeff",
+        "voltage_curve",
+        "parallel_cap",
+        "per_sample_cost",
+        "freq_efficiency",
+        "rng_seed",
+        "noise_level",
+        "avg_duty",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("p_static", "power_coeff", "per_sample_cost", "freq_efficiency"):
-            if not getattr(self, name) > 0:
+    def __init__(
+        self,
+        p_static: float,
+        power_coeff: float,
+        voltage_curve: Iterable[tuple[float, float]],
+        parallel_cap: int,
+        per_sample_cost: float,
+        freq_efficiency: float,
+        rng_seed: int = 0,
+        noise_level: float = 0.0,
+        avg_duty: float = 0.9,
+    ) -> None:
+        positive = {
+            "p_static": p_static,
+            "power_coeff": power_coeff,
+            "per_sample_cost": per_sample_cost,
+            "freq_efficiency": freq_efficiency,
+        }
+        for name, value in positive.items():
+            if not value > 0:
                 raise DataError(f"{name} must be positive")
-        if not (isinstance(self.parallel_cap, numbers.Integral) and self.parallel_cap > 0):
+        if not (isinstance(parallel_cap, numbers.Integral) and parallel_cap > 0):
             raise DataError("parallel_cap must be a positive integer")
-        if not 0.0 <= self.noise_level < 1.0:
+        if not 0.0 <= noise_level < 1.0:
             raise DataError("noise_level must lie in [0, 1)")
-        if not 0.0 < self.avg_duty <= 1.0:
+        if not 0.0 < avg_duty <= 1.0:
             raise DataError("avg_duty must lie in (0, 1]")
-        curve = tuple((float(f), float(v)) for f, v in self.voltage_curve)
+        curve = tuple((float(f), float(v)) for f, v in voltage_curve)
         if not curve:
             raise DataError("voltage_curve needs at least one breakpoint")
         fs = [f for f, _ in curve]
@@ -62,25 +78,30 @@ class SynthDeviceParams:
             raise DataError("voltage_curve frequencies must be strictly increasing")
         if any(v <= 0 for v in vs) or any(a > b for a, b in zip(vs, vs[1:])):
             raise DataError("voltage_curve voltages must be positive and non-decreasing")
-        object.__setattr__(self, "voltage_curve", curve)
-        object.__setattr__(self, "parallel_cap", int(self.parallel_cap))
+        _set(self, "p_static", p_static)
+        _set(self, "power_coeff", power_coeff)
+        _set(self, "voltage_curve", curve)
+        _set(self, "parallel_cap", int(parallel_cap))
+        _set(self, "per_sample_cost", per_sample_cost)
+        _set(self, "freq_efficiency", freq_efficiency)
+        _set(self, "rng_seed", rng_seed)
+        _set(self, "noise_level", noise_level)
+        _set(self, "avg_duty", avg_duty)
 
 
-@dataclass(frozen=True)
-class SynthConvergenceParams:
+class SynthConvergenceParams(_Record):
     """Stand-in convergence model: samples to accuracy grow linearly past a
     critical batch size."""
 
-    n_min: int
-    b_noise: float
+    __slots__ = ("n_min", "b_noise")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n_min, numbers.Integral) and self.n_min > 0):
+    def __init__(self, n_min: int, b_noise: float) -> None:
+        if not (isinstance(n_min, numbers.Integral) and n_min > 0):
             raise DataError("n_min must be a positive integer")
-        if not self.b_noise > 0:
+        if not b_noise > 0:
             raise DataError("b_noise must be positive")
-        object.__setattr__(self, "n_min", int(self.n_min))
-        object.__setattr__(self, "b_noise", float(self.b_noise))
+        _set(self, "n_min", int(n_min))
+        _set(self, "b_noise", float(b_noise))
 
 
 def _effective_coefficients(params: SynthDeviceParams) -> tuple[float, float, float]:

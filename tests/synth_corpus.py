@@ -268,7 +268,7 @@ def _reference_id_and_values(text) -> tuple[str, dict[int, float]]:
         if k == 0 and fields[0] == "source_id":
             if len(fields) != 2:
                 raise pp.ParseError(n, "expected source_id,<name>")
-            source_id = fields[1]
+            source_id = fields[1].strip()
             continue
         if len(fields) != 2:
             raise pp.ParseError(n, f"expected batch_size,value, got {line!r}")

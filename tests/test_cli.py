@@ -408,6 +408,39 @@ class TestCompareCommand:
         assert "fastest" not in out
 
 
+@pytest.mark.parametrize("command", ["compare", "sensitivity"])
+def test_relation_with_batch_size_not_in_profile_names_relation(data_dir, tmp_path, capsys, command):
+    # A valid relation, then one naming b=9, which profile_b8_b32.csv lacks.
+    relation = tmp_path / "relation.csv"
+    relation.write_text("source_id,x\n8,1.0\n9,0.5\n32,1.0\n", encoding="utf-8")
+    args = [str(data_dir / tok) if (data_dir / tok).is_file() else tok for tok in FUZZ_ARGV[command]]
+    args.insert(args.index("--relation") + 2, str(relation))
+    if command == "compare":  # one relation only
+        del args[args.index("--relation") + 1]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {relation}: relation vector names batch sizes not in profile: [9]\n"
+
+
+def test_padded_source_ids_print_as_unpadded(data_dir, tmp_path):
+    relation_text = (data_dir / "relation_b8_b32.csv").read_text(encoding="utf-8")
+    counts_text = (data_dir / "counts_b8_b32.csv").read_text(encoding="utf-8")
+    outputs = []
+    for pad in ("", " "):
+        relation, counts = tmp_path / f"relation{pad!r}.csv", tmp_path / f"counts{pad!r}.csv"
+        relation.write_text(relation_text.replace("source_id,", f"source_id,{pad}"), encoding="utf-8")
+        counts.write_text(counts_text.replace("source_id,", f"source_id,{pad}"), encoding="utf-8")
+        csv_path = tmp_path / f"sens{pad!r}.csv"
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([
+                "sensitivity", "--profile", str(data_dir / "profile_b8_b32.csv"), "--relation", str(relation),
+                "--counts", str(counts), "--p-max", "4.5", "--csv", str(csv_path),
+            ]) == 0
+        outputs.append((out.getvalue(), csv_path.read_text(encoding="utf-8")))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][1].splitlines()[1] == "4.5,proxy-small,truth-small,0.0"
+
+
 class TestSensitivityCommand:
     def test_self_proxy_zero_diagonal_in_csv(self, data_dir, tmp_path):
         csv_path = tmp_path / "sens.csv"

@@ -600,6 +600,14 @@ class TestRelationAndCountsFiles:
         with pytest.raises(pp.DataError, match="no batch sizes"):
             pp.parse_counts_file("# empty\n")
 
+    @pytest.mark.parametrize("line", ["source_id, proxy a", "source_id,\tproxy a", "  source_id,  proxy a  "])
+    def test_source_id_padding_is_stripped(self, line):
+        # Padding around the name is dropped, as int() and float() drop it around numbers.
+        text = f"{line}\n8, 0.5\n32 ,1.0\n"
+        assert pp.parse_relation_file(text).source_id == "proxy a"
+        assert reference_parse_relation_file(text).source_id == "proxy a"
+        assert pp.parse_counts_file(text)[1] == reference_parse_counts_file(text)[1] == "proxy a"
+
     @given(
         st.dictionaries(
             st.integers(1, 1024),

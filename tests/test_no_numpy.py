@@ -116,3 +116,24 @@ def test_readme_key_operations_are_the_public_functions():
     listed = re.findall(r"`([a-z0-9_]+)`", "\n".join(lines[start:end]))
     public = [name for name in powerplan.__all__ if inspect.isfunction(getattr(powerplan, name))]
     assert sorted(listed) == sorted(public)
+
+
+def test_profile_repr_needs_no_numpy():
+    # The repr renders the rows, never the ndarray views, and evaluates back to an equal profile.
+    code = (
+        "import sys; sys.modules['numpy'] = None; import powerplan as pp; "
+        "profile = pp.load_profile(open('profile_b8_b32.csv').read()); text = repr(profile); "
+        "assert eval(text, {'DeviceProfile': pp.DeviceProfile}) == profile; print(text)"
+    )
+    proc = run_without_numpy([], cwd=DATA, code=code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    profile = powerplan.load_profile((DATA / "profile_b8_b32.csv").read_text(encoding="utf-8"))
+    assert proc.stdout == repr(profile) + "\n"
+    assert proc.stdout.startswith("DeviceProfile(model_id='edge-cnn-small', batch_sizes=(8, 32), ")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Both cost start-up time on every CLI run; the value types are plain slotted classes.
+    code = "import sys, powerplan.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = run_without_numpy([], cwd=DATA, code=code)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
