@@ -186,6 +186,7 @@ class DeviceProfile(_Record):
     ``*_table`` attributes are read-only ndarray views of them.
     """
 
+    # The constructor's fields in its order, each table as its rows; then the views' caches.
     __slots__ = (
         "model_id",
         "batch_sizes",
@@ -197,15 +198,6 @@ class DeviceProfile(_Record):
         "_time_rows_array",
         "_power_rows_array",
         "_avg_power_rows_array",
-    )
-    _PARAMETERS = (
-        "model_id",
-        "batch_sizes",
-        "frequencies",
-        "time_table",
-        "power_table",
-        "samples_per_unit",
-        "avg_power_table",
     )
 
     time_table = _array_view("time_rows")
@@ -322,7 +314,8 @@ class DeviceProfile(_Record):
     def __repr__(self) -> str:
         # From the rows, never the ndarray views: no numpy is needed, and
         # evaluating the text rebuilds an equal profile.
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._PARAMETERS, self._astuple()))
+        names = (name.replace("_rows", "_table") for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._astuple()))
         return f"DeviceProfile({fields})"
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
+
 from .core import DataError, DeviceProfile, _Record, _set
 
 
