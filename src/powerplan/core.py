@@ -44,7 +44,8 @@ class _Record:
     and stores the fields with ``_set``.  The base compares and hashes
     instances of the same type field by field, renders them as
     ``Type(field=value, ...)`` and refuses assignment and deletion, as a
-    frozen dataclass would.
+    frozen dataclass would.  A read-only mapping field pickles as a dict
+    and hashes as its items, so its constructor stores them sorted.
     """
 
     __slots__ = ()
@@ -59,14 +60,14 @@ class _Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(tuple(tuple(v.items()) if type(v) is MappingProxyType else v for v in self._astuple()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple()))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
-        return type(self), self._astuple()
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in self._astuple())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -285,19 +286,6 @@ class DeviceProfile(_Record):
             raise DataError(
                 f"frequency {frequency_mhz} MHz not in profile {self.model_id!r}"
             ) from None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeviceProfile):
-            return NotImplemented
-        return (
-            self.model_id == other.model_id
-            and self.batch_sizes == other.batch_sizes
-            and self.frequencies == other.frequencies
-            and self.samples_per_unit == other.samples_per_unit
-            and self.time_rows == other.time_rows
-            and self.power_rows == other.power_rows
-            and self.avg_power_rows == other.avg_power_rows
-        )
 
     def _astuple(self) -> tuple:
         """The constructor's arguments, each table as its rows."""

@@ -299,6 +299,20 @@ class AggregatedPoint(NamedTuple):
     avg_w: float
 
 
+def _percentile(values: list[float], q: float) -> float:
+    """The ``q``-th percentile of ``values``, q in (0, 100], as ``numpy.percentile`` gives it.
+
+    numpy's default ``linear`` method (Hyndman & Fan's definition 7, 1996) in
+    numpy's order of operations: rank ``(n - 1) * (q / 100)``, lerp from the nearer end.
+    """
+    xs = sorted(values)
+    h = (len(xs) - 1) * (q / 100.0)
+    k = math.floor(h)
+    a, b = xs[k], xs[min(k + 1, len(xs) - 1)]
+    t = h - k
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def aggregate_point(
     power: PowerTrace,
     timing: TimingTrace,
@@ -320,9 +334,7 @@ def aggregate_point(
     else:
         if not 0 < peak_percentile <= 100:
             raise DataError("peak percentile must lie in (0, 100]")
-        import numpy as np
-
-        peak_w = float(np.percentile(list(map(operator.itemgetter(1), power.samples)), peak_percentile)) / 1000.0
+        peak_w = _percentile(list(map(operator.itemgetter(1), power.samples)), peak_percentile) / 1000.0
     # TimingTrace guarantees at least one retained duration.
     retained = timing.retained
     mean = math.fsum(retained) / len(retained)

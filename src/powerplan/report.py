@@ -97,13 +97,11 @@ class SensitivityMatrix(_Record):
     Rows are proxy sources, columns target ground truths, for one cap.  An
     entry is 0 exactly when the proxy-driven choice realizes the fastest
     configuration's time; entries are stored exact and only rounded when
-    rendered.  ``values`` is a read-only ndarray, so instances compare and
-    hash by identity.
+    rendered.  ``values`` is a tuple of rows, each a tuple of floats, so
+    ``values[p][t]`` is proxy ``p`` against target ``t``.
     """
 
     __slots__ = ("p_max_w", "proxy_ids", "target_ids", "values")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(
         self,
@@ -112,18 +110,19 @@ class SensitivityMatrix(_Record):
         target_ids: tuple[str, ...],
         values: Sequence[Sequence[float]],
     ) -> None:
-        import numpy as np
-
-        arr = np.array(values, dtype=float)
-        if arr.shape != (len(proxy_ids), len(target_ids)):
+        try:
+            rows = tuple(tuple(map(float, row)) for row in values)
+        except TypeError:  # not a sequence of rows
+            rows = ()
+        # A matrix needs at least one row: an empty proxy axis is rejected.
+        if not rows or len(rows) != len(proxy_ids) or any(len(row) != len(target_ids) for row in rows):
             raise DataError("sensitivity matrix shape does not match id axes")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        if not all(v >= 0.0 and math.isfinite(v) for row in rows for v in row):
             raise DataError("sensitivity entries must be finite and non-negative")
-        arr.setflags(write=False)
         _set(self, "p_max_w", p_max_w)
         _set(self, "proxy_ids", proxy_ids)
         _set(self, "target_ids", target_ids)
-        _set(self, "values", arr)
+        _set(self, "values", rows)
 
 
 class SweepRow(_Record):
@@ -353,7 +352,7 @@ def sensitivity_csv_rows(matrices: Sequence[SensitivityMatrix]) -> list[list[str
     for m in matrices:
         for p_idx, pid in enumerate(m.proxy_ids):
             for t_idx, tid in enumerate(m.target_ids):
-                rows.append([_fmt_cap(m.p_max_w), pid, tid, f"{m.values[p_idx, t_idx]:.1f}"])
+                rows.append([_fmt_cap(m.p_max_w), pid, tid, f"{m.values[p_idx][t_idx]:.1f}"])
     return rows
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
@@ -158,6 +158,26 @@ class TestAggregatePoint:
         assert clipped.peak_w < plain.peak_w
         with pytest.raises(pp.DataError, match="percentile"):
             pp.aggregate_point(power, timing, 100, peak_percentile=0.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pool=st.lists(st.floats(min_value=0.0, max_value=1e7), min_size=1, max_size=200),
+        picks=st.lists(st.integers(min_value=0, max_value=199), min_size=1, max_size=200),
+        q=st.one_of(st.just(100.0), st.sampled_from([50.0, 90.0, 99.0]),
+                    st.floats(min_value=0.0, max_value=100.0, exclude_min=True)),
+    )
+    # Each example tells numpy's result from a near miss: a one-sided lerp
+    # (q = 97.8) and the rank computed as (n - 1) * q / 100 (q = 9.1).
+    @example(pool=[8020.0, 363.0, 9656.0, 992.0], picks=[0, 1, 2, 3], q=97.8)
+    @example(pool=[2038.0, 1039.0, 7897.0, 7921.0], picks=[0, 1, 2, 3], q=9.1)
+    def test_peak_percentile_is_numpys_bit_for_bit(self, pool, picks, q):
+        # Samples drawn from a pool with replacement, so values repeat; the
+        # peak is numpy's default percentile in watts, to the last bit.
+        mws = [pool[k % len(pool)] for k in picks]
+        power = pp.PowerTrace(tuple((float(t), mw) for t, mw in enumerate(mws)))
+        timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
+        peak_w = pp.aggregate_point(power, timing, 100, peak_percentile=q).peak_w
+        assert peak_w.hex() == (float(np.percentile(mws, q)) / 1000.0).hex()
 
     def test_means_are_correctly_rounded(self):
         # sum() of floats rounds differently before and after Python 3.12

@@ -1,4 +1,4 @@
-"""The CLI's planning commands run in a process where numpy cannot be imported.
+"""Every CLI command runs in a process where numpy cannot be imported.
 
 Each command runs in a child process that blocks ``import numpy`` before it
 imports ``powerplan.cli``; its stdout and output files must match the
@@ -64,6 +64,12 @@ COMMANDS = {
         ["sweep", *PROFILE_B8, "--p-max-min", "3.5", "--p-max-max", "8.0", "--step", "0.5"],
         EXPECTED / "sweep.out",
     ),
+    "sensitivity": (
+        ["sensitivity", "--profile", "profile_b8_b32.csv", "--relation", "relation_b8_b32.csv",
+         "relation_flat_b8_b32.csv", "--counts", "counts_b8_b32.csv", "counts_steep_b8_b32.csv",
+         "--p-max", "4.5", "7.0", "unlimited"],
+        EXPECTED / "sensitivity.out",
+    ),
 }
 
 
@@ -78,18 +84,28 @@ def test_planning_command_matches_recorded_output(command, tmp_path):
     assert csv_path.read_bytes() == (EXPECTED / f"{command}.csv").read_bytes()
 
 
-def test_ingest_matches_golden_profile(tmp_path):
+def run_ingest_without_numpy(options, tmp_path):
+    """Ingest the four committed logs with ``options``; the profile file's bytes."""
     points = [f"b{b}_f{f}" for b in (16, 32) for f in (307, 614)]
     out = tmp_path / "profile.csv"
     args = (
         ["ingest", "--timing", *(f"timing_{p}.csv" for p in points)]
         + ["--power", *(f"power_{p}.csv" for p in points)]
-        + ["--s", "4096", "--model-id", "bench-cnn", "--out", str(out)]
+        + ["--s", "4096", "--model-id", "bench-cnn", *options, "--out", str(out)]
     )
     proc = run_without_numpy(args, cwd=DATA)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"wrote {out}: 2x2 grid, model_id=bench-cnn\n"
-    assert out.read_bytes() == (DATA / "golden_profile.csv").read_bytes()
+    return out.read_bytes()
+
+
+def test_ingest_matches_golden_profile(tmp_path):
+    assert run_ingest_without_numpy([], tmp_path) == (DATA / "golden_profile.csv").read_bytes()
+
+
+def test_ingest_peak_percentile_matches_recorded_profile(tmp_path):
+    profile = run_ingest_without_numpy(["--peak-percentile", "90"], tmp_path)
+    assert profile == (EXPECTED / "ingest_p90.csv").read_bytes()
 
 
 def readme_library_block() -> str:

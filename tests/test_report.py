@@ -150,12 +150,12 @@ class TestBuildSensitivity:
         for k in range(3):
             p = matrix.proxy_ids.index(f"proxy-{k}")
             t = matrix.target_ids.index(f"target-{k}")
-            assert matrix.values[p, t] == 0.0
+            assert matrix.values[p][t] == 0.0
 
     def test_entries_non_negative(self):
         profile, proxies, targets, cap = self.scenario(seed=82)
         matrix = pp.build_sensitivity(profile, proxies, targets, cap)
-        assert np.all(matrix.values >= 0.0)
+        assert all(v >= 0.0 for row in matrix.values for v in row)
 
     def test_identical_argmin_proxies_share_rows(self, profile_flip, counts_small):
         # scaled counts give an identical relation vector, hence identical rows
@@ -167,7 +167,7 @@ class TestBuildSensitivity:
             {"t": counts_small},
             pp.PowerCap(4.5),
         )
-        assert np.array_equal(matrix.values[0], matrix.values[1])
+        assert matrix.values[0] == matrix.values[1]
 
     def test_cells_match_independent_recomputation(self):
         profile, proxies, targets, cap = self.scenario(seed=83)
@@ -189,7 +189,7 @@ class TestBuildSensitivity:
                             )
                             best = tt if best is None else min(best, tt)
                 expected = (realized - best) / best * 100.0
-                assert matrix.values[p_idx, t_idx] == expected
+                assert matrix.values[p_idx][t_idx] == expected
 
     def test_infeasible_cap_raises(self, profile_flip, relation_small, counts_small):
         with pytest.raises(pp.InfeasibleError):
@@ -205,6 +205,11 @@ class TestBuildSensitivity:
             pp.SensitivityMatrix(5.0, ("a",), ("t",), np.zeros((2, 1)))
         with pytest.raises(pp.DataError, match="non-negative"):
             pp.SensitivityMatrix(5.0, ("a",), ("t",), [[-1.0]])
+        # A ragged table and an empty proxy axis are shape errors too.
+        with pytest.raises(pp.DataError, match="shape does not match id axes"):
+            pp.SensitivityMatrix(5.0, ("a", "b"), ("t",), [[1.0], [2.0, 3.0]])
+        with pytest.raises(pp.DataError, match="shape does not match id axes"):
+            pp.SensitivityMatrix(5.0, (), (), [])
 
 
 class TestBuildSweep:
