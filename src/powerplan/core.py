@@ -11,7 +11,6 @@ the product of the two while keeping peak power strictly below the cap.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
@@ -35,6 +34,17 @@ class InfeasibleError(RuntimeError):
 
 
 _set = object.__setattr__  # stores a field of a _Record from its __init__
+
+
+def _positive_int(value: object, message: str) -> int:
+    """``value`` as an int if it is a positive integer of any type (numpy's, bool), else DataError(message)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n <= 0:
+        raise DataError(message)
+    return n
 
 
 class _Record:
@@ -235,11 +245,10 @@ class DeviceProfile(_Record):
             or any(a >= b for a, b in zip(fs, fs[1:]))
         ):
             raise DataError("frequencies must be strictly increasing positive values")
-        if not isinstance(self.samples_per_unit, numbers.Integral) or self.samples_per_unit <= 0:
-            raise DataError("samples_per_unit must be a positive integer")
+        s = _positive_int(self.samples_per_unit, "samples_per_unit must be a positive integer")
         _set(self, "batch_sizes", bs)
         _set(self, "frequencies", fs)
-        _set(self, "samples_per_unit", int(self.samples_per_unit))
+        _set(self, "samples_per_unit", s)
 
         shape = (len(bs), len(fs))
         time, rising = _table_rows(self.time_rows, "time table", shape, descending=True)
@@ -321,12 +330,12 @@ class RelationVector(_Record):
             raise DataError("no batch sizes")
         clean: dict[int, float] = {}
         for b, ratio in entries.items():
-            if not isinstance(b, numbers.Integral) or isinstance(b, bool) or b <= 0:
-                raise DataError(f"batch sizes must be positive integers, got {b!r}")
+            # A bool is an int to operator.index, but not a batch size.
+            key = _positive_int(None if isinstance(b, bool) else b, f"batch sizes must be positive integers, got {b!r}")
             r = float(ratio)
             if not (0.0 < r <= 1.0):
                 raise DataError(f"ratio for batch size {b} out of range (0, 1]: {r!r}")
-            clean[int(b)] = r
+            clean[key] = r
         if not any(r == 1.0 for r in clean.values()):
             raise DataError("relation vector must contain an entry exactly equal to 1.0")
         _set(self, "entries", MappingProxyType(dict(sorted(clean.items()))))

@@ -68,39 +68,41 @@ def _key_value_lines(numbered: Iterable[tuple[int, str]], fields: str, key: Call
 
 
 class PowerTrace(_Record):
-    """Raw timestamped power samples, milliwatts, prior to aggregation."""
+    """Raw power samples prior to aggregation, as two equal-length columns: seconds and milliwatts."""
 
-    __slots__ = ("samples",)
+    __slots__ = ("timestamps_s", "power_mw")
 
-    def __init__(self, samples: tuple[tuple[float, float], ...]) -> None:
-        ts, mw = zip(*samples) if samples else ((), ())
-        if not all(map(math.isfinite, ts + mw)):
+    def __init__(self, timestamps_s: tuple[float, ...], power_mw: tuple[float, ...]) -> None:
+        if len(timestamps_s) != len(power_mw):
+            raise DataError("power trace columns differ in length")
+        if not (all(map(math.isfinite, timestamps_s)) and all(map(math.isfinite, power_mw))):
             raise DataError("power samples must be finite")
-        if not all(map(operator.lt, ts, ts[1:])):
+        if not all(map(operator.lt, timestamps_s, timestamps_s[1:])):
             raise DataError("power trace timestamps must be strictly increasing")
-        if min(mw, default=0.0) < 0:
+        if min(power_mw, default=0.0) < 0:
             raise DataError("power samples must be non-negative")
-        _set(self, "samples", samples)
+        _set(self, "timestamps_s", timestamps_s)
+        _set(self, "power_mw", power_mw)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.power_mw)
 
     @property
     def peak_w(self) -> float:
-        if not self.samples:
+        if not self.power_mw:
             raise DataError("empty power trace")
-        return max(map(operator.itemgetter(1), self.samples)) / 1000.0
+        return max(self.power_mw) / 1000.0
 
     @property
     def avg_w(self) -> float:
-        if not self.samples:
+        if not self.power_mw:
             raise DataError("empty power trace")
         # fsum is correctly rounded on every Python; sum() changed in 3.12.
         try:
-            total = math.fsum(map(operator.itemgetter(1), self.samples))
+            total = math.fsum(self.power_mw)
         except OverflowError:
             raise DataError("power samples sum past the float range") from None
-        return total / len(self.samples) / 1000.0
+        return total / len(self.power_mw) / 1000.0
 
 
 class TimingTrace(_Record):
@@ -190,8 +192,8 @@ def parse_power_log(text: str) -> PowerTrace:
     try:
         if set(map(str.count, kept, repeat(","))) - {1}:
             raise ValueError("a line without exactly two fields")
-        values = list(map(float, ",".join(kept).split(","))) if kept else []
-        return PowerTrace(tuple(zip(values[0::2], values[1::2])))
+        values = tuple(map(float, ",".join(kept).split(","))) if kept else ()
+        return PowerTrace(values[0::2], values[1::2])
     except (ValueError, DataError):
         fault = _first_sample_fault(_numbered_lines(lines))
         if fault is None:
@@ -299,7 +301,7 @@ class AggregatedPoint(NamedTuple):
     avg_w: float
 
 
-def _percentile(values: list[float], q: float) -> float:
+def _percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile of ``values``, q in (0, 100], as ``numpy.percentile`` gives it.
 
     numpy's default ``linear`` method (Hyndman & Fan's definition 7, 1996) in
@@ -334,7 +336,7 @@ def aggregate_point(
     else:
         if not 0 < peak_percentile <= 100:
             raise DataError("peak percentile must lie in (0, 100]")
-        peak_w = _percentile(list(map(operator.itemgetter(1), power.samples)), peak_percentile) / 1000.0
+        peak_w = _percentile(power.power_mw, peak_percentile) / 1000.0
     # TimingTrace guarantees at least one retained duration.
     retained = timing.retained
     mean = math.fsum(retained) / len(retained)
@@ -497,10 +499,10 @@ def _cell_columns(cells: list[str]) -> tuple[list[int], list[float], list[list[f
     Raises ValueError on any malformed line without saying which; the
     caller finds it with ``_first_cell_fault``.
     """
-    widths = {line.count(",") + 1 for line in cells} or {4}
-    if widths != {4} and widths != {5}:
+    commas = set(map(str.count, cells, repeat(","))) or {3}
+    if commas != {3} and commas != {4}:
         raise ValueError("cell lines disagree on their field count")
-    (width,) = widths
+    width = commas.pop() + 1
     cell_b: list[int] = []
     cell_f: list[float] = []
     values: list[list[float]] = [[] for _ in range(width - 2)]

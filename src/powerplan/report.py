@@ -114,8 +114,8 @@ class SensitivityMatrix(_Record):
             rows = tuple(tuple(map(float, row)) for row in values)
         except TypeError:  # not a sequence of rows
             rows = ()
-        # A matrix needs at least one row: an empty proxy axis is rejected.
-        if not rows or len(rows) != len(proxy_ids) or any(len(row) != len(target_ids) for row in rows):
+        # A matrix needs at least one row and one column: an empty axis is rejected.
+        if not (rows and target_ids) or len(rows) != len(proxy_ids) or any(len(row) != len(target_ids) for row in rows):
             raise DataError("sensitivity matrix shape does not match id axes")
         if not all(v >= 0.0 and math.isfinite(v) for row in rows for v in row):
             raise DataError("sensitivity entries must be finite and non-negative")

@@ -16,10 +16,9 @@ monotonicity invariants of DeviceProfile.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 
-from .core import DataError, DeviceProfile, _Record, _set
+from .core import DataError, DeviceProfile, _positive_int, _Record, _set
 
 
 class SynthDeviceParams(_Record):
@@ -64,8 +63,7 @@ class SynthDeviceParams(_Record):
         for name, value in positive.items():
             if not value > 0:
                 raise DataError(f"{name} must be positive")
-        if not (isinstance(parallel_cap, numbers.Integral) and parallel_cap > 0):
-            raise DataError("parallel_cap must be a positive integer")
+        parallel_cap = _positive_int(parallel_cap, "parallel_cap must be a positive integer")
         if not 0.0 <= noise_level < 1.0:
             raise DataError("noise_level must lie in [0, 1)")
         if not 0.0 < avg_duty <= 1.0:
@@ -82,7 +80,7 @@ class SynthDeviceParams(_Record):
         _set(self, "p_static", p_static)
         _set(self, "power_coeff", power_coeff)
         _set(self, "voltage_curve", curve)
-        _set(self, "parallel_cap", int(parallel_cap))
+        _set(self, "parallel_cap", parallel_cap)
         _set(self, "per_sample_cost", per_sample_cost)
         _set(self, "freq_efficiency", freq_efficiency)
         _set(self, "rng_seed", rng_seed)
@@ -97,11 +95,10 @@ class SynthConvergenceParams(_Record):
     __slots__ = ("n_min", "b_noise")
 
     def __init__(self, n_min: int, b_noise: float) -> None:
-        if not (isinstance(n_min, numbers.Integral) and n_min > 0):
-            raise DataError("n_min must be a positive integer")
+        n_min = _positive_int(n_min, "n_min must be a positive integer")
         if not b_noise > 0:
             raise DataError("b_noise must be positive")
-        _set(self, "n_min", int(n_min))
+        _set(self, "n_min", n_min)
         _set(self, "b_noise", float(b_noise))
 
 

@@ -191,7 +191,8 @@ def _reference_lines(text):
 
 def reference_parse_power_log(text) -> pp.PowerTrace:
     """``parse_power_log`` one line at a time: the first faulty line raises."""
-    samples: list[tuple[float, float]] = []
+    timestamps: list[float] = []
+    power: list[float] = []
     last_ts: float | None = None
     for n, line in _reference_lines(text):
         fields = line.split(",")
@@ -208,8 +209,9 @@ def reference_parse_power_log(text) -> pp.PowerTrace:
         if mw < 0:
             raise pp.ParseError(n, f"negative power {mw!r}")
         last_ts = ts
-        samples.append((ts, mw))
-    return pp.PowerTrace(tuple(samples))
+        timestamps.append(ts)
+        power.append(mw)
+    return pp.PowerTrace(tuple(timestamps), tuple(power))
 
 
 def reference_parse_timing_log(text, warmup_override=None, max_minibatches=None) -> pp.TimingTrace:

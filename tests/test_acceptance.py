@@ -198,9 +198,7 @@ def test_criterion_6_ingestion_round_trip():
         duration = t_true * b / s
         m = int(rng.integers(2, 9))
         timing = pp.TimingTrace(b, f, (duration * 2.5,) + (duration,) * m, warmup_discarded=1)
-        power = pp.PowerTrace(
-            ((0.0, peak_true * 700.0), (1.0, peak_true * 1000.0), (2.0, peak_true * 850.0))
-        )
+        power = pp.PowerTrace((0.0, 1.0, 2.0), (peak_true * 700.0, peak_true * 1000.0, peak_true * 850.0))
         got = pp.aggregate_point(power, timing, s)
         assert got.t_s_seconds == pytest.approx(t_true, rel=1e-9)
         assert got.peak_w == pytest.approx(peak_true, rel=1e-9)

@@ -2,6 +2,7 @@ import io
 import os
 import re
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -578,6 +579,73 @@ class TestOutputFiles:
         assert os.listdir(tmp_path) == ["p.csv"]
 
 
+def _fed_fifo(path: Path, data: bytes) -> threading.Thread:
+    """Make ``path`` a FIFO and start a thread writing ``data`` into it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    return writer
+
+
+class TestInputReads:
+    """An input is read whole whatever kind of file it is, and a failed read names the path."""
+
+    SELECT = ["select", "--profile", "profile_b64_b128.csv", "--relation", "relation_uniform_b64_b128.csv",
+              "--p-max", "5.0", "--csv"]
+
+    def argv(self, command, data_dir, out):
+        """The command's arguments over the fixtures, and the index of the input to replace."""
+        if command == "select":
+            argv = [str(data_dir / tok) if (data_dir / tok).is_file() else tok for tok in self.SELECT]
+            return argv + [str(out)], argv.index("--profile") + 1
+        argv = ingest_args(data_dir, out)
+        return argv, argv.index(str(data_dir / "power_b32_f614.csv"))
+
+    @pytest.mark.parametrize("command", ["select", "ingest"])
+    def test_fifo_reads_as_the_regular_file(self, data_dir, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        argv, k = self.argv(command, data_dir, out)
+        # More than a pipe holds at once, so the FIFO is read in several chunks.
+        data = b"# padding\n" * 10_000 + Path(argv[k]).read_bytes()
+        runs = []
+        for kind in ("file", "fifo"):
+            argv[k] = str(tmp_path / f"input_{kind}.csv")
+            if kind == "fifo":
+                writer = _fed_fifo(Path(argv[k]), data)
+            else:
+                Path(argv[k]).write_bytes(data)
+            assert main(argv) == 0
+            if kind == "fifo":
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+            runs.append((capsys.readouterr(), out.read_bytes()))
+            out.unlink()
+        assert runs[1] == runs[0]
+        expected = "golden_profile.csv" if command == "ingest" else "expected/select.csv"
+        assert runs[1][1] == (data_dir / expected).read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [("missing", "No such file or directory"), ("directory", "Is a directory"), ("unreadable", "Permission denied")],
+    )
+    @pytest.mark.parametrize("command", ["select", "ingest"])
+    def test_failed_read_names_path_and_reason(self, data_dir, tmp_path, capsys, command, kind, reason):
+        out = tmp_path / "out.csv"
+        argv, k = self.argv(command, data_dir, out)
+        path = tmp_path / "input.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "unreadable":
+            path.write_bytes(Path(argv[k]).read_bytes())
+            path.chmod(0)
+            if os.access(path, os.R_OK):
+                pytest.skip("this user reads a file whatever its mode")
+        argv[k] = str(path)
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {path}: {reason}\n")
+        assert not out.exists()
+
+
 class TestParserBasics:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -668,7 +736,7 @@ def invalid_on_its_own(name: str, data: bytes) -> bool:
         parsed = FILE_PARSERS[name.partition("_")[0]](data.decode("utf-8"))
     except (UnicodeDecodeError, pp.DataError):
         return True
-    return isinstance(parsed, pp.PowerTrace) and not parsed.samples  # ingest needs a sample
+    return isinstance(parsed, pp.PowerTrace) and len(parsed) == 0  # ingest needs a sample
 
 
 class TestFileArgumentFuzz:

@@ -103,6 +103,42 @@ class TestRelationVector:
             r.source_id = "other"
 
 
+# Each integer field: how a value is built into a record and read back, the
+# start of its error text, and whether it takes a bool as an integer.
+INTEGER_FIELDS = {
+    "samples_per_unit": (lambda v: tiny_profile([[1.0]], [[1.0]], s=v).samples_per_unit,
+                         "samples_per_unit must be a positive integer", True),
+    "relation batch size": (lambda v: next(iter(pp.RelationVector({v: 1.0}).entries)),
+                            "batch sizes must be positive integers", False),
+    "parallel_cap": (lambda v: pp.SynthDeviceParams(1.0, 0.01, ((300.0, 0.8),), v, 1.0, 100.0).parallel_cap,
+                     "parallel_cap must be a positive integer", True),
+    "n_min": (lambda v: pp.SynthConvergenceParams(v, 64.0).n_min, "n_min must be a positive integer", True),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.int32(3)])
+    def test_integers_of_any_type_are_stored_as_int(self, field, value):
+        stored = INTEGER_FIELDS[field][0](value)
+        assert type(stored) is int and stored == 3
+
+    def test_bool(self, field):
+        build, message, takes_bool = INTEGER_FIELDS[field]
+        if takes_bool:
+            stored = build(True)
+            assert type(stored) is int and stored == 1
+        else:
+            with pytest.raises(pp.DataError, match=message):
+                build(True)
+
+    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3", None, 0, -2, np.int64(0)])
+    def test_non_integers_and_non_positive_values_rejected(self, field, value):
+        build, message, _ = INTEGER_FIELDS[field]
+        with pytest.raises(pp.DataError, match=message):
+            build(value)
+
+
 class TestDeviceProfileValidation:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(pp.DataError, match="dimension mismatch"):

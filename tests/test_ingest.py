@@ -30,7 +30,7 @@ class TestParsePowerLog:
 
     def test_comments_and_blanks_skipped(self):
         trace = pp.parse_power_log("# header\n\n0.0,100\n")
-        assert trace.samples == ((0.0, 100.0),)
+        assert (trace.timestamps_s, trace.power_mw) == ((0.0,), (100.0,))
 
     def test_malformed_line_locates_error(self):
         with pytest.raises(pp.ParseError, match="line 2"):
@@ -174,7 +174,7 @@ class TestAggregatePoint:
         # Samples drawn from a pool with replacement, so values repeat; the
         # peak is numpy's default percentile in watts, to the last bit.
         mws = [pool[k % len(pool)] for k in picks]
-        power = pp.PowerTrace(tuple((float(t), mw) for t, mw in enumerate(mws)))
+        power = pp.PowerTrace(tuple(map(float, range(len(mws)))), tuple(mws))
         timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
         peak_w = pp.aggregate_point(power, timing, 100, peak_percentile=q).peak_w
         assert peak_w.hex() == (float(np.percentile(mws, q)) / 1000.0).hex()
@@ -196,7 +196,7 @@ class TestAggregatePoint:
     def test_empty_power_trace(self):
         timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
         with pytest.raises(pp.DataError, match="empty power trace"):
-            pp.aggregate_point(pp.PowerTrace(()), timing, 100)
+            pp.aggregate_point(pp.PowerTrace((), ()), timing, 100)
 
     def test_recovers_synthetic_ground_truth(self):
         rng = np.random.default_rng(62)
@@ -211,7 +211,7 @@ class TestAggregatePoint:
             m = int(rng.integers(2, 8))
             timing = pp.TimingTrace(b, f, (duration * 3,) + (duration,) * m, warmup_discarded=1)
             mw_peak = peak_true * 1000.0
-            power = pp.PowerTrace(((0.0, mw_peak * 0.6), (1.0, mw_peak), (2.0, mw_peak * 0.8)))
+            power = pp.PowerTrace((0.0, 1.0, 2.0), (mw_peak * 0.6, mw_peak, mw_peak * 0.8))
             point = pp.aggregate_point(power, timing, s)
             assert point.t_s_seconds == pytest.approx(t_true, rel=1e-9)
             assert point.peak_w == pytest.approx(peak_true, rel=1e-9)
@@ -645,16 +645,21 @@ class TestRelationAndCountsFiles:
 class TestTraceInvariants:
     def test_power_trace_monotone_timestamps(self):
         with pytest.raises(pp.DataError, match="strictly increasing"):
-            pp.PowerTrace(((0.0, 1.0), (0.0, 2.0)))
+            pp.PowerTrace((0.0, 0.0), (1.0, 2.0))
 
     @pytest.mark.parametrize(
         "samples",
-        [((0.0, 1.0), (1.0, float("nan")), (2.0, 3.0)), ((0.0, float("nan")), (1.0, 1.0)), ((float("inf"), 1.0),)],
+        [((0.0, 1.0, 2.0), (1.0, float("nan"), 3.0)), ((0.0, 1.0), (float("nan"), 1.0)), ((float("inf"),), (1.0,))],
     )
     def test_power_trace_rejects_non_finite_samples(self, samples):
         # peak_w used to depend on where a nan sat in the trace
         with pytest.raises(pp.DataError, match="must be finite"):
-            pp.PowerTrace(samples)
+            pp.PowerTrace(*samples)
+
+    @pytest.mark.parametrize("columns", [((0.0, 1.0), (5.0,)), ((), (5.0,)), ((float("nan"),), ())])
+    def test_power_trace_columns_of_unequal_length_rejected(self, columns):
+        with pytest.raises(pp.DataError, match="^power trace columns differ in length$"):
+            pp.PowerTrace(*columns)
 
     def test_timing_trace_positive_durations(self):
         with pytest.raises(pp.DataError, match="positive"):
@@ -662,7 +667,7 @@ class TestTraceInvariants:
 
     def test_empty_trace_peak_errors(self):
         with pytest.raises(pp.DataError, match="empty power trace"):
-            pp.PowerTrace(()).peak_w
+            pp.PowerTrace((), ()).peak_w
 
     def test_timing_trace_rejects_overflowing_retained_sum(self):
         with pytest.raises(pp.DataError, match="retained mini-batch durations sum past the float range"):
@@ -671,7 +676,7 @@ class TestTraceInvariants:
         assert pp.TimingTrace(8, 100.0, (1e308, 1e308), warmup_discarded=1).retained == (1e308,)
 
     def test_power_trace_average_rejects_overflowing_sum(self):
-        trace = pp.PowerTrace(((0.0, 1e308), (1.0, 1e308)))
+        trace = pp.PowerTrace((0.0, 1.0), (1e308, 1e308))
         assert trace.peak_w == 1e308 / 1000.0
         with pytest.raises(pp.DataError, match="power samples sum past the float range"):
             trace.avg_w

@@ -50,7 +50,7 @@ RECORDS = {
              estimated_energy=3.0),
         {"estimated_energy": None},
     ),
-    "PowerTrace": (pp.PowerTrace, dict(samples=((0.0, 1000.0), (1.0, 2500.0))), {}),
+    "PowerTrace": (pp.PowerTrace, dict(timestamps_s=(0.0, 1.0), power_mw=(1000.0, 2500.0)), {}),
     "TimingTrace": (
         pp.TimingTrace,
         dict(batch_size=16, frequency_mhz=307.0, minibatch_durations=(0.9, 0.5, 0.4), warmup_discarded=1),

@@ -205,11 +205,15 @@ class TestBuildSensitivity:
             pp.SensitivityMatrix(5.0, ("a",), ("t",), np.zeros((2, 1)))
         with pytest.raises(pp.DataError, match="non-negative"):
             pp.SensitivityMatrix(5.0, ("a",), ("t",), [[-1.0]])
-        # A ragged table and an empty proxy axis are shape errors too.
+        # A ragged table and an empty axis of either kind are shape errors too.
         with pytest.raises(pp.DataError, match="shape does not match id axes"):
             pp.SensitivityMatrix(5.0, ("a", "b"), ("t",), [[1.0], [2.0, 3.0]])
         with pytest.raises(pp.DataError, match="shape does not match id axes"):
             pp.SensitivityMatrix(5.0, (), (), [])
+        with pytest.raises(pp.DataError, match="shape does not match id axes"):
+            pp.SensitivityMatrix(5.0, ("a",), (), [[]])
+        with pytest.raises(pp.DataError, match="shape does not match id axes"):
+            pp.SensitivityMatrix(5.0, (), ("t",), [])
 
 
 class TestBuildSweep:
