@@ -26,7 +26,7 @@ from .core import (
     RelationVector,
     SelectionResult,
     _check_counts,
-    _check_relation_keys,
+    _check_keys,
     _energy_at,
     _last_near_min,
     _Record,
@@ -127,7 +127,7 @@ def baseline1_select(
     """
     j = profile.frequency_index(safe.frequency_for(cap))
     i = len(profile.batch_sizes) - 1
-    _check_relation_keys(profile, r)
+    _check_keys(profile, r.entries)
     ratio = r.entries.get(profile.batch_sizes[i])
     if ratio is None:
         raise DataError(f"relation vector incomplete: no entry for batch size {profile.batch_sizes[i]}")
@@ -146,7 +146,7 @@ def baseline2_select(
     batch sizes (ties go to the larger batch); the frequency stays at the
     safe ceiling, so system and application knobs remain decoupled.
     """
-    _check_relation_keys(profile, r)
+    _check_keys(profile, r.entries)
     missing = [b for b in profile.batch_sizes if b not in r.entries]
     if missing:
         raise DataError(f"relation vector incomplete: no entry for batch size {missing[0]}")
@@ -168,9 +168,7 @@ def fastest_configuration(
     seconds rather than a normalized estimate.
     """
     _check_counts(true_counts)
-    unknown = set(true_counts) - set(profile.batch_sizes)
-    if unknown:
-        raise DataError(f"true counts name batch sizes not in profile: {sorted(unknown)}")
+    _check_keys(profile, true_counts, "true counts name")
     return _select_one(profile, true_counts, cap, "fastest", missing_label="true counts")
 
 

@@ -21,7 +21,7 @@ from .core import (
     DeviceProfile,
     InfeasibleError,
     PowerCap,
-    _check_relation_keys,
+    _check_keys,
     select_configuration_fast,
 )
 from .ingest import (
@@ -195,33 +195,21 @@ def cmd_select(args: argparse.Namespace) -> int:
     cap = PowerCap.parse(args.p_max)
     # Both files are valid on their own, so a fault between them is the relation's.
     sel = _in_file(args.relation, select_configuration_fast, profile, r, cap)
-    print(f"policy={sel.policy_tag}")
-    print(f"batch_size={sel.batch_size}")
-    print(f"frequency_mhz={repr(sel.frequency_mhz)}")
-    print(f"estimated_tt_acc_s={repr(sel.estimated_tt_acc)}")
-    if sel.estimated_energy is not None:
-        print(f"estimated_energy_j={repr(sel.estimated_energy)}")
-    print(f"feasible_count={sel.feasible_count}")
+    names = ["policy", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "estimated_energy_j", "feasible_count"]
+    energy = "" if sel.estimated_energy is None else repr(sel.estimated_energy)
+    values = [sel.policy_tag, str(sel.batch_size), repr(sel.frequency_mhz), repr(sel.estimated_tt_acc), energy,
+              str(sel.feasible_count)]
+    # A profile without average power has no energy: its line is left out, its CSV cell left empty.
+    sys.stdout.write("".join(f"{name}={value}\n" for name, value in zip(names, values) if value))
     if args.csv:
-        rows = [
-            ["policy", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "estimated_energy_j", "feasible_count"],
-            [
-                sel.policy_tag,
-                str(sel.batch_size),
-                repr(sel.frequency_mhz),
-                repr(sel.estimated_tt_acc),
-                "" if sel.estimated_energy is None else repr(sel.estimated_energy),
-                str(sel.feasible_count),
-            ],
-        ]
-        _write_csv(args.csv, rows)
+        _write_csv(args.csv, [names, values])
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
-    _in_file(args.relation, _check_relation_keys, profile, r)
+    _in_file(args.relation, _check_keys, profile, r.entries)
     caps = _parse_caps(args.p_max)
     safe = _parse_file(args.safe_freqs, parse_safe_table)
     for cap in sorted(caps, key=lambda c: c.p_max):  # in the table, at a frequency on the profile's axis
@@ -229,6 +217,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     true_counts = None
     if args.counts:
         true_counts, _ = _parse_file(args.counts, parse_counts_file)
+        _in_file(args.counts, _check_keys, profile, true_counts, "true counts name")
     report = build_comparison(profile, r, caps, safe, true_counts=true_counts)
     sys.stdout.write(format_comparison_table(report))
     if args.csv:
@@ -241,7 +230,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     proxies = {}
     for path in args.relation:
         rv = _parse_file(path, parse_relation_file)
-        _in_file(path, _check_relation_keys, profile, rv)
+        _in_file(path, _check_keys, profile, rv.entries)
         pid = rv.source_id or Path(path).stem
         if pid in proxies:
             raise DataError(f"duplicate proxy id {pid!r}")
@@ -249,6 +238,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     targets = {}
     for path in args.counts:
         counts, tid = _parse_file(path, parse_counts_file)
+        _in_file(path, _check_keys, profile, counts, "true counts name")
         tid = tid or Path(path).stem
         if tid in targets:
             raise DataError(f"duplicate target id {tid!r}")

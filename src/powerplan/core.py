@@ -492,12 +492,13 @@ def _result_at(
     )
 
 
-def _check_relation_keys(profile: DeviceProfile, r: RelationVector) -> None:
-    unknown = set(r.entries) - set(profile.batch_sizes)
+def _check_keys(
+    profile: DeviceProfile, multipliers: Mapping[int, float], subject: str = "relation vector names"
+) -> None:
+    """Reject relation or counts keys naming a batch size ``profile`` lacks; ``subject`` opens the message."""
+    unknown = set(multipliers) - set(profile.batch_sizes)
     if unknown:
-        raise DataError(
-            f"relation vector names batch sizes not in profile: {sorted(unknown)}"
-        )
+        raise DataError(f"{subject} batch sizes not in profile: {sorted(unknown)}")
 
 
 def _select_caps(
@@ -561,5 +562,5 @@ def select_configuration_fast(
     when the relation vector misses a feasible batch size (silent shrinking
     of the search space would mask data bugs).
     """
-    _check_relation_keys(profile, r)
+    _check_keys(profile, r.entries)
     return _select_one(profile, r.entries, cap, "ours")

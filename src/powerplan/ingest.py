@@ -72,7 +72,8 @@ class PowerTrace(_Record):
 
     __slots__ = ("timestamps_s", "power_mw")
 
-    def __init__(self, timestamps_s: tuple[float, ...], power_mw: tuple[float, ...]) -> None:
+    def __init__(self, timestamps_s: Sequence[float], power_mw: Sequence[float]) -> None:
+        timestamps_s, power_mw = tuple(timestamps_s), tuple(power_mw)  # no copy of a tuple
         if len(timestamps_s) != len(power_mw):
             raise DataError("power trace columns differ in length")
         if not (all(map(math.isfinite, timestamps_s)) and all(map(math.isfinite, power_mw))):
@@ -118,9 +119,10 @@ class TimingTrace(_Record):
         self,
         batch_size: int,
         frequency_mhz: float,
-        minibatch_durations: tuple[float, ...],
+        minibatch_durations: Sequence[float],
         warmup_discarded: int = 0,
     ) -> None:
+        minibatch_durations = tuple(minibatch_durations)
         if batch_size <= 0:
             raise DataError("batch size must be positive")
         if not frequency_mhz > 0:
@@ -135,6 +137,11 @@ class TimingTrace(_Record):
             math.fsum(minibatch_durations[warmup_discarded:])
         except OverflowError:
             raise DataError("retained mini-batch durations sum past the float range") from None
+        # Last, so that every trace the checks above reject keeps its message.
+        if not math.isfinite(frequency_mhz):
+            raise DataError("frequency must be finite")
+        if not all(map(math.isfinite, minibatch_durations)):
+            raise DataError("mini-batch durations must be finite")
         _set(self, "batch_size", batch_size)
         _set(self, "frequency_mhz", frequency_mhz)
         _set(self, "minibatch_durations", minibatch_durations)

@@ -26,7 +26,7 @@ from .core import (
     PowerCap,
     RelationVector,
     SelectionResult,
-    _check_relation_keys,
+    _check_keys,
     _energy_at,
     _Record,
     _select_caps,
@@ -259,7 +259,7 @@ def build_sweep(
     One kernel call plans every cap, the same selection that
     ``select_configuration_fast`` makes at each.
     """
-    _check_relation_keys(profile, r)
+    _check_keys(profile, r.entries)
     picks = _select_caps(profile, r.entries, [cap.p_max for cap in caps], "ours")
     rows: list[SweepRow] = []
     for cap, pick in zip(caps, picks):
@@ -285,66 +285,61 @@ def _fmt_cap(p_max_w: float) -> str:
     return "unlimited" if math.isinf(p_max_w) else repr(float(p_max_w))
 
 
-def _fmt_opt(value: float | None, human: bool = False) -> str:
-    if value is None:
-        return "-" if human else ""
-    return f"{value:.6g}" if human else repr(float(value))
+def _csv_cell(value: float | None) -> str:
+    """A float cell of a CSV row: exact, and empty when missing."""
+    return "" if value is None else repr(float(value))
 
 
-def _align(table: Sequence[tuple[str, ...]]) -> str:
+def _table_cell(value: float | None) -> str:
+    """A float cell of a table: six significant digits, and "-" when missing."""
+    return "-" if value is None else f"{value:.6g}"
+
+
+def _align(table: Sequence[Sequence[str]]) -> str:
     widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"
 
 
-def comparison_csv_rows(report: ComparisonReport) -> list[list[str]]:
-    rows = [
-        [
-            "p_max_w",
-            "policy",
-            "batch_size",
-            "frequency_mhz",
-            "estimated_tt_acc_s",
-            "realized_tt_acc_s",
-            "energy_j",
-            "speedup_vs_baseline1",
-            "status",
-        ]
+# A batch size is an integer of any type (a numpy one from library callers), so
+# it renders with str(), never as a float; only its absence goes through ``cell``.
+def _comparison_cells(r: ComparisonRow, cell: Callable[[float | None], str]) -> list[str]:
+    """A comparison row's cells in column order, each float rendered by ``cell``."""
+    return [
+        _fmt_cap(r.p_max_w),
+        r.policy_tag,
+        cell(None) if r.batch_size is None else str(r.batch_size),
+        cell(r.frequency_mhz),
+        cell(r.estimated_tt_acc),
+        cell(r.realized_tt_acc),
+        cell(r.energy_j),
+        cell(r.speedup_vs_baseline1),
+        r.status,
     ]
-    for r in report.rows:
-        rows.append(
-            [
-                _fmt_cap(r.p_max_w),
-                r.policy_tag,
-                "" if r.batch_size is None else str(r.batch_size),
-                _fmt_opt(r.frequency_mhz),
-                _fmt_opt(r.estimated_tt_acc),
-                _fmt_opt(r.realized_tt_acc),
-                _fmt_opt(r.energy_j),
-                _fmt_opt(r.speedup_vs_baseline1),
-                r.status,
-            ]
-        )
-    return rows
+
+
+def _sweep_cells(r: SweepRow, cell: Callable[[float | None], str]) -> list[str]:
+    """A sweep row's cells in column order, each float rendered by ``cell``."""
+    return [
+        _fmt_cap(r.p_max_w),
+        cell(None) if r.batch_size is None else str(r.batch_size),
+        cell(r.frequency_mhz),
+        cell(r.estimated_tt_acc),
+        cell(r.energy_j),
+        r.status,
+    ]
+
+
+def comparison_csv_rows(report: ComparisonReport) -> list[list[str]]:
+    header = ["p_max_w", "policy", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "realized_tt_acc_s",
+              "energy_j", "speedup_vs_baseline1", "status"]
+    return [header] + [_comparison_cells(r, _csv_cell) for r in report.rows]
 
 
 def format_comparison_table(report: ComparisonReport) -> str:
-    header = ("p_max_w", "policy", "b", "f_mhz", "est_tt_s", "real_tt_s", "energy_j", "speedup")
-    table = [header]
-    for r in report.rows:
-        table.append(
-            (
-                _fmt_cap(r.p_max_w),
-                r.policy_tag,
-                "-" if r.batch_size is None else str(r.batch_size),
-                _fmt_opt(r.frequency_mhz, human=True),
-                _fmt_opt(r.estimated_tt_acc, human=True),
-                _fmt_opt(r.realized_tt_acc, human=True),
-                _fmt_opt(r.energy_j, human=True),
-                _fmt_opt(r.speedup_vs_baseline1, human=True),
-            )
-        )
-    return _align(table)
+    # No status column: an infeasible row's dashes show it.
+    header = ["p_max_w", "policy", "b", "f_mhz", "est_tt_s", "real_tt_s", "energy_j", "speedup"]
+    return _align([header] + [_comparison_cells(r, _table_cell)[:-1] for r in report.rows])
 
 
 def sensitivity_csv_rows(matrices: Sequence[SensitivityMatrix]) -> list[list[str]]:
@@ -365,33 +360,10 @@ def format_sensitivity_table(matrix: SensitivityMatrix) -> str:
 
 
 def sweep_csv_rows(rows: Sequence[SweepRow]) -> list[list[str]]:
-    out = [["p_max_w", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "energy_j", "status"]]
-    for r in rows:
-        out.append(
-            [
-                _fmt_cap(r.p_max_w),
-                "" if r.batch_size is None else str(r.batch_size),
-                _fmt_opt(r.frequency_mhz),
-                _fmt_opt(r.estimated_tt_acc),
-                _fmt_opt(r.energy_j),
-                r.status,
-            ]
-        )
-    return out
+    header = ["p_max_w", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "energy_j", "status"]
+    return [header] + [_sweep_cells(r, _csv_cell) for r in rows]
 
 
 def format_sweep_table(rows: Sequence[SweepRow]) -> str:
-    header = ("p_max_w", "b", "f_mhz", "est_tt_s", "energy_j", "status")
-    table = [header]
-    for r in rows:
-        table.append(
-            (
-                _fmt_cap(r.p_max_w),
-                "-" if r.batch_size is None else str(r.batch_size),
-                _fmt_opt(r.frequency_mhz, human=True),
-                _fmt_opt(r.estimated_tt_acc, human=True),
-                _fmt_opt(r.energy_j, human=True),
-                r.status,
-            )
-        )
-    return _align(table)
+    header = ["p_max_w", "b", "f_mhz", "est_tt_s", "energy_j", "status"]
+    return _align([header] + [_sweep_cells(r, _table_cell) for r in rows])

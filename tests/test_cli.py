@@ -422,6 +422,16 @@ def test_relation_with_batch_size_not_in_profile_names_relation(data_dir, tmp_pa
     assert capsys.readouterr().err == f"error: {relation}: relation vector names batch sizes not in profile: [9]\n"
 
 
+@pytest.mark.parametrize("command", ["compare", "sensitivity"])
+def test_counts_with_batch_size_not_in_profile_names_counts(data_dir, tmp_path, capsys, command):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("8,10\n9,3\n32,15\n", encoding="utf-8")
+    args = [str(data_dir / tok) if (data_dir / tok).is_file() else tok for tok in FUZZ_ARGV[command]]
+    args[args.index("--counts") + 1] = str(counts)
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {counts}: true counts name batch sizes not in profile: [9]\n"
+
+
 def test_padded_source_ids_print_as_unpadded(data_dir, tmp_path):
     relation_text = (data_dir / "relation_b8_b32.csv").read_text(encoding="utf-8")
     counts_text = (data_dir / "counts_b8_b32.csv").read_text(encoding="utf-8")

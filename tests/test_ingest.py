@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -664,6 +665,34 @@ class TestTraceInvariants:
     def test_timing_trace_positive_durations(self):
         with pytest.raises(pp.DataError, match="positive"):
             pp.TimingTrace(8, 100.0, (0.0, 0.1))
+
+    @pytest.mark.parametrize(
+        "frequency, durations, message",
+        [
+            (100.0, (math.nan,), "mini-batch durations must be finite"),
+            (100.0, (0.1, math.inf), "mini-batch durations must be finite"),
+            (math.inf, (0.1,), "frequency must be finite"),
+        ],
+    )
+    def test_timing_trace_rejects_non_finite_values(self, frequency, durations, message):
+        with pytest.raises(pp.DataError, match=f"^{message}$"):
+            pp.TimingTrace(8, frequency, durations)
+
+    @pytest.mark.parametrize(
+        "frequency, durations, warmup, message",
+        [
+            (math.nan, (0.1,), 0, "frequency must be positive"),
+            (100.0, (-math.inf,), 0, "mini-batch durations must be positive"),
+            (math.inf, (0.0,), 0, "mini-batch durations must be positive"),
+            (100.0, (math.nan,), 1, "all samples discarded"),
+            (100.0, (math.inf, 1e308, 1e308), 0, "retained mini-batch durations sum past the float range"),
+        ],
+    )
+    def test_timing_trace_rejections_keep_their_messages_with_non_finite_values(
+        self, frequency, durations, warmup, message
+    ):
+        with pytest.raises(pp.DataError, match=f"^{message}$"):
+            pp.TimingTrace(8, frequency, durations, warmup)
 
     def test_empty_trace_peak_errors(self):
         with pytest.raises(pp.DataError, match="empty power trace"):

@@ -49,20 +49,42 @@ def readme_select_block() -> str:
 
 
 PROFILE_B8 = ["--profile", "profile_b8_b32.csv", "--relation", "relation_b8_b32.csv"]
+# The same profile without its avg_w column: every energy cell is empty.
+NO_AVG_B8 = ["--profile", "profile_noavg_b8_b32.csv", "--relation", "relation_b8_b32.csv"]
+COUNTS_CAPS = ["--counts", "counts_b8_b32.csv", "--p-max", "4.5", "7.0", "unlimited"]
+# A key's CSV is recorded in EXPECTED / f"{key}.csv"; a stdout of None is the README's select block.
 COMMANDS = {
     "select": (
         ["select", "--profile", "profile_b64_b128.csv", "--relation", "relation_uniform_b64_b128.csv",
          "--p-max", "5.0"],
         None,
     ),
+    "select_no_avg": (["select", *NO_AVG_B8, "--p-max", "5.0"], EXPECTED / "select_no_avg.out"),
     "compare": (
-        ["compare", *PROFILE_B8, "--counts", "counts_b8_b32.csv", "--p-max", "4.5", "7.0", "unlimited",
-         "--safe-freqs", "safe_freqs_b8_b32.csv"],
+        ["compare", *PROFILE_B8, *COUNTS_CAPS, "--safe-freqs", "safe_freqs_b8_b32.csv"],
         EXPECTED / "compare.out",
+    ),
+    # ours and fastest fit nothing under 1.0 W; baseline1 and baseline2 trust the safe table.
+    "compare_infeasible": (
+        ["compare", *PROFILE_B8, "--counts", "counts_b8_b32.csv", "--p-max", "1.0", "4.5",
+         "--safe-freqs", "safe_freqs_low_b8_b32.csv"],
+        EXPECTED / "compare_infeasible.out",
+    ),
+    "compare_no_counts": (
+        ["compare", *PROFILE_B8, "--p-max", "4.5", "7.0", "unlimited", "--safe-freqs", "safe_freqs_b8_b32.csv"],
+        EXPECTED / "compare_no_counts.out",
+    ),
+    "compare_no_avg": (
+        ["compare", *NO_AVG_B8, *COUNTS_CAPS, "--safe-freqs", "safe_freqs_b8_b32.csv"],
+        EXPECTED / "compare_no_avg.out",
     ),
     "sweep": (
         ["sweep", *PROFILE_B8, "--p-max-min", "3.5", "--p-max-max", "8.0", "--step", "0.5"],
         EXPECTED / "sweep.out",
+    ),
+    "sweep_no_avg": (
+        ["sweep", *NO_AVG_B8, "--p-max-min", "3.5", "--p-max-max", "8.0", "--step", "0.5"],
+        EXPECTED / "sweep_no_avg.out",
     ),
     "sensitivity": (
         ["sensitivity", "--profile", "profile_b8_b32.csv", "--relation", "relation_b8_b32.csv",

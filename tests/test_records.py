@@ -184,3 +184,7 @@ def test_normalised_fields_compare_equal():
     assert build("SensitivityMatrix", values=((0,), (12.5,))) == build("SensitivityMatrix")
     assert build("SensitivityMatrix").values == ((0.0,), (12.5,))
     assert build("SelectionResult") != build("SelectionResult", estimated_energy=None)
+    # Trace columns are stored as tuples, so a list-built trace hashes like a tuple-built one.
+    for name, columns in (("PowerTrace", ("timestamps_s", "power_mw")), ("TimingTrace", ("minibatch_durations",))):
+        from_lists = build(name, **{c: list(RECORDS[name][1][c]) for c in columns})
+        assert from_lists == build(name) and hash(from_lists) == hash(build(name))

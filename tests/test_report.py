@@ -14,6 +14,8 @@ import powerplan as pp
 from powerplan.report import (
     STATUS_INFEASIBLE,
     STATUS_OK,
+    ComparisonReport,
+    ComparisonRow,
     SweepRow,
     comparison_csv_rows,
     format_comparison_table,
@@ -376,3 +378,21 @@ class TestRendering:
         csv_rows = sweep_csv_rows(rows)
         assert float(csv_rows[1][3]) == rows[0].estimated_tt_acc
         assert format_sweep_table(rows).startswith("p_max_w")
+
+    def test_library_built_rows_render_exactly(self):
+        # A numpy batch size prints as an int, an int frequency as a float, and a missing
+        # cell as "" in the CSV and "-" in the table.
+        sweep = [SweepRow(5.0, np.int64(8), 614, 30, None), SweepRow(3.5, None, None, None, None, STATUS_INFEASIBLE)]
+        assert sweep_csv_rows(sweep)[1:] == [
+            ["5.0", "8", "614.0", "30.0", "", "ok"],
+            ["3.5", "", "", "", "", "infeasible"],
+        ]
+        assert [line.split() for line in format_sweep_table(sweep).splitlines()[1:]] == [
+            ["5.0", "8", "614", "30", "-", "ok"],
+            ["3.5", "-", "-", "-", "-", "infeasible"],
+        ]
+        report = ComparisonReport((ComparisonRow(math.inf, "ours", np.int64(8), 614, 40, None, None, 1.5),))
+        assert comparison_csv_rows(report)[1] == ["unlimited", "ours", "8", "614.0", "40.0", "", "", "1.5", "ok"]
+        assert format_comparison_table(report).splitlines()[1].split() == [
+            "unlimited", "ours", "8", "614", "40", "-", "-", "1.5"
+        ]
