@@ -18,7 +18,6 @@ from .baselines import (
 from .core import (
     DataError,
     DeviceProfile,
-    FeasibleSet,
     InfeasibleError,
     PowerCap,
     RelationVector,
@@ -31,7 +30,6 @@ from .ingest import (
     AggregatedPoint,
     ParseError,
     PowerTrace,
-    ProfilingSchedule,
     TimingTrace,
     aggregate_point,
     discovered_feasible,
@@ -69,12 +67,10 @@ __all__ = [
     "ComparisonRow",
     "DataError",
     "DeviceProfile",
-    "FeasibleSet",
     "InfeasibleError",
     "ParseError",
     "PowerCap",
     "PowerTrace",
-    "ProfilingSchedule",
     "RelationVector",
     "SafeFrequencyTable",
     "SelectionResult",

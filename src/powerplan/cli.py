@@ -134,6 +134,14 @@ def _write_csv(path: str, rows) -> None:
     _write_output(path, out.getvalue())
 
 
+def _option(name: str, func, *args):
+    """``func(*args)``, with any DataError it raises turned into a usage error naming option ``name``."""
+    try:
+        return func(*args)
+    except DataError as exc:
+        raise UsageError(f"{name}: {exc}") from None
+
+
 def _parse_caps(tokens) -> list[PowerCap]:
     return [PowerCap.parse(tok) for tok in tokens]
 
@@ -190,9 +198,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    cap = _option("--p-max", PowerCap.parse, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
-    cap = PowerCap.parse(args.p_max)
     # Both files are valid on their own, so a fault between them is the relation's.
     sel = _in_file(args.relation, select_configuration_fast, profile, r, cap)
     names = ["policy", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "estimated_energy_j", "feasible_count"]
@@ -207,10 +215,10 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    caps = _option("--p-max", _parse_caps, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
     _in_file(args.relation, _check_keys, profile, r.entries)
-    caps = _parse_caps(args.p_max)
     safe = _parse_file(args.safe_freqs, parse_safe_table)
     for cap in sorted(caps, key=lambda c: c.p_max):  # in the table, at a frequency on the profile's axis
         _in_file(args.safe_freqs, lambda: profile.frequency_index(safe.frequency_for(cap)))
@@ -226,6 +234,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
+    caps = _option("--p-max", _parse_caps, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     proxies = {}
     for path in args.relation:
@@ -245,7 +254,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         targets[tid] = counts
     matrices = [
         build_sensitivity(profile, proxies, targets, cap)
-        for cap in sorted(_parse_caps(args.p_max), key=lambda c: c.p_max)
+        for cap in sorted(caps, key=lambda c: c.p_max)
     ]
     for m in matrices:
         sys.stdout.write(format_sensitivity_table(m))
@@ -256,9 +265,9 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    caps = _option("--p-max-min/--p-max-max/--step", cap_range, args.p_max_min, args.p_max_max, args.step)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
-    caps = cap_range(args.p_max_min, args.p_max_max, args.step)
     rows = _in_file(args.relation, build_sweep, profile, r, caps)
     sys.stdout.write(format_sweep_table(rows))
     if args.csv:

@@ -47,6 +47,11 @@ def _positive_int(value: object, message: str) -> int:
     return n
 
 
+def _batch_size(value: object, message: str) -> int:
+    """``value`` as an int if it is a positive integer other than a bool, else DataError(message)."""
+    return _positive_int(None if isinstance(value, bool) else value, message)
+
+
 class _Record:
     """An immutable value whose ``__slots__`` name its fields in constructor order.
 
@@ -235,9 +240,10 @@ class DeviceProfile(_Record):
         self.__post_init__()  # looked up on the class, where it may be rebound
 
     def __post_init__(self) -> None:
-        bs = tuple(int(b) for b in self.batch_sizes)
-        if not bs or any(b <= 0 for b in bs) or any(a >= b for a, b in zip(bs, bs[1:])):
-            raise DataError("batch sizes must be strictly increasing positive integers")
+        message = "batch sizes must be strictly increasing positive integers"
+        bs = tuple(_batch_size(b, message) for b in self.batch_sizes)
+        if not bs or any(a >= b for a, b in zip(bs, bs[1:])):
+            raise DataError(message)
         fs = tuple(float(f) for f in self.frequencies)
         if (
             not fs
@@ -330,8 +336,7 @@ class RelationVector(_Record):
             raise DataError("no batch sizes")
         clean: dict[int, float] = {}
         for b, ratio in entries.items():
-            # A bool is an int to operator.index, but not a batch size.
-            key = _positive_int(None if isinstance(b, bool) else b, f"batch sizes must be positive integers, got {b!r}")
+            key = _batch_size(b, f"batch sizes must be positive integers, got {b!r}")
             r = float(ratio)
             if not (0.0 < r <= 1.0):
                 raise DataError(f"ratio for batch size {b} out of range (0, 1]: {r!r}")
@@ -344,36 +349,6 @@ class RelationVector(_Record):
     @property
     def batch_sizes(self) -> tuple[int, ...]:
         return tuple(self.entries)
-
-
-class FeasibleSet(_Record):
-    """Per batch size, the maximal frequency index staying under the cap.
-
-    ``pairs`` holds (batch index, frequency index) tuples, ascending in batch
-    index, at most one per batch.  Batch sizes with no feasible frequency are
-    simply absent; an empty set is a legal value.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Sequence[tuple[int, int]]) -> None:
-        pairs = tuple((int(i), int(j)) for i, j in pairs)
-        if any(i < 0 or j < 0 for i, j in pairs):
-            raise DataError("feasible pair indices must be non-negative")
-        batches = [i for i, _ in pairs]
-        if any(a >= b for a, b in zip(batches, batches[1:])):
-            raise DataError("feasible pairs must be strictly ascending in batch index")
-        _set(self, "pairs", pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def to_values(self, profile: DeviceProfile) -> tuple[tuple[int, float], ...]:
-        """Resolve index pairs into (batch size, frequency MHz) values."""
-        return tuple((profile.batch_sizes[i], profile.frequencies[j]) for i, j in self.pairs)
 
 
 class SelectionResult(_Record):
@@ -451,10 +426,12 @@ def _prefix_frontier(power: Rows, firsts: Sequence[float], p_max: float) -> list
     return [end - 1 for end in map(bisect_left, power[:n], repeat(p_max))]
 
 
-def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> FeasibleSet:
-    """Collect, per batch size, the highest frequency with peak power < cap."""
-    power = profile.power_rows
-    return FeasibleSet(tuple(enumerate(_prefix_frontier(power, next(zip(*power)), cap.p_max))))
+def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> dict[int, float]:
+    """Per batch size with a cell under the cap, in ascending order, the
+    highest frequency (MHz) whose peak power is < cap."""
+    power, fs = profile.power_rows, profile.frequencies
+    cols = _prefix_frontier(power, next(zip(*power)), cap.p_max)
+    return {b: fs[j] for b, j in zip(profile.batch_sizes, cols)}
 
 
 def _last_near_min(values: Sequence[float]) -> int:
@@ -549,7 +526,11 @@ def _select_one(
     """``_select_caps`` at one cap; raises InfeasibleError when nothing fits."""
     (pick,) = _select_caps(profile, multipliers, (cap.p_max,), policy_tag, missing_label)
     if pick is None:
-        raise InfeasibleError("no configuration satisfies power cap")
+        # Peak power never falls along either axis, so the first cell holds the lowest peak.
+        raise InfeasibleError(
+            f"no configuration satisfies power cap {cap} W; "
+            f"the lowest peak in the profile is {profile.power_rows[0][0]!r} W"
+        )
     return pick[2]
 
 

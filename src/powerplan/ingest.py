@@ -26,7 +26,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
 from typing import NamedTuple
 
-from .core import DataError, DeviceProfile, PowerCap, RelationVector, _check_counts, _Record, _set
+from .core import DataError, DeviceProfile, PowerCap, RelationVector, _batch_size, _check_counts, _Record, _set
 
 DEFAULT_MINIBATCHES = 5
 DEFAULT_WARMUP = 1  # first mini-batch absorbs kernel compilation noise
@@ -123,8 +123,7 @@ class TimingTrace(_Record):
         warmup_discarded: int = 0,
     ) -> None:
         minibatch_durations = tuple(minibatch_durations)
-        if batch_size <= 0:
-            raise DataError("batch size must be positive")
+        batch_size = _batch_size(batch_size, "batch size must be positive")
         if not frequency_mhz > 0:
             raise DataError("frequency must be positive")
         if any(map(operator.ge, repeat(0.0), minibatch_durations)):
@@ -150,40 +149,6 @@ class TimingTrace(_Record):
     @property
     def retained(self) -> tuple[float, ...]:
         return self.minibatch_durations[self.warmup_discarded :]
-
-
-class ProfilingSchedule(_Record):
-    """Ordered (batch size, frequency MHz) measurement points.
-
-    Batch sizes run in descending order, each with one contiguous ascending
-    frequency run; the run's last probe may be the infeasible stopping point.
-    """
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: Sequence[tuple[int, float]]) -> None:
-        points = tuple((int(b), float(f)) for b, f in points)
-        seen: list[int] = []
-        run_freqs: list[float] = []
-        for b, f in points:
-            if not seen or seen[-1] != b:
-                if b in seen:
-                    raise DataError(f"batch size {b} appears in two separate runs")
-                if seen and b >= seen[-1]:
-                    raise DataError("schedule batch sizes must descend")
-                seen.append(b)
-                run_freqs = [f]
-            else:
-                if f <= run_freqs[-1]:
-                    raise DataError(f"frequency run for batch size {b} must ascend")
-                run_freqs.append(f)
-        _set(self, "points", points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 def parse_power_log(text: str) -> PowerTrace:
@@ -358,8 +323,8 @@ def profiling_schedule(
     frequencies: Sequence[float],
     cap: PowerCap,
     power_oracle: Callable[[int, float], float],
-) -> ProfilingSchedule:
-    """Plan the pruned measurement order for a known power cap.
+) -> tuple[tuple[int, float], ...]:
+    """Plan the pruned measurement order for a known power cap, as (batch size, MHz) probes.
 
     Starts at the largest batch size with the lowest frequency and ascends
     until the first infeasible probe (which stays in the schedule: it had to
@@ -368,7 +333,7 @@ def profiling_schedule(
     frequency a smaller batch can only draw less power.  Without a finite
     cap nothing can be pruned and the schedule covers the full grid.
     """
-    bs = [int(b) for b in batch_sizes]
+    bs = [_batch_size(b, f"batch sizes must be positive integers, got {b!r}") for b in batch_sizes]
     fs = [float(f) for f in frequencies]
     if not bs or any(a >= b for a, b in zip(bs, bs[1:])):
         raise DataError("batch sizes must be sorted ascending and unique")
@@ -379,7 +344,7 @@ def profiling_schedule(
     if cap.is_unlimited:
         for b in reversed(bs):
             points.extend((b, f) for f in fs)
-        return ProfilingSchedule(tuple(points))
+        return tuple(points)
 
     start = 0
     for b in reversed(bs):
@@ -394,11 +359,11 @@ def profiling_schedule(
                 break
         if row_best is not None:
             start = row_best
-    return ProfilingSchedule(tuple(points))
+    return tuple(points)
 
 
 def discovered_feasible(
-    schedule: ProfilingSchedule,
+    schedule: Iterable[tuple[int, float]],
     power_oracle: Callable[[int, float], float],
     cap: PowerCap,
 ) -> dict[int, float]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .core import DataError, DeviceProfile, _positive_int, _Record, _set
+from .core import DataError, DeviceProfile, _batch_size, _positive_int, _Record, _set
 
 
 class SynthDeviceParams(_Record):
@@ -127,11 +127,9 @@ def synth_counts(
     batch_sizes: Iterable[int], params: SynthConvergenceParams
 ) -> dict[int, int]:
     """Ground-truth convergence counts for a batch-size axis (non-decreasing in b)."""
-    bs = [int(b) for b in batch_sizes]
+    bs = [_batch_size(b, "batch sizes must be positive") for b in batch_sizes]
     if not bs:
         raise DataError("no batch sizes")
-    if any(b <= 0 for b in bs):
-        raise DataError("batch sizes must be positive")
     return {b: convergence_count(b, params) for b in bs}
 
 
@@ -150,7 +148,8 @@ def generate_profile(
     """
     import numpy as np
 
-    batch_sizes = tuple(int(b) for b in batch_sizes)
+    message = "batch sizes must be strictly increasing positive integers"  # as DeviceProfile words it
+    batch_sizes = tuple(_batch_size(b, message) for b in batch_sizes)
     frequencies = tuple(float(f) for f in frequencies)
     bs = np.array(batch_sizes, dtype=float)
     fs = np.array(frequencies, dtype=float)

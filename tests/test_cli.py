@@ -237,7 +237,9 @@ class TestSelectCommand:
             "--p-max", "3.0",
         ])
         assert rc == 4
-        assert "no configuration satisfies power cap" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no configuration satisfies power cap 3.0 W; the lowest peak in the profile is 4.0 W\n"
+        )
 
     def test_missing_profile_exits_3(self, data_dir, capsys):
         rc = main([
@@ -499,9 +501,13 @@ class TestSensitivityCommand:
             "--profile", str(data_dir / "profile_b8_b32.csv"),
             "--relation", str(data_dir / "relation_b8_b32.csv"),
             "--counts", str(data_dir / "counts_b8_b32.csv"),
-            "--p-max", "2.0",
+            "--p-max", "7.0", "2.0",
         ])
         assert rc == 4
+        # Of several caps, the message names the one that fails.
+        assert capsys.readouterr() == (
+            "", "error: no configuration satisfies power cap 2.0 W; the lowest peak in the profile is 3.8 W\n"
+        )
 
     def test_duplicate_proxy_id_rejected(self, data_dir, capsys):
         rc = main([
@@ -547,15 +553,17 @@ class TestSweepCommand:
         )
 
     def test_bad_range_exits_3(self, data_dir, capsys):
-        rc = main([
-            "sweep",
-            "--profile", str(data_dir / "profile_b8_b32.csv"),
-            "--relation", str(data_dir / "relation_b8_b32.csv"),
-            "--p-max-min", "5.0",
-            "--p-max-max", "4.0",
-            "--step", "0.5",
-        ])
-        assert rc == 3
+        # Named for the exit code it had when a bad range was a data error; it is a usage error now.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep",
+                "--profile", str(data_dir / "profile_b8_b32.csv"),
+                "--relation", str(data_dir / "relation_b8_b32.csv"),
+                "--p-max-min", "5.0",
+                "--p-max-max", "4.0",
+                "--step", "0.5",
+            ])
+        assert exc.value.code == 2
 
 
 class TestOutputFiles:
@@ -666,6 +674,24 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(["optimize"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("select", ["--p-max", "abc"], "--p-max: invalid power cap 'abc'"),
+            ("compare", ["--p-max", "4.5", "0"], "--p-max: power cap must be positive, got 0.0"),
+            ("sensitivity", ["--p-max", "nan"], "--p-max: power cap must be positive, got nan"),
+            ("sweep", ["--step", "0"],
+             "--p-max-min/--p-max-max/--step: cap range requires 0 < min <= max and step > 0"),
+        ],
+    )
+    def test_bad_cap_option_is_usage_error_before_any_read(self, tmp_path, capsys, command, options, message):
+        argv = [str(DATA / tok) if (DATA / tok).is_file() else tok for tok in FUZZ_ARGV[command]]
+        argv[argv.index("--profile") + 1] = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + options)  # the last occurrence of an option wins
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"\npowerplan: error: {message}\n")
 
 
 # Each command over the committed fixtures; every token naming a file in
@@ -782,8 +808,14 @@ class TestFileArgumentFuzz:
         assert code in (0, 3, 4)
         if code == 0:
             assert err == ""
-        elif code == 4:
-            assert err == "error: no configuration satisfies power cap\n"
+        elif code == 4:  # only select and sensitivity stop at an infeasible cap, their first (lowest) one
+            profile_arg = FUZZ_ARGV[command].index("--profile") + 1
+            profile = content if k == profile_arg else (DATA / FUZZ_ARGV[command][profile_arg]).read_bytes()
+            cap = FUZZ_ARGV[command][FUZZ_ARGV[command].index("--p-max") + 1]
+            lowest = pp.load_profile(profile.decode("utf-8")).power_rows[0][0]
+            assert err == (
+                f"error: no configuration satisfies power cap {cap} W; the lowest peak in the profile is {lowest!r} W\n"
+            )
         else:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             if invalid_on_its_own(name, content):

@@ -104,12 +104,25 @@ class TestRelationVector:
 
 
 # Each integer field: how a value is built into a record and read back, the
-# start of its error text, and whether it takes a bool as an integer.
+# start of its error text, and whether it takes a bool as an integer.  Every
+# batch size is checked by one rule: never truncated, never a bool.
 INTEGER_FIELDS = {
     "samples_per_unit": (lambda v: tiny_profile([[1.0]], [[1.0]], s=v).samples_per_unit,
                          "samples_per_unit must be a positive integer", True),
     "relation batch size": (lambda v: next(iter(pp.RelationVector({v: 1.0}).entries)),
                             "batch sizes must be positive integers", False),
+    "profile batch size": (lambda v: tiny_profile([[2.0], [1.0]], [[1.0], [2.0]], batch_sizes=(v, 32)).batch_sizes[0],
+                           "batch sizes must be strictly increasing positive integers", False),
+    "timing batch size": (lambda v: pp.TimingTrace(v, 307.0, (0.1,)).batch_size, "batch size must be positive", False),
+    "schedule batch size": (lambda v: pp.profiling_schedule((v, 16), (307.0,), pp.PowerCap(5.0), lambda b, f: 1.0)[1][0],
+                            "batch sizes must be positive integers, got ", False),
+    "synth_counts batch size": (lambda v: next(iter(pp.synth_counts([v], pp.SynthConvergenceParams(1000, 64.0)))),
+                                "batch sizes must be positive", False),
+    "generate_profile batch size": (
+        lambda v: pp.generate_profile((v,), (307.0,), pp.SynthDeviceParams(1.0, 0.01, ((300.0, 0.8),), 32, 1.0, 100.0),
+                                      1024).batch_sizes[0],
+        "batch sizes must be strictly increasing positive integers", False,
+    ),
     "parallel_cap": (lambda v: pp.SynthDeviceParams(1.0, 0.01, ((300.0, 0.8),), v, 1.0, 100.0).parallel_cap,
                      "parallel_cap must be a positive integer", True),
     "n_min": (lambda v: pp.SynthConvergenceParams(v, 64.0).n_min, "n_min must be a positive integer", True),
@@ -132,7 +145,7 @@ class TestIntegerFields:
             with pytest.raises(pp.DataError, match=message):
                 build(True)
 
-    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3", None, 0, -2, np.int64(0)])
+    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3", None, 0, -2, np.int64(0), 8.5])
     def test_non_integers_and_non_positive_values_rejected(self, field, value):
         build, message, _ = INTEGER_FIELDS[field]
         with pytest.raises(pp.DataError, match=message):
@@ -227,7 +240,7 @@ class TestDeviceProfileValidation:
 class TestFeasibleCombinations:
     def test_joint_profile_under_five_watts(self, profile_joint):
         feas = pp.feasible_combinations(profile_joint, pp.PowerCap(5.0))
-        assert feas.to_values(profile_joint) == ((64, 460.0), (128, 307.0))
+        assert list(feas.items()) == [(64, 460.0), (128, 307.0)]
 
     def test_cap_below_every_measurement(self, profile_joint):
         feas = pp.feasible_combinations(profile_joint, pp.PowerCap(3.0))
@@ -235,21 +248,16 @@ class TestFeasibleCombinations:
 
     def test_unlimited_gives_max_frequency_everywhere(self, profile_joint):
         feas = pp.feasible_combinations(profile_joint, pp.PowerCap.unlimited())
-        assert feas.to_values(profile_joint) == ((64, 921.0), (128, 921.0))
+        assert list(feas.items()) == [(64, 921.0), (128, 921.0)]
 
     def test_matches_exhaustive_scan_on_random_corpus(self):
         rng = np.random.default_rng(20)
         for _ in range(1000):
             profile, _ = random_profile(rng)
             cap = random_cap(rng, profile)
-            feas = dict(pp.feasible_combinations(profile, cap).pairs)
-            assert feas == brute_force_feasible(profile, cap)
-
-    def test_pair_validation(self):
-        with pytest.raises(pp.DataError, match="ascending"):
-            pp.FeasibleSet(((1, 0), (0, 1)))
-        with pytest.raises(pp.DataError, match="non-negative"):
-            pp.FeasibleSet(((-1, 0),))
+            feas = pp.feasible_combinations(profile, cap)
+            expected = brute_force_feasible(profile, cap)
+            assert list(feas.items()) == [(profile.batch_sizes[i], profile.frequencies[j]) for i, j in expected.items()]
 
 
 class TestEstimateTtAcc:

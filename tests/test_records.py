@@ -43,7 +43,6 @@ RECORDS = {
     "PowerCap": (pp.PowerCap, dict(p_max=5.0), {}),
     "DeviceProfile": (pp.DeviceProfile, PROFILE_FIELDS, {"avg_power_table": None}),
     "RelationVector": (pp.RelationVector, dict(entries={8: 0.5, 32: 1.0}, source_id="proxy"), {"source_id": ""}),
-    "FeasibleSet": (pp.FeasibleSet, dict(pairs=((0, 1), (1, 0))), {}),
     "SelectionResult": (
         pp.SelectionResult,
         dict(batch_size=8, frequency_mhz=614.0, estimated_tt_acc=12.5, feasible_count=2, policy_tag="ours",
@@ -56,7 +55,6 @@ RECORDS = {
         dict(batch_size=16, frequency_mhz=307.0, minibatch_durations=(0.9, 0.5, 0.4), warmup_discarded=1),
         {"warmup_discarded": 0},
     ),
-    "ProfilingSchedule": (pp.ProfilingSchedule, dict(points=((32, 307.0), (32, 614.0), (8, 307.0))), {}),
     "SafeFrequencyTable": (pp.SafeFrequencyTable, dict(entries={4.5: 307.0, math.inf: 614.0}), {}),
     "ComparisonRow": (pp.ComparisonRow, ROW, {"status": "ok"}),
     "ComparisonReport": (pp.ComparisonReport, dict(rows=(pp.ComparisonRow(**ROW),)), {}),
@@ -179,7 +177,6 @@ def test_reprs():
 def test_normalised_fields_compare_equal():
     # Fields the constructor converts compare after conversion, as stored.
     assert pp.PowerCap(5) == pp.PowerCap(5.0)
-    assert build("FeasibleSet", pairs=[[0, 1], [1, 0]]) == build("FeasibleSet")
     assert build("RelationVector", entries={32: 1, 8: 0.5}) == build("RelationVector")
     assert build("SensitivityMatrix", values=((0,), (12.5,))) == build("SensitivityMatrix")
     assert build("SensitivityMatrix").values == ((0.0,), (12.5,))
