@@ -8,12 +8,10 @@ error, 4 no configuration satisfies the power cap.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import stat
 import sys
-from pathlib import Path
 
 from .baselines import parse_safe_table
 from .core import (
@@ -129,6 +127,8 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, rows) -> None:
+    import csv  # only --csv output needs it; kept off every run's start-up
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     _write_output(path, out.getvalue())
@@ -170,7 +170,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise DataError(f"{timing_path}: {exc}") from None
         except DataError as exc:  # the options are checked above: the power log is at fault
             raise DataError(f"{power_path}: {exc}") from None
-        points.append(point)
+        points.append((point.t_s_seconds, point.peak_w, point.avg_w))
         keys.append((timing.batch_size, timing.frequency_mhz))
 
     cell_b, cell_f = zip(*keys)
@@ -234,6 +234,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
+    from pathlib import Path  # the one user; kept off every run's start-up
+
     caps = _option("--p-max", _parse_caps, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     proxies = {}
@@ -275,15 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="powerplan",
-        description="Plan (batch size, GPU frequency) operating points for "
-        "power-capped on-device training from measured profiles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="aggregate measurement logs into a profile file")
+def _ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timing", nargs="+", required=True, help="timing log files, one per grid point")
     p.add_argument("--power", nargs="+", required=True, help="power log files, paired with --timing by position")
     p.add_argument("--s", type=int, required=True, help="samples per time unit (scales T_s)")
@@ -301,14 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use this percentile instead of the raw maximum for peak power (noisy sensors)")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("select", help="pick the best feasible (b, f) pair")
+
+def _select_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", required=True)
     p.add_argument("--relation", required=True, help="relation vector file (batch_size,ratio)")
     p.add_argument("--p-max", required=True, help="power cap in watts, or 'unlimited'")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("compare", help="compare against baseline policies")
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--counts", default=None, help="ground-truth counts file enabling realized times")
@@ -317,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sensitivity", help="proxy-vs-target time-increase matrix")
+
+def _sensitivity_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", required=True)
     p.add_argument("--relation", nargs="+", required=True, help="proxy relation vector files")
     p.add_argument("--counts", nargs="+", required=True, help="ground-truth counts files, one per target")
@@ -325,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("sweep", help="selection across a ladder of caps")
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--p-max-min", type=float, required=True)
@@ -334,12 +332,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_sweep)
 
+
+# Each command's help line and the function that adds its arguments.  Those
+# functions look up cmd_* by its global name when a parser is built, so a
+# command rebound on the module (as a tracer does) is the one that runs.
+COMMANDS = {
+    "ingest": ("aggregate measurement logs into a profile file", _ingest_arguments),
+    "select": ("pick the best feasible (b, f) pair", _select_arguments),
+    "compare": ("compare against baseline policies", _compare_arguments),
+    "sensitivity": ("proxy-vs-target time-increase matrix", _sensitivity_arguments),
+    "sweep": ("selection across a ladder of caps", _sweep_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` that command's parser alone.
+
+    The standalone parser prints the same usage, help and error texts as the
+    full parser's subparser of that name.
+    """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"powerplan {command}")
+        COMMANDS[command][1](parser)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="powerplan",
+        description="Plan (batch size, GPU frequency) operating points for "
+        "power-capped on-device training from measured profiles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only -h, no command or an unknown one needs the full parser; building
+    # every command's parser to run one costs start-up time.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
+    args = parser.parse_args(argv if command is None else argv[1:])
     try:
         return args.func(args)
     except UsageError as exc:

@@ -24,7 +24,6 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
-from typing import NamedTuple
 
 from .core import DataError, DeviceProfile, PowerCap, RelationVector, _batch_size, _check_counts, _Record, _set
 
@@ -123,7 +122,7 @@ class TimingTrace(_Record):
         warmup_discarded: int = 0,
     ) -> None:
         minibatch_durations = tuple(minibatch_durations)
-        batch_size = _batch_size(batch_size, "batch size must be positive")
+        batch_size = _batch_size(batch_size, f"batch size must be a positive integer, got {batch_size!r}")
         if not frequency_mhz > 0:
             raise DataError("frequency must be positive")
         if any(map(operator.ge, repeat(0.0), minibatch_durations)):
@@ -265,12 +264,15 @@ class TimeScaleError(DataError):
     """T_s, the mean retained duration scaled to s samples, is not a positive float."""
 
 
-class AggregatedPoint(NamedTuple):
-    """(t_s_seconds, peak_w, avg_w) for one grid point."""
+class AggregatedPoint(_Record):
+    """One grid point's T_s in seconds and its peak and average power in watts."""
 
-    t_s_seconds: float
-    peak_w: float
-    avg_w: float
+    __slots__ = ("t_s_seconds", "peak_w", "avg_w")
+
+    def __init__(self, t_s_seconds: float, peak_w: float, avg_w: float) -> None:
+        _set(self, "t_s_seconds", t_s_seconds)
+        _set(self, "peak_w", peak_w)
+        _set(self, "avg_w", avg_w)
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
@@ -380,15 +382,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-class CellPlacement(NamedTuple):
+class CellPlacement:
     """Where the cells of a (batch size, frequency) grid land, one entry per cell."""
 
-    # Cell numbers sorted by flat row-major grid position i * n_freqs + j;
-    # None when the cells come in that order already, as save_profile writes them.
-    order: list[int] | None
-    shape: tuple[int, int]
-    duplicate: int | None  # first cell that lands where an earlier cell did
-    missing: tuple[int, float] | None  # first (b, f) grid point no cell covers
+    __slots__ = ("order", "shape", "duplicate", "missing")
+
+    def __init__(
+        self,
+        order: list[int] | None,
+        shape: tuple[int, int],
+        duplicate: int | None,
+        missing: tuple[int, float] | None,
+    ) -> None:
+        # Cell numbers sorted by flat row-major grid position i * n_freqs + j;
+        # None when the cells come in that order already, as save_profile writes them.
+        self.order = order
+        self.shape = shape
+        self.duplicate = duplicate  # first cell that lands where an earlier cell did
+        self.missing = missing  # first (b, f) grid point no cell covers
 
     def fill(self, values: Sequence[float]) -> list[Sequence[float]]:
         """Rows holding each cell's value at its grid position; the grid must be complete."""

@@ -127,7 +127,7 @@ def synth_counts(
     batch_sizes: Iterable[int], params: SynthConvergenceParams
 ) -> dict[int, int]:
     """Ground-truth convergence counts for a batch-size axis (non-decreasing in b)."""
-    bs = [_batch_size(b, "batch sizes must be positive") for b in batch_sizes]
+    bs = [_batch_size(b, f"batch sizes must be positive integers, got {b!r}") for b in batch_sizes]
     if not bs:
         raise DataError("no batch sizes")
     return {b: convergence_count(b, params) for b in bs}

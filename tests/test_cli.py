@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
-from powerplan.cli import _replace_file, _write_csv, main
+from powerplan.cli import COMMANDS, _replace_file, _write_csv, build_parser, main
 from synth_corpus import random_counts, random_profile, random_relation
 
 FLIP_CAPS = ["4.5", "7.0", "unlimited"]
@@ -552,8 +552,7 @@ class TestSweepCommand:
             a >= b for a, b in zip(tts, tts[1:])
         )
 
-    def test_bad_range_exits_3(self, data_dir, capsys):
-        # Named for the exit code it had when a bad range was a data error; it is a usage error now.
+    def test_bad_range_is_usage_error(self, data_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main([
                 "sweep",
@@ -564,6 +563,9 @@ class TestSweepCommand:
                 "--step", "0.5",
             ])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "\npowerplan sweep: error: --p-max-min/--p-max-max/--step: cap range requires 0 < min <= max and step > 0\n"
+        )
 
 
 class TestOutputFiles:
@@ -691,7 +693,60 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(argv + options)  # the last occurrence of an option wins
         assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"\npowerplan: error: {message}\n")
+        err = capsys.readouterr().err  # the command's own usage, not the top-level one
+        assert err.startswith(f"usage: powerplan {command} [-h] --profile PROFILE ")
+        assert err.endswith(f"\npowerplan {command}: error: {message}\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("tail", [["-h"], [], ["--s", "abc"]], ids=["help", "no-options", "s-abc"])
+    def test_command_texts_match_the_full_parser(self, capsys, monkeypatch, command, tail):
+        # main builds the named command's parser alone; its help and argparse's
+        # own errors (a missing required option, a bad value) must read as the
+        # full parser's subparser prints them.
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        expected = parser_outcome(lambda: build_parser().parse_args([command, *tail]), capsys)
+        assert parser_outcome(lambda: main([command, *tail]), capsys) == expected
+        assert expected[0] == (0 if tail == ["-h"] else 2)
+
+    def test_top_level_texts(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = "usage: powerplan [-h] {ingest,select,compare,sensitivity,sweep} ...\n"
+        assert parser_outcome(lambda: main(["-h"]), capsys) == (0, TOP_LEVEL_HELP, "")
+        assert parser_outcome(lambda: main([]), capsys) == (
+            2, "", usage + "powerplan: error: the following arguments are required: command\n"
+        )
+        # Newer Python releases print the choices unquoted; the rest reads the same on every version.
+        unknown = usage + "powerplan: error: argument command: invalid choice: 'optimize' (choose from "
+        assert parser_outcome(lambda: main(["optimize"]), capsys) in {
+            (2, "", unknown + ", ".join(choices) + ")\n") for choices in (COMMANDS, map("'{}'".format, COMMANDS))
+        }
+
+
+TOP_LEVEL_HELP = """\
+usage: powerplan [-h] {ingest,select,compare,sensitivity,sweep} ...
+
+Plan (batch size, GPU frequency) operating points for power-capped on-device
+training from measured profiles.
+
+positional arguments:
+  {ingest,select,compare,sensitivity,sweep}
+    ingest              aggregate measurement logs into a profile file
+    select              pick the best feasible (b, f) pair
+    compare             compare against baseline policies
+    sensitivity         proxy-vs-target time-increase matrix
+    sweep               selection across a ladder of caps
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def parser_outcome(run, capsys):
+    """The exit status, stdout and stderr of ``run()``, which must end in SystemExit."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run()
+    return (exc.value.code, *capsys.readouterr())
 
 
 # Each command over the committed fixtures; every token naming a file in

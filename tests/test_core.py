@@ -113,11 +113,12 @@ INTEGER_FIELDS = {
                             "batch sizes must be positive integers", False),
     "profile batch size": (lambda v: tiny_profile([[2.0], [1.0]], [[1.0], [2.0]], batch_sizes=(v, 32)).batch_sizes[0],
                            "batch sizes must be strictly increasing positive integers", False),
-    "timing batch size": (lambda v: pp.TimingTrace(v, 307.0, (0.1,)).batch_size, "batch size must be positive", False),
+    "timing batch size": (lambda v: pp.TimingTrace(v, 307.0, (0.1,)).batch_size,
+                          "batch size must be a positive integer, got ", False),
     "schedule batch size": (lambda v: pp.profiling_schedule((v, 16), (307.0,), pp.PowerCap(5.0), lambda b, f: 1.0)[1][0],
                             "batch sizes must be positive integers, got ", False),
     "synth_counts batch size": (lambda v: next(iter(pp.synth_counts([v], pp.SynthConvergenceParams(1000, 64.0)))),
-                                "batch sizes must be positive", False),
+                                "batch sizes must be positive integers, got ", False),
     "generate_profile batch size": (
         lambda v: pp.generate_profile((v,), (307.0,), pp.SynthDeviceParams(1.0, 0.01, ((300.0, 0.8),), 32, 1.0, 100.0),
                                       1024).batch_sizes[0],
@@ -150,6 +151,11 @@ class TestIntegerFields:
         build, message, _ = INTEGER_FIELDS[field]
         with pytest.raises(pp.DataError, match=message):
             build(value)
+
+    def test_fraction_is_rejected_as_a_non_integer(self, field):
+        # 8.5 is positive, so a message that speaks only of the sign names the wrong fault.
+        with pytest.raises(pp.DataError, match="integer"):
+            INTEGER_FIELDS[field][0](8.5)
 
 
 class TestDeviceProfileValidation:

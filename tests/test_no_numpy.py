@@ -4,8 +4,8 @@ Each command runs in a child process that blocks ``import numpy`` before it
 imports ``powerplan.cli``; its stdout and output files must match the
 outputs recorded in ``tests/data`` byte for byte.  The README's library
 example and a profile's repr run the same way, and the functions the README
-lists are the package's.  Importing ``powerplan.cli`` also leaves out
-``dataclasses`` and ``inspect``, which would add to every CLI start-up.
+lists are the package's.  A ``select`` run also leaves out numpy and the
+standard modules that would add to every CLI start-up.
 """
 
 import inspect
@@ -30,11 +30,16 @@ BLOCKED = (
 )
 
 
-def run_without_numpy(args, cwd, code=BLOCKED):
+def run_child(args, cwd, code, flags=()):
+    """Run ``code`` in a child interpreter started with ``flags``, with ``args`` as its argv."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
+        [sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
     )
+
+
+def run_without_numpy(args, cwd, code=BLOCKED):
+    return run_child(args, cwd, code)
 
 
 def readme_lines() -> list[str]:
@@ -172,8 +177,21 @@ def test_profile_repr_needs_no_numpy():
     assert proc.stdout.startswith("DeviceProfile(model_id='edge-cnn-small', batch_sizes=(8, 32), ")
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # Both cost start-up time on every CLI run; the value types are plain slotted classes.
-    code = "import sys, powerplan.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = run_without_numpy([], cwd=DATA, code=code)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+# Each would add to every CLI start-up: numpy serves only the ndarray views,
+# the value types are plain slotted classes rather than dataclasses or named
+# tuples, csv is imported for --csv output and pathlib by sensitivity alone.
+SLOW_IMPORTS = ("numpy", "dataclasses", "inspect", "csv", "typing", "pathlib")
+
+
+def test_select_run_leaves_out_slow_imports():
+    # Judged against what the interpreter had loaded before powerplan.cli; numpy
+    # is not blocked, so any import of it shows.  A site module may load typing
+    # or pathlib itself, so the run is repeated without site (-S).
+    code = (
+        "import sys; before = set(sys.modules); import powerplan.cli; status = powerplan.cli.main(sys.argv[1:]); "
+        f"print(sorted(set({SLOW_IMPORTS!r}) & (set(sys.modules) - before)), file=sys.stderr); sys.exit(status)"
+    )
+    args, _ = COMMANDS["select"]
+    for flags in ([], ["-S"]):
+        proc = run_child(args, cwd=DATA, code=code, flags=flags)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "[]\n", readme_select_block())

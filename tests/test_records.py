@@ -75,6 +75,7 @@ RECORDS = {
         {"rng_seed": 0, "noise_level": 0.0, "avg_duty": 0.9},
     ),
     "SynthConvergenceParams": (pp.SynthConvergenceParams, dict(n_min=1000, b_noise=64.0), {}),
+    "AggregatedPoint": (pp.AggregatedPoint, dict(t_s_seconds=25.6, peak_w=4.5, avg_w=4.2), {}),
 }
 # What each field reads back as, where the constructor normalises it.
 STORED = {
