@@ -22,6 +22,7 @@ from types import MappingProxyType
 from .core import (
     DataError,
     DeviceProfile,
+    IncompleteError,
     PowerCap,
     RelationVector,
     SelectionResult,
@@ -128,9 +129,10 @@ def baseline1_select(
     j = profile.frequency_index(safe.frequency_for(cap))
     i = len(profile.batch_sizes) - 1
     _check_keys(profile, r.entries)
-    ratio = r.entries.get(profile.batch_sizes[i])
+    b = profile.batch_sizes[i]
+    ratio = r.entries.get(b)
     if ratio is None:
-        raise DataError(f"relation vector incomplete: no entry for batch size {profile.batch_sizes[i]}")
+        raise IncompleteError(f"relation vector incomplete: no entry for batch size {b}", r.entries)
     return _result_at(profile, i, j, profile.time_rows[i][j] * ratio, 1, "baseline1")
 
 
@@ -149,7 +151,7 @@ def baseline2_select(
     _check_keys(profile, r.entries)
     missing = [b for b in profile.batch_sizes if b not in r.entries]
     if missing:
-        raise DataError(f"relation vector incomplete: no entry for batch size {missing[0]}")
+        raise IncompleteError(f"relation vector incomplete: no entry for batch size {missing[0]}", r.entries)
     j = profile.frequency_index(safe.frequency_for(cap))
     ratios = [r.entries[b] for b in profile.batch_sizes]
     i = _last_near_min(ratios)

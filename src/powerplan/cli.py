@@ -7,16 +7,17 @@ error, 4 no configuration satisfies the power cap.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from .baselines import parse_safe_table
 from .core import (
     DataError,
     DeviceProfile,
+    IncompleteError,
     InfeasibleError,
     PowerCap,
     _check_keys,
@@ -134,6 +135,17 @@ def _write_csv(path: str, rows) -> None:
     _write_output(path, out.getvalue())
 
 
+def _in_owning_file(owners: dict[int, str], func, *args, **kwargs):
+    """``func(*args, **kwargs)``, with an IncompleteError prefixed by the path its entries were read from.
+
+    ``owners`` maps the ``id`` of each relation or counts mapping to its file.
+    """
+    try:
+        return func(*args, **kwargs)
+    except IncompleteError as exc:
+        raise DataError(f"{owners[id(exc.entries)]}: {exc}") from None
+
+
 def _option(name: str, func, *args):
     """``func(*args)``, with any DataError it raises turned into a usage error naming option ``name``."""
     try:
@@ -146,7 +158,7 @@ def _parse_caps(tokens) -> list[PowerCap]:
     return [PowerCap.parse(tok) for tok in tokens]
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args) -> int:
     if args.m is not None and args.m < 1:
         raise UsageError("--m must be at least 1")
     if args.warmup is not None and args.warmup < 0:
@@ -197,7 +209,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_select(args: argparse.Namespace) -> int:
+def cmd_select(args) -> int:
     cap = _option("--p-max", PowerCap.parse, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
@@ -214,7 +226,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args) -> int:
     caps = _option("--p-max", _parse_caps, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
@@ -226,19 +238,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.counts:
         true_counts, _ = _parse_file(args.counts, parse_counts_file)
         _in_file(args.counts, _check_keys, profile, true_counts, "true counts name")
-    report = build_comparison(profile, r, caps, safe, true_counts=true_counts)
+    owners = {id(r.entries): args.relation, id(true_counts): args.counts}
+    report = _in_owning_file(owners, build_comparison, profile, r, caps, safe, true_counts=true_counts)
     sys.stdout.write(format_comparison_table(report))
     if args.csv:
         _write_csv(args.csv, comparison_csv_rows(report))
     return EXIT_OK
 
 
-def cmd_sensitivity(args: argparse.Namespace) -> int:
+def cmd_sensitivity(args) -> int:
     from pathlib import Path  # the one user; kept off every run's start-up
 
     caps = _option("--p-max", _parse_caps, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     proxies = {}
+    owners = {}
     for path in args.relation:
         rv = _parse_file(path, parse_relation_file)
         _in_file(path, _check_keys, profile, rv.entries)
@@ -246,6 +260,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         if pid in proxies:
             raise DataError(f"duplicate proxy id {pid!r}")
         proxies[pid] = rv
+        owners[id(rv.entries)] = path
     targets = {}
     for path in args.counts:
         counts, tid = _parse_file(path, parse_counts_file)
@@ -254,8 +269,9 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         if tid in targets:
             raise DataError(f"duplicate target id {tid!r}")
         targets[tid] = counts
+        owners[id(counts)] = path
     matrices = [
-        build_sensitivity(profile, proxies, targets, cap)
+        _in_owning_file(owners, build_sensitivity, profile, proxies, targets, cap)
         for cap in sorted(caps, key=lambda c: c.p_max)
     ]
     for m in matrices:
@@ -266,7 +282,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args) -> int:
     caps = _option("--p-max-min/--p-max-max/--step", cap_range, args.p_max_min, args.p_max_max, args.step)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
@@ -277,107 +293,137 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ingest_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timing", nargs="+", required=True, help="timing log files, one per grid point")
-    p.add_argument("--power", nargs="+", required=True, help="power log files, paired with --timing by position")
-    p.add_argument("--s", type=int, required=True, help="samples per time unit (scales T_s)")
-    p.add_argument("--model-id", required=True)
-    p.add_argument("--out", required=True, help="profile file to write")
-    p.add_argument(
-        "--m", type=int, default=None,
-        help=f"use at most this many retained mini-batches per point (recorders typically capture {DEFAULT_MINIBATCHES})",
-    )
-    p.add_argument(
-        "--warmup", type=int, default=None,
-        help=f"override the per-log warm-up discard count (logs usually carry {DEFAULT_WARMUP})",
-    )
-    p.add_argument("--peak-percentile", type=float, default=None,
-                   help="use this percentile instead of the raw maximum for peak power (noisy sensors)")
-    p.set_defaults(func=cmd_ingest)
-
-
-def _select_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--profile", required=True)
-    p.add_argument("--relation", required=True, help="relation vector file (batch_size,ratio)")
-    p.add_argument("--p-max", required=True, help="power cap in watts, or 'unlimited'")
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_select)
-
-
-def _compare_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--profile", required=True)
-    p.add_argument("--relation", required=True)
-    p.add_argument("--counts", default=None, help="ground-truth counts file enabling realized times")
-    p.add_argument("--p-max", nargs="+", required=True, help="one or more caps")
-    p.add_argument("--safe-freqs", required=True, help="safe-frequency table CSV (p_max_w,f_mhz)")
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_compare)
-
-
-def _sensitivity_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--profile", required=True)
-    p.add_argument("--relation", nargs="+", required=True, help="proxy relation vector files")
-    p.add_argument("--counts", nargs="+", required=True, help="ground-truth counts files, one per target")
-    p.add_argument("--p-max", nargs="+", required=True)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_sensitivity)
-
-
-def _sweep_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--profile", required=True)
-    p.add_argument("--relation", required=True)
-    p.add_argument("--p-max-min", type=float, required=True)
-    p.add_argument("--p-max-max", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_sweep)
-
-
-# Each command's help line and the function that adds its arguments.  Those
-# functions look up cmd_* by its global name when a parser is built, so a
-# command rebound on the module (as a tracer does) is the one that runs.
+# Each command's help line and its options, one row per option: the flag, its
+# nargs ("+" for a list, None for one value), the type that converts each
+# value, whether it is required (an optional one defaults to None) and its
+# help.  build_parser and _read_plain both read this table, and both look
+# cmd_<command> up by its global name when they run, so a command rebound on
+# the module (as a tracer does) is the one that runs.
 COMMANDS = {
-    "ingest": ("aggregate measurement logs into a profile file", _ingest_arguments),
-    "select": ("pick the best feasible (b, f) pair", _select_arguments),
-    "compare": ("compare against baseline policies", _compare_arguments),
-    "sensitivity": ("proxy-vs-target time-increase matrix", _sensitivity_arguments),
-    "sweep": ("selection across a ladder of caps", _sweep_arguments),
+    "ingest": ("aggregate measurement logs into a profile file", (
+        ("--timing", "+", str, True, "timing log files, one per grid point"),
+        ("--power", "+", str, True, "power log files, paired with --timing by position"),
+        ("--s", None, int, True, "samples per time unit (scales T_s)"),
+        ("--model-id", None, str, True, None),
+        ("--out", None, str, True, "profile file to write"),
+        ("--m", None, int, False,
+         f"use at most this many retained mini-batches per point (recorders typically capture {DEFAULT_MINIBATCHES})"),
+        ("--warmup", None, int, False,
+         f"override the per-log warm-up discard count (logs usually carry {DEFAULT_WARMUP})"),
+        ("--peak-percentile", None, float, False,
+         "use this percentile instead of the raw maximum for peak power (noisy sensors)"),
+    )),
+    "select": ("pick the best feasible (b, f) pair", (
+        ("--profile", None, str, True, None),
+        ("--relation", None, str, True, "relation vector file (batch_size,ratio)"),
+        ("--p-max", None, str, True, "power cap in watts, or 'unlimited'"),
+        ("--csv", None, str, False, None),
+    )),
+    "compare": ("compare against baseline policies", (
+        ("--profile", None, str, True, None),
+        ("--relation", None, str, True, None),
+        ("--counts", None, str, False, "ground-truth counts file enabling realized times"),
+        ("--p-max", "+", str, True, "one or more caps"),
+        ("--safe-freqs", None, str, True, "safe-frequency table CSV (p_max_w,f_mhz)"),
+        ("--csv", None, str, False, None),
+    )),
+    "sensitivity": ("proxy-vs-target time-increase matrix", (
+        ("--profile", None, str, True, None),
+        ("--relation", "+", str, True, "proxy relation vector files"),
+        ("--counts", "+", str, True, "ground-truth counts files, one per target"),
+        ("--p-max", "+", str, True, None),
+        ("--csv", None, str, False, None),
+    )),
+    "sweep": ("selection across a ladder of caps", (
+        ("--profile", None, str, True, None),
+        ("--relation", None, str, True, None),
+        ("--p-max-min", None, float, True, None),
+        ("--p-max-max", None, float, True, None),
+        ("--step", None, float, True, None),
+        ("--csv", None, str, False, None),
+    )),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with ``command`` that command's parser alone.
+def build_parser(command: str | None = None):
+    """The argparse parser of every command, or with ``command`` that command's parser alone.
 
     The standalone parser prints the same usage, help and error texts as the
     full parser's subparser of that name.
     """
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"powerplan {command}")
-        COMMANDS[command][1](parser)
+    import argparse  # only help, errors and argv that _read_plain leaves alone need it
+
+    def add_options(parser, name):
+        for flag, nargs, kind, required, help_text in COMMANDS[name][1]:
+            parser.add_argument(flag, nargs=nargs, type=kind, required=required, help=help_text)
+        parser.set_defaults(func=globals()[f"cmd_{name}"])
         return parser
+
+    if command is not None:
+        return add_options(argparse.ArgumentParser(prog=f"powerplan {command}"), command)
     parser = argparse.ArgumentParser(
         prog="powerplan",
         description="Plan (batch size, GPU frequency) operating points for "
         "power-capped on-device training from measured profiles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, _) in COMMANDS.items():
+        add_options(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _read_plain(command: str, argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser(command).parse_args(argv)`` returns, or None when unsure.
+
+    Only a plain argv is read: options each named in full and at most once,
+    each followed by its values, none of which starts with "-", every
+    required option present and every value converted by its type.  Anything
+    else (-h, an abbreviation, "--opt=value", "--", a repeat, a missing or
+    bad value) is None, and argparse parses it with its own texts.
+    """
+    options = {row[0]: row for row in COMMANDS[command][1]}
+    given: dict[str, list[str]] = {}
+    for word in argv:
+        if word.startswith("-"):
+            if word not in options or word in given:
+                return None
+            given[word] = values = []
+        elif not given:
+            return None
+        else:
+            values.append(word)
+    namespace = {"func": globals()[f"cmd_{command}"]}
+    for flag, nargs, kind, required, _ in options.values():
+        words = given.get(flag)
+        if words is None:
+            if required:
+                return None
+            value = None
+        elif not words or (nargs is None and len(words) > 1):
+            return None
+        else:
+            try:
+                value = list(map(kind, words)) if nargs else kind(words[0])
+            except (TypeError, ValueError):
+                return None
+        namespace[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**namespace)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Only -h, no command or an unknown one needs the full parser; building
-    # every command's parser to run one costs start-up time.
+    # Only -h, no command or an unknown one needs the full parser; a plain
+    # argv is read without argparse, and building every command's parser to
+    # run one costs start-up time.
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    parser = build_parser(command)
-    args = parser.parse_args(argv if command is None else argv[1:])
+    args = _read_plain(command, argv[1:]) if command else None
+    if args is None:
+        args = build_parser(command).parse_args(argv if command is None else argv[1:])
     try:
         return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))  # exits with status 2
+        build_parser(command).error(str(exc))  # exits with status 2
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

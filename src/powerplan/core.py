@@ -29,6 +29,14 @@ class DataError(ValueError):
     """Measurement data, tables, or input files violate a documented invariant."""
 
 
+class IncompleteError(DataError):
+    """A relation or counts mapping misses a batch size a plan needs; ``entries`` is that mapping."""
+
+    def __init__(self, message: str, entries: Mapping[int, float] | None = None) -> None:
+        super().__init__(message)
+        self.entries = entries
+
+
 class InfeasibleError(RuntimeError):
     """No (batch size, frequency) combination stays under the power cap."""
 
@@ -508,7 +516,8 @@ def _select_caps(
             picks.append(None)
             continue
         if len(cols) > missing:
-            raise DataError(f"{missing_label} incomplete: no entry for batch size {batches[missing]}")
+            message = f"{missing_label} incomplete: no entry for batch size {batches[missing]}"
+            raise IncompleteError(message, multipliers)
         tts = list(map(operator.mul, map(operator.getitem, time, cols), mults))
         i = _last_near_min(tts)
         j = cols[i]

@@ -22,6 +22,7 @@ from .baselines import (
 from .core import (
     DataError,
     DeviceProfile,
+    IncompleteError,
     InfeasibleError,
     PowerCap,
     RelationVector,
@@ -149,7 +150,7 @@ def _realized(profile: DeviceProfile, i: int, j: int, counts: Mapping[int, float
     b = profile.batch_sizes[i]
     count = counts.get(b)
     if count is None:
-        raise DataError(f"true counts incomplete: no entry for batch size {b}")
+        raise IncompleteError(f"true counts incomplete: no entry for batch size {b}", counts)
     return float(profile.time_rows[i][j] * count)
 
 

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import re
 import tempfile
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
-from powerplan.cli import COMMANDS, _replace_file, _write_csv, build_parser, main
+from powerplan import cli
+from powerplan.cli import COMMANDS, _read_plain, _replace_file, _write_csv, build_parser, main
 from synth_corpus import random_counts, random_profile, random_relation
 
 FLIP_CAPS = ["4.5", "7.0", "unlimited"]
@@ -434,6 +436,27 @@ def test_counts_with_batch_size_not_in_profile_names_counts(data_dir, tmp_path, 
     assert capsys.readouterr().err == f"error: {counts}: true counts name batch sizes not in profile: [9]\n"
 
 
+@pytest.mark.parametrize(
+    "option, text, message",
+    [
+        ("--relation", "32,1.0\n", "relation vector incomplete: no entry for batch size 8"),
+        ("--counts", "32,15\n", "true counts incomplete: no entry for batch size 8"),
+    ],
+)
+@pytest.mark.parametrize("command", ["compare", "sensitivity"])
+def test_incomplete_relation_or_counts_names_its_file(data_dir, tmp_path, capsys, command, option, text, message):
+    # Valid on its own, but batch size 8 is feasible under the first cap and the file lacks it.
+    partial = tmp_path / "partial.csv"
+    partial.write_text(text, encoding="utf-8")
+    args = [str(data_dir / tok) if (data_dir / tok).is_file() else tok for tok in FUZZ_ARGV[command]]
+    if command == "compare":  # one file per option
+        args[args.index(option) + 1] = str(partial)
+    else:  # the second of two files for the option
+        args.insert(args.index(option) + 2, str(partial))
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {partial}: {message}\n")
+
+
 def test_padded_source_ids_print_as_unpadded(data_dir, tmp_path):
     relation_text = (data_dir / "relation_b8_b32.csv").read_text(encoding="utf-8")
     counts_text = (data_dir / "counts_b8_b32.csv").read_text(encoding="utf-8")
@@ -816,6 +839,15 @@ def mutated(draw, base: bytes) -> bytes:
     return bytes(data)
 
 
+# What an error between two valid files says it is about, and the option naming that file.
+CROSS_FILE_SUBJECTS = (
+    ("relation vector", "--relation"),
+    ("true counts", "--counts"),
+    ("safe-frequency table", "--safe-freqs"),
+    ("MHz not in profile", "--safe-freqs"),
+)
+
+
 def file_contents(base: bytes):
     grammar_text = st.text(alphabet="0123456789.,-+e#=\n bfmhzwarupsoucid_l", max_size=200).map(str.encode)
     return st.one_of(st.binary(max_size=300), grammar_text, mutated(base), mutated(base))
@@ -834,10 +866,11 @@ class TestFileArgumentFuzz:
     """Any bytes in any one input file end in exit 0, 3 or 4, never a traceback.
 
     A file that is invalid on its own is reported with its path.  An error
-    between two valid files names the relation in ``select`` and ``sweep``
-    and the safe-frequency table in ``compare``; the others (``compare``'s
-    relation or counts against the profile, ``sensitivity``, an ingest grid
-    with a hole) only have to be one-line errors.
+    between two valid files names the relation in ``select`` and ``sweep``.
+    In ``compare`` and ``sensitivity`` it names the file its message is
+    about: a relation vector, true counts or a safe-frequency table.  The
+    others (an estimate out of range, an ingest grid with a hole) only have
+    to be one-line errors.
     """
 
     @pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
@@ -875,6 +908,135 @@ class TestFileArgumentFuzz:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             if invalid_on_its_own(name, content):
                 assert err.startswith(f"error: {argv[k]}: "), err
-            elif command in ("select", "sweep") or name.startswith("safe"):
-                blamed = argv[k] if name.startswith(("relation", "safe")) else argv[argv.index("--relation") + 1]
-                assert err.startswith(f"error: {blamed}: "), err
+            elif command in ("select", "sweep"):  # every fault between its two files is the relation's
+                assert err.startswith(f"error: {argv[argv.index('--relation') + 1]}: "), err
+            else:
+                options = [opt for subject, opt in CROSS_FILE_SUBJECTS if subject in err]
+                if options and command != "ingest":
+                    assert err.startswith(f"error: {argv[argv.index(options[0]) + 1]}: "), err
+
+    @pytest.mark.parametrize("command", ["select", "sensitivity"])
+    @given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from(["over", "at", "under"]))
+    @settings(max_examples=30, deadline=None)
+    def test_cap_beside_the_lowest_peak(self, command, seed, side):
+        # A generated profile is valid, so the cap alone decides between exit 0 and exit 4.
+        rng = np.random.default_rng(seed)
+        profile, _ = random_profile(rng)
+        lowest = profile.power_rows[0][0]
+        cap = {"over": math.nextafter(lowest, math.inf), "at": lowest, "under": math.nextafter(lowest, 0.0)}[side]
+        texts = {"--profile": pp.save_profile(profile),
+                 "--relation": pp.format_relation_file(random_relation(rng, profile.batch_sizes))}
+        if command == "sensitivity":
+            texts["--counts"] = pp.format_counts_file(random_counts(rng, profile.batch_sizes))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, "--p-max", repr(cap)]
+            for option, text in texts.items():
+                argv += [option, os.path.join(tmp, f"{option[2:]}.csv")]
+                Path(argv[-1]).write_text(text, encoding="utf-8")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        if side == "over":
+            assert (code, err.getvalue()) == (0, "")
+        else:
+            assert (code, out.getvalue(), err.getvalue()) == (4, "", (
+                f"error: no configuration satisfies power cap {cap!r} W; the lowest peak in the profile is {lowest!r} W\n"
+            ))
+
+
+# Words an argv is drawn from: values of each type, values argparse reads
+# differently or rejects, and words that are no option of any command.
+PLAIN_VALUES = ["4096", "1", "0", "5.0", "1e3", "nan", "inf", "unlimited", "a.csv", "", " 7", "1_0", "x y", "abc"]
+DASH_VALUES = ["-1", "-2.5", "-", "-x", "-5 W"]
+NOT_OPTIONS = ["-h", "--help", "--", "--nope", "-p", "select"]
+
+
+@st.composite
+def command_options(draw, command):
+    """Plain options of ``command`` (the required ones, some optional ones, any order), then a few edits."""
+    rows = COMMANDS[command][1]
+    flags = [row[0] for row in rows]
+    words = []
+    for flag, nargs, *_ in draw(st.permutations([row for row in rows if row[3] or draw(st.booleans())])):
+        words += [flag, *draw(st.lists(st.sampled_from(PLAIN_VALUES), min_size=1, max_size=3 if nargs else 1))]
+    word = st.one_of(
+        st.sampled_from(flags),
+        st.builds(lambda flag, k: flag[: max(3, len(flag) - k)], st.sampled_from(flags), st.integers(1, 6)),
+        st.builds("{}={}".format, st.sampled_from(flags), st.sampled_from(PLAIN_VALUES)),
+        st.sampled_from(PLAIN_VALUES),
+        st.sampled_from(DASH_VALUES),
+        st.sampled_from(NOT_OPTIONS),
+        st.text(max_size=4),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]) if at < len(words) else st.just("insert"))
+        if edit == "insert":
+            words.insert(at, draw(word))
+        elif edit == "delete":
+            del words[at]
+        else:
+            words[at] = draw(word)
+    return words
+
+
+def namespace_reprs(namespace) -> dict[str, str]:
+    # repr tells 1 from 1.0 and compares nan with nan.
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+class TestPlainReader:
+    """``_read_plain`` returns argparse's namespace or nothing; argparse does the rest."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_as_argparse_or_not_at_all(self, command, data):
+        argv = data.draw(command_options(command))
+        read = _read_plain(command, argv)
+        if read is None:
+            return
+        try:
+            with redirect_stderr(io.StringIO()) as err:
+                parsed = build_parser(command).parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"read {vars(read)}, but argparse rejects it: {err.getvalue()!r}")
+        assert namespace_reprs(read) == namespace_reprs(parsed)
+        assert read.func is parsed.func is getattr(cli, f"cmd_{command}")
+
+    @pytest.mark.parametrize("argv", [
+        *(FUZZ_ARGV[command] for command in ("select", "compare", "sensitivity", "sweep")),
+        FUZZ_ARGV["ingest"] + ["--out", "p.csv"],
+        # The shapes of perfbench's cli-select and ingest-logs ops, so that the gain cannot quietly vanish.
+        ["select", "--profile", "/w/profile.csv", "--relation", "/w/relation.csv", "--p-max", "5.25"],
+        ["ingest", "--timing", *(f"/w/timing_{k}.csv" for k in range(512)),
+         "--power", *(f"/w/power_{k}.csv" for k in range(512)),
+         "--s", "4096", "--model-id", "bench", "--out", "/w/profile.csv"],
+    ])
+    def test_reads_each_plain_argv(self, argv):
+        parsed = build_parser(argv[0]).parse_args(argv[1:])
+        assert namespace_reprs(_read_plain(argv[0], argv[1:])) == namespace_reprs(parsed)
+
+    @pytest.mark.parametrize(
+        "tail", [["--pro", "p"], ["--profile=p"], ["--"], ["-h"], ["--csv", "a", "--csv", "b"], ["--csv", "-x"]]
+    )
+    def test_leaves_the_rest_to_argparse(self, tail):
+        assert _read_plain("select", FUZZ_ARGV["select"][1:] + tail) is None
+
+    def test_runs_the_command_bound_when_main_runs(self, monkeypatch):
+        # A tracer rebinds cli.cmd_*; main must call the rebound one.
+        calls = []
+        monkeypatch.setattr(cli, "cmd_select", lambda args: calls.append(args.p_max) or 0)
+        assert main(FUZZ_ARGV["select"]) == 0
+        assert calls == ["5.0"]
+
+    def test_usage_error_in_a_plain_argv_prints_the_command_usage(self, capsys):
+        argv = [str(DATA / tok) if (DATA / tok).is_file() else tok for tok in FUZZ_ARGV["select"]]
+        argv[argv.index("--p-max") + 1] = "abc"
+        assert _read_plain("select", argv[1:]) is not None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: powerplan select [-h] --profile PROFILE ")
+        assert err.endswith("\npowerplan select: error: --p-max: invalid power cap 'abc'\n")

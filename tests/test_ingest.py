@@ -362,6 +362,43 @@ class TestProfilingSchedule:
             (64, 614.0),   # stopping probe
         )
 
+    def test_smaller_batches_resume_above_the_lowest_frequency(self):
+        batches = (8, 16, 32)
+        freqs = (100.0, 200.0, 300.0, 400.0)
+        power = [[2.0, 2.5, 3.0, 4.9], [3.0, 3.8, 4.6, 5.2], [4.0, 4.5, 5.5, 6.0]]
+        oracle = self.oracle_from(power, batches, freqs)
+        sched = pp.profiling_schedule(batches, freqs, pp.PowerCap(5.0), oracle)
+        assert sched == (
+            (32, 100.0), (32, 200.0), (32, 300.0),  # best so far: 200 MHz
+            (16, 200.0), (16, 300.0), (16, 400.0),  # resumes at 200, best so far: 300 MHz
+            (8, 300.0), (8, 400.0),                 # resumes at 300, runs off the grid
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_batch_resumes_at_the_best_frequency_so_far(self, data):
+        # A monotone device: power never falls along either axis, ties included.
+        n_b, n_f = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        steps = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+        power = [[0.0] * n_f for _ in range(n_b)]
+        for i in range(n_b):
+            for j in range(n_f):
+                below = max(power[i - 1][j] if i else 1.0, power[i][j - 1] if j else 1.0)
+                power[i][j] = below + data.draw(steps)
+        batches = tuple(8 * 2**i for i in range(n_b))
+        freqs = tuple(100.0 * (j + 1) for j in range(n_f))
+        cap = pp.PowerCap(data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 100.0])))
+        oracle = self.oracle_from(power, batches, freqs)
+        sched = pp.profiling_schedule(batches, freqs, cap, oracle)
+        assert len(sched) <= n_b * n_f
+        best = None  # index of the highest frequency probed under the cap so far
+        for b in reversed(batches):
+            row = [freqs.index(f) for probe_b, f in sched if probe_b == b]
+            assert row[0] == (0 if best is None else best)
+            feasible = [j for j in row if oracle(b, freqs[j]) < cap.p_max]
+            if feasible:
+                best = max(feasible if best is None else [best, *feasible])
+
     def test_unlimited_cap_covers_full_grid(self):
         batches = (8, 16, 32)
         freqs = (100.0, 200.0)

@@ -181,17 +181,21 @@ def test_profile_repr_needs_no_numpy():
 # the value types are plain slotted classes rather than dataclasses or named
 # tuples, csv is imported for --csv output and pathlib by sensitivity alone.
 SLOW_IMPORTS = ("numpy", "dataclasses", "inspect", "csv", "typing", "pathlib")
+# argparse, with re and the gettext, locale and shutil it loads, serves only
+# help, errors and an argv the plain reader leaves alone.
+ARGPARSE_IMPORTS = ("argparse", "re", "gettext", "locale", "shutil")
 
 
 def test_select_run_leaves_out_slow_imports():
     # Judged against what the interpreter had loaded before powerplan.cli; numpy
-    # is not blocked, so any import of it shows.  A site module may load typing
-    # or pathlib itself, so the run is repeated without site (-S).
-    code = (
-        "import sys; before = set(sys.modules); import powerplan.cli; status = powerplan.cli.main(sys.argv[1:]); "
-        f"print(sorted(set({SLOW_IMPORTS!r}) & (set(sys.modules) - before)), file=sys.stderr); sys.exit(status)"
-    )
+    # is not blocked, so any import of it shows.  A site module may load typing,
+    # pathlib or argparse's modules itself, so the run is repeated without site
+    # (-S), where argparse's modules are rejected too.
     args, _ = COMMANDS["select"]
-    for flags in ([], ["-S"]):
+    for flags, rejected in (([], SLOW_IMPORTS), (["-S"], SLOW_IMPORTS + ARGPARSE_IMPORTS)):
+        code = (
+            "import sys; before = set(sys.modules); import powerplan.cli; status = powerplan.cli.main(sys.argv[1:]); "
+            f"print(sorted(set({rejected!r}) & (set(sys.modules) - before)), file=sys.stderr); sys.exit(status)"
+        )
         proc = run_child(args, cwd=DATA, code=code, flags=flags)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "[]\n", readme_select_block())
