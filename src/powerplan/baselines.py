@@ -22,7 +22,7 @@ from types import MappingProxyType
 from .core import (
     DataError,
     DeviceProfile,
-    IncompleteError,
+    EntriesError,
     PowerCap,
     RelationVector,
     SelectionResult,
@@ -132,8 +132,8 @@ def baseline1_select(
     b = profile.batch_sizes[i]
     ratio = r.entries.get(b)
     if ratio is None:
-        raise IncompleteError(f"relation vector incomplete: no entry for batch size {b}", r.entries)
-    return _result_at(profile, i, j, profile.time_rows[i][j] * ratio, 1, "baseline1")
+        raise EntriesError(f"relation vector incomplete: no entry for batch size {b}", r.entries)
+    return _result_at(profile, i, j, profile.time_rows[i][j] * ratio, 1, "baseline1", r.entries)
 
 
 def baseline2_select(
@@ -151,11 +151,11 @@ def baseline2_select(
     _check_keys(profile, r.entries)
     missing = [b for b in profile.batch_sizes if b not in r.entries]
     if missing:
-        raise IncompleteError(f"relation vector incomplete: no entry for batch size {missing[0]}", r.entries)
+        raise EntriesError(f"relation vector incomplete: no entry for batch size {missing[0]}", r.entries)
     j = profile.frequency_index(safe.frequency_for(cap))
     ratios = [r.entries[b] for b in profile.batch_sizes]
     i = _last_near_min(ratios)
-    return _result_at(profile, i, j, profile.time_rows[i][j] * ratios[i], len(ratios), "baseline2")
+    return _result_at(profile, i, j, profile.time_rows[i][j] * ratios[i], len(ratios), "baseline2", r.entries)
 
 
 def fastest_configuration(

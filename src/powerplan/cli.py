@@ -17,7 +17,7 @@ from .baselines import parse_safe_table
 from .core import (
     DataError,
     DeviceProfile,
-    IncompleteError,
+    EntriesError,
     InfeasibleError,
     PowerCap,
     _check_keys,
@@ -136,13 +136,13 @@ def _write_csv(path: str, rows) -> None:
 
 
 def _in_owning_file(owners: dict[int, str], func, *args, **kwargs):
-    """``func(*args, **kwargs)``, with an IncompleteError prefixed by the path its entries were read from.
+    """``func(*args, **kwargs)``, with an EntriesError prefixed by the path its entries were read from.
 
     ``owners`` maps the ``id`` of each relation or counts mapping to its file.
     """
     try:
         return func(*args, **kwargs)
-    except IncompleteError as exc:
+    except EntriesError as exc:
         raise DataError(f"{owners[id(exc.entries)]}: {exc}") from None
 
 

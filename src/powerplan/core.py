@@ -12,15 +12,19 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
-from itertools import repeat
 from types import MappingProxyType
 
 # Two estimates within this relative distance count as a tie and fall
 # through to the deterministic tie-break (larger batch, then higher
 # frequency).  Below measurement noise, above float rounding noise.
 TIE_REL_TOL = 1e-9
+
+# A row whose estimates all exceed this multiple of an estimate that some
+# row attains at a cap cannot tie with that cap's minimum; the margin over
+# 1 / (1 - TIE_REL_TOL) absorbs the rounding of the tie test.
+_PRUNE_SLACK = (1 + 1e-12) / (1 - 2 * TIE_REL_TOL)
 
 POLICY_TAGS = ("ours", "baseline1", "baseline2", "fastest")
 
@@ -29,8 +33,12 @@ class DataError(ValueError):
     """Measurement data, tables, or input files violate a documented invariant."""
 
 
-class IncompleteError(DataError):
-    """A relation or counts mapping misses a batch size a plan needs; ``entries`` is that mapping."""
+class EntriesError(DataError):
+    """A relation or counts mapping cannot serve a plan; ``entries`` is that mapping.
+
+    It misses a batch size the plan needs, or one of its multipliers takes
+    a profile time out of the float range.
+    """
 
     def __init__(self, message: str, entries: Mapping[int, float] | None = None) -> None:
         super().__init__(message)
@@ -422,24 +430,17 @@ def relation_vector(counts: Mapping[int, float], source_id: str = "counts") -> R
     return RelationVector({b: count / worst for b, count in counts.items()}, source_id=source_id)
 
 
-def _prefix_frontier(power: Rows, firsts: Sequence[float], p_max: float) -> list[int]:
-    """Per batch row with a cell under the cap, in row order, the highest
-    frequency index of such a cell; ``firsts`` is the first power column.
+def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> dict[int, float]:
+    """Per batch size with a cell under the cap, in ascending order, the
+    highest frequency (MHz) whose peak power is < cap.
 
     Power is validated non-decreasing along both axes, so the rows with a
     feasible cell are a prefix (those whose first entry is under the cap)
     and so are each row's feasible cells; bisection finds both ends.
     """
-    n = bisect_left(firsts, p_max)
-    return [end - 1 for end in map(bisect_left, power[:n], repeat(p_max))]
-
-
-def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> dict[int, float]:
-    """Per batch size with a cell under the cap, in ascending order, the
-    highest frequency (MHz) whose peak power is < cap."""
     power, fs = profile.power_rows, profile.frequencies
-    cols = _prefix_frontier(power, next(zip(*power)), cap.p_max)
-    return {b: fs[j] for b, j in zip(profile.batch_sizes, cols)}
+    n = bisect_left(next(zip(*power)), cap.p_max)
+    return {b: fs[bisect_left(row, cap.p_max) - 1] for b, row in zip(profile.batch_sizes[:n], power)}
 
 
 def _last_near_min(values: Sequence[float]) -> int:
@@ -464,17 +465,31 @@ def _energy_at(profile: DeviceProfile, i: int, j: int, tt: float) -> float | Non
 
 
 def _result_at(
-    profile: DeviceProfile, i: int, j: int, tt: float, feasible_count: int, policy_tag: str
+    profile: DeviceProfile,
+    i: int,
+    j: int,
+    tt: float,
+    feasible_count: int,
+    policy_tag: str,
+    entries: Mapping[int, float],
 ) -> SelectionResult:
-    """The SelectionResult for grid cell (i, j) at estimated time ``tt``, with its energy."""
-    return SelectionResult(
-        batch_size=profile.batch_sizes[i],
-        frequency_mhz=profile.frequencies[j],
-        estimated_tt_acc=tt,
-        feasible_count=feasible_count,
-        policy_tag=policy_tag,
-        estimated_energy=_energy_at(profile, i, j, tt),
-    )
+    """The SelectionResult for grid cell (i, j) at estimated time ``tt``, with its energy.
+
+    ``tt`` is the cell's time times a multiplier from ``entries``.  Both are
+    valid on their own, so a result out of range is an EntriesError that
+    carries ``entries``.
+    """
+    try:
+        return SelectionResult(
+            batch_size=profile.batch_sizes[i],
+            frequency_mhz=profile.frequencies[j],
+            estimated_tt_acc=tt,
+            feasible_count=feasible_count,
+            policy_tag=policy_tag,
+            estimated_energy=_energy_at(profile, i, j, tt),
+        )
+    except DataError as exc:
+        raise EntriesError(str(exc), entries) from None
 
 
 def _check_keys(
@@ -501,6 +516,15 @@ def _select_caps(
     (equal time, fewer optimizer steps).  Multipliers are looked up once
     per call and each cap needs O(rows) working memory, so caps may be
     many and in any order.
+
+    Only rows that can still win or tie are scanned.  Time never rises
+    with frequency and a rounded product is monotone, so a row's estimate
+    at its last column bounds all its estimates from below.  A cap scans
+    the feasible rows whose bound is at most ``_PRUNE_SLACK`` times a
+    guessed estimate: the previous cap's winner, else the feasible row with
+    the least bound.  Any other row is finite and lies beyond the tie
+    tolerance of the minimum, so the pick is the full scan's.  A row whose
+    product may overflow is always scanned: an infinite estimate ties.
     """
     batches, time, power = profile.batch_sizes, profile.time_rows, profile.power_rows
     firsts = next(zip(*power))
@@ -509,19 +533,30 @@ def _select_caps(
     # Rows no cap reaches never have their multiplier used, so it is not converted.
     reach = min(missing, bisect_left(firsts, max(p_maxes, default=0.0)))
     mults = list(map(float, looked_up[:reach]))
+    # Each row's lower bound; 0 for a row whose first (slowest) column may overflow.
+    lows = [0.0 if row[0] * m == math.inf else row[-1] * m for row, m in zip(time, mults)]
+    order = sorted(range(reach), key=lows.__getitem__)
+    sorted_lows = [lows[i] for i in order]
     picks: list[tuple[int, int, SelectionResult] | None] = []
+    w = reach  # the previous cap's winner; no row yet
     for p_max in p_maxes:
-        cols = _prefix_frontier(power, firsts, p_max)
-        if not cols:
+        # As in feasible_combinations: the first n rows fit, each up to its column bisect_left - 1.
+        n = bisect_left(firsts, p_max)
+        if not n:
             picks.append(None)
             continue
-        if len(cols) > missing:
+        if n > missing:
             message = f"{missing_label} incomplete: no entry for batch size {batches[missing]}"
-            raise IncompleteError(message, multipliers)
-        tts = list(map(operator.mul, map(operator.getitem, time, cols), mults))
-        i = _last_near_min(tts)
-        j = cols[i]
-        picks.append((i, j, _result_at(profile, i, j, tts[i], len(cols), policy_tag)))
+            raise EntriesError(message, multipliers)
+        if w >= n:
+            w = next(i for i in order if i < n)
+        guess = time[w][bisect_left(power[w], p_max) - 1] * mults[w]
+        rows = sorted([i for i in order[: bisect_right(sorted_lows, guess * _PRUNE_SLACK)] if i < n])
+        cols = [bisect_left(power[i], p_max) - 1 for i in rows]
+        tts = [time[i][j] * mults[i] for i, j in zip(rows, cols)]
+        k = _last_near_min(tts)
+        w, j = rows[k], cols[k]
+        picks.append((w, j, _result_at(profile, w, j, tts[k], n, policy_tag, multipliers)))
     return picks
 
 

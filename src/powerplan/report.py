@@ -22,7 +22,7 @@ from .baselines import (
 from .core import (
     DataError,
     DeviceProfile,
-    IncompleteError,
+    EntriesError,
     InfeasibleError,
     PowerCap,
     RelationVector,
@@ -150,7 +150,7 @@ def _realized(profile: DeviceProfile, i: int, j: int, counts: Mapping[int, float
     b = profile.batch_sizes[i]
     count = counts.get(b)
     if count is None:
-        raise IncompleteError(f"true counts incomplete: no entry for batch size {b}", counts)
+        raise EntriesError(f"true counts incomplete: no entry for batch size {b}", counts)
     return float(profile.time_rows[i][j] * count)
 
 

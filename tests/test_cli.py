@@ -457,6 +457,17 @@ def test_incomplete_relation_or_counts_names_its_file(data_dir, tmp_path, capsys
     assert capsys.readouterr() == ("", f"error: {partial}: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["compare", "sensitivity"])
+def test_counts_whose_estimate_overflows_names_its_file(data_dir, tmp_path, capsys, command):
+    # Each count is valid on its own, but batch size 32's times 1e308 overflow.
+    counts = tmp_path / "counts.csv"
+    counts.write_text("8,10\n32,1e308\n", encoding="utf-8")
+    args = [str(data_dir / tok) if (data_dir / tok).is_file() else tok for tok in FUZZ_ARGV[command]]
+    args[args.index("--counts") + 1] = str(counts)
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {counts}: estimated time to accuracy must be positive and finite\n")
+
+
 def test_padded_source_ids_print_as_unpadded(data_dir, tmp_path):
     relation_text = (data_dir / "relation_b8_b32.csv").read_text(encoding="utf-8")
     counts_text = (data_dir / "counts_b8_b32.csv").read_text(encoding="utf-8")

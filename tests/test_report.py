@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
+from powerplan.core import TIE_REL_TOL, _select_caps
 from powerplan.report import (
     STATUS_INFEASIBLE,
     STATUS_OK,
@@ -347,6 +348,175 @@ class TestSweepMatchesBruteForce:
         assert (n_rows, n_ok) == (9999, 9999 - 401)  # caps up to 1.0 W fit nothing: peak < cap
         kb_per_mb = 1024 * 1024 if sys.platform == "darwin" else 1024  # ru_maxrss is bytes on macOS
         assert grew / kb_per_mb < 20
+
+
+def outcome(select, *args):
+    """``select(*args)``, the text of the DataError it raises, or None for an InfeasibleError."""
+    try:
+        return select(*args)
+    except pp.DataError as exc:
+        return str(exc)
+    except pp.InfeasibleError:
+        return None
+
+
+def assert_single_caps_match_brute_force(profile, r, caps):
+    """``select_configuration_fast`` and ``fastest_configuration`` (on the
+    ratios as counts) at each cap, against the exhaustive scan."""
+    for cap in caps:
+        for tag, select, multipliers in [
+            ("ours", pp.select_configuration_fast, r),
+            ("fastest", pp.fastest_configuration, r.entries),
+        ]:
+            want = outcome(brute_force_select, profile, r.entries, cap, tag)
+            assert outcome(select, profile, multipliers, cap) == want
+
+
+def last_tie(low):
+    """The largest float that ties with ``low`` under the selector's rule."""
+    x = low / (1 - TIE_REL_TOL)
+    while not x - low <= TIE_REL_TOL * x:
+        x = math.nextafter(x, 0.0)
+    while math.nextafter(x, math.inf) - low <= TIE_REL_TOL * math.nextafter(x, math.inf):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# Where a planted row's lowest estimate lies against the minimum of the other rows.
+EDGE_OFFSETS = {
+    "at": lambda low: low,
+    "one ulp above": lambda low: math.nextafter(low, math.inf),
+    "inside the tolerance": lambda low: low * (1 + TIE_REL_TOL / 2),
+    "last tie": last_tie,
+    "first miss": lambda low: math.nextafter(last_tie(low), math.inf),
+    "just beyond the slack": lambda low: low / (1 - 2 * TIE_REL_TOL) * (1 + 2e-12),
+}
+
+
+class TestPruningIsExact:
+    """The kernel scans only the rows whose lowest estimate (at the last
+    column) can still win or tie at a cap.  These profiles put one row's
+    lowest estimate at a cap's minimum, next to it or at the edge of the tie
+    tolerance, and plan the caps in every order, so the previous cap's winner
+    leaves the feasible prefix."""
+
+    @staticmethod
+    def edge_profile(rng, offset):
+        n_b, n_f = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+        # Repeated increments give equal peaks, so caps on table entries tie with them.
+        power = 1.0 + np.cumsum(np.cumsum(rng.choice([0.0, 0.25, 1.0], (n_b, n_f)), axis=0), axis=1)
+        time = -np.sort(-rng.uniform(1.0, 100.0, (n_b, n_f)), axis=1)
+        ratios = rng.uniform(0.05, 1.0, n_b)
+        k = int(rng.integers(n_b))
+        ratios[k] = 1.0  # the planted row: its estimates are its times, exactly
+        # The minimum of the other rows where row k first runs at its last column.
+        cap = float(power[k, -1]) + 0.125
+        others = [
+            float(time[i, np.flatnonzero(power[i] < cap)[-1]] * ratios[i])
+            for i in range(n_b)
+            if i != k and power[i, 0] < cap
+        ]
+        assume(others)
+        time[k, -1] = EDGE_OFFSETS[offset](min(others))
+        time[k, :-1] = time[k, -1] * (1 + np.cumsum(rng.uniform(0.0, 1.0, n_f - 1))[::-1])
+        profile = pp.DeviceProfile(
+            "edge", tuple(range(8, 8 * n_b + 1, 8)), tuple(100.0 * (j + 1) for j in range(n_f)), time, power, 1
+        )
+        r = pp.RelationVector(dict(zip(profile.batch_sizes, ratios.tolist())))
+        caps = sorted({cap, math.inf, 0.5, *power.ravel().tolist(), *(power.ravel() + 0.125).tolist()})
+        return profile, r, [pp.PowerCap(c) for c in caps]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from(sorted(EDGE_OFFSETS)),
+        order=st.sampled_from(["ascending", "descending", "shuffled"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_bound_next_to_the_minimum(self, seed, offset, order):
+        rng = np.random.default_rng(seed)
+        profile, r, caps = self.edge_profile(rng, offset)
+        if order == "descending":
+            caps.reverse()
+        elif order == "shuffled":
+            caps = [caps[k] for k in rng.permutation(len(caps))]
+        assert pp.build_sweep(profile, r, caps) == per_cap_brute_force(profile, r.entries, caps)
+        assert_single_caps_match_brute_force(profile, r, caps)
+
+    def test_pinned_tie_at_the_edge_of_the_tolerance(self):
+        # Batch size 8 attains the minimum, 600; batch size 16's lowest estimate
+        # is the last float that ties with it, so it wins, or the first that
+        # does not, so it loses.  Planned after a cap that 8 wins.
+        for last, winner in [(last_tie(600.0), 16), (math.nextafter(last_tie(600.0), math.inf), 8)]:
+            profile = pp.DeviceProfile(
+                "tie", (8, 16), (300.0, 600.0), [[900.0, 600.0], [2 * last, last]], [[3.0, 4.0], [3.5, 5.0]], 1
+            )
+            r = pp.RelationVector({8: 1.0, 16: 1.0})
+            rows = pp.build_sweep(profile, r, [pp.PowerCap(4.5), pp.PowerCap(5.5)])
+            assert [(row.batch_size, row.estimated_tt_acc) for row in rows] == [
+                (8, 600.0), (winner, 600.0 if winner == 8 else last)
+            ]
+
+    def test_pinned_warm_start_leaves_the_prefix(self):
+        # Batch size 32 wins under 5.5 W but does not fit under 3.2 W, where
+        # its lowest estimate (10 s) would undercut every feasible row.
+        profile = pp.DeviceProfile(
+            "warm", (8, 32), (300.0, 600.0), [[90.0, 60.0], [50.0, 10.0]], [[3.0, 4.0], [3.5, 5.0]], 1
+        )
+        r = pp.RelationVector({8: 1.0, 32: 1.0})
+        rows = pp.build_sweep(profile, r, [pp.PowerCap(5.5), pp.PowerCap(3.2), pp.PowerCap(4.5)])
+        assert [(row.batch_size, row.frequency_mhz, row.estimated_tt_acc) for row in rows] == [
+            (32, 600.0, 10.0), (8, 300.0, 90.0), (32, 300.0, 50.0)
+        ]
+
+
+class TestOutOfRangeProducts:
+    """A valid time times a valid multiplier can overflow to inf or fall
+    into the subnormal range.  Only a counts mapping can overflow (a ratio
+    is at most 1), and an infinite estimate ties with any finite minimum."""
+
+    def overflow_profile(self):
+        # Batch size 32 overflows at 307 MHz (1e300 s times 1e9) but not at 921 MHz (1e9 s).
+        profile = pp.DeviceProfile(
+            "overflow", (8, 32), (307.0, 921.0), [[90.0, 60.0], [1e300, 1.0]], [[3.0, 4.0], [3.5, 5.0]], 1
+        )
+        return profile, {8: 10.0, 32: 1e9}
+
+    def test_later_row_overflowing_at_low_frequency_wins_the_tie(self):
+        profile, counts = self.overflow_profile()
+        # Under 4.5 W batch size 32 runs only at 307 MHz: its infinite estimate
+        # ties with batch size 8's 600 s and, as the larger batch, wins, so the
+        # selection is rejected.
+        with pytest.raises(pp.DataError, match="^estimated time to accuracy must be positive and finite$"):
+            pp.fastest_configuration(profile, counts, pp.PowerCap(4.5))
+        # Under 5.5 W it runs at 921 MHz, 1e9 s, far behind batch size 8.
+        sel = pp.fastest_configuration(profile, counts, pp.PowerCap(5.5))
+        assert (sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, sel.feasible_count) == (8, 921.0, 600.0, 2)
+        # After that cap, with batch size 8 as the warm start, the overflowing row is still scanned.
+        ((i, j, _),) = _select_caps(profile, counts, [5.5], "fastest")
+        assert (i, j) == (0, 1)
+        with pytest.raises(pp.DataError, match="^estimated time to accuracy must be positive and finite$"):
+            _select_caps(profile, counts, [5.5, 4.5], "fastest")
+        # A cap only batch size 8 fits is planned as ever.
+        assert pp.fastest_configuration(profile, counts, pp.PowerCap(3.2)).batch_size == 8
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_subnormal_products_select_as_a_full_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        base, _ = random_profile(rng, with_avg_power=False)
+        # Times near 1e-300 and ratios down to 1e-27: over half the products
+        # are subnormal and some underflow to 0, which is rejected.
+        profile = pp.DeviceProfile(
+            "subnormal", base.batch_sizes, base.frequencies,
+            [[t * 1e-300 for t in row] for row in base.time_rows], base.power_rows, base.samples_per_unit,
+        )
+        ratios = 10.0 ** -rng.uniform(5.0, 27.0, len(base.batch_sizes))
+        ratios[int(rng.integers(len(ratios)))] = 1.0
+        r = pp.RelationVector(dict(zip(profile.batch_sizes, ratios.tolist())))
+        power = sorted({p for row in profile.power_rows for p in row})
+        caps = [pp.PowerCap(p) for p in [*power[:: max(1, len(power) // 12)], math.inf]]
+        caps = [caps[k] for k in rng.permutation(len(caps))]
+        assert outcome(pp.build_sweep, profile, r, caps) == outcome(per_cap_brute_force, profile, r.entries, caps)
+        assert_single_caps_match_brute_force(profile, r, caps)
 
 
 class TestRendering:
