@@ -22,13 +22,13 @@ from types import MappingProxyType
 from .core import (
     DataError,
     DeviceProfile,
-    EntriesError,
     PowerCap,
     RelationVector,
     SelectionResult,
     _check_counts,
     _check_keys,
     _energy_at,
+    _entry,
     _last_near_min,
     _Record,
     _result_at,
@@ -130,9 +130,7 @@ def baseline1_select(
     i = len(profile.batch_sizes) - 1
     _check_keys(profile, r.entries)
     b = profile.batch_sizes[i]
-    ratio = r.entries.get(b)
-    if ratio is None:
-        raise EntriesError(f"relation vector incomplete: no entry for batch size {b}", r.entries)
+    ratio = _entry(r.entries, b, "relation vector")
     return _result_at(profile, i, j, profile.time_rows[i][j] * ratio, 1, "baseline1", r.entries)
 
 
@@ -149,11 +147,8 @@ def baseline2_select(
     safe ceiling, so system and application knobs remain decoupled.
     """
     _check_keys(profile, r.entries)
-    missing = [b for b in profile.batch_sizes if b not in r.entries]
-    if missing:
-        raise EntriesError(f"relation vector incomplete: no entry for batch size {missing[0]}", r.entries)
+    ratios = [_entry(r.entries, b, "relation vector") for b in profile.batch_sizes]
     j = profile.frequency_index(safe.frequency_for(cap))
-    ratios = [r.entries[b] for b in profile.batch_sizes]
     i = _last_near_min(ratios)
     return _result_at(profile, i, j, profile.time_rows[i][j] * ratios[i], len(ratios), "baseline2", r.entries)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
@@ -367,6 +368,14 @@ class RelationVector(_Record):
         return tuple(self.entries)
 
 
+def _check_estimate(tt: float) -> None:
+    """Reject a time to accuracy that is not a positive, finite, normal float."""
+    if not (tt > 0 and math.isfinite(tt)):
+        raise DataError("estimated time to accuracy must be positive and finite")
+    if tt < sys.float_info.min:
+        raise DataError(f"estimated time to accuracy {tt!r} is subnormal")
+
+
 class SelectionResult(_Record):
     """A chosen operating point plus the estimates that justified it.
 
@@ -396,8 +405,7 @@ class SelectionResult(_Record):
     ) -> None:
         if policy_tag not in POLICY_TAGS:
             raise DataError(f"unknown policy tag {policy_tag!r}")
-        if not (estimated_tt_acc > 0 and math.isfinite(estimated_tt_acc)):
-            raise DataError("estimated time to accuracy must be positive and finite")
+        _check_estimate(estimated_tt_acc)
         if estimated_energy is not None and not estimated_energy > 0:
             raise DataError("estimated energy must be positive")
         if feasible_count < 1:
@@ -492,6 +500,14 @@ def _result_at(
         raise EntriesError(str(exc), entries) from None
 
 
+def _entry(entries: Mapping[int, float], b: int, label: str) -> float:
+    """``entries[b]``; an EntriesError names ``label`` when batch size ``b`` has no entry."""
+    value = entries.get(b)
+    if value is None:
+        raise EntriesError(f"{label} incomplete: no entry for batch size {b}", entries)
+    return value
+
+
 def _check_keys(
     profile: DeviceProfile, multipliers: Mapping[int, float], subject: str = "relation vector names"
 ) -> None:
@@ -546,8 +562,7 @@ def _select_caps(
             picks.append(None)
             continue
         if n > missing:
-            message = f"{missing_label} incomplete: no entry for batch size {batches[missing]}"
-            raise EntriesError(message, multipliers)
+            _entry(multipliers, batches[missing], missing_label)  # raises: no entry
         if w >= n:
             w = next(i for i in order if i < n)
         guess = time[w][bisect_left(power[w], p_max) - 1] * mults[w]

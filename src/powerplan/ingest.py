@@ -166,27 +166,24 @@ def parse_power_log(text: str) -> PowerTrace:
         values = tuple(map(float, ",".join(kept).split(","))) if kept else ()
         return PowerTrace(values[0::2], values[1::2])
     except (ValueError, DataError):
-        fault = _first_sample_fault(_numbered_lines(lines))
-        if fault is None:
-            raise  # the two checks disagree: a defect here, not in the file
-        raise fault from None
+        _check_samples(_numbered_lines(lines))
+        raise  # the two checks disagree: a defect here, not in the file
 
 
-def _first_sample_fault(numbered: Iterable[tuple[int, str]]) -> ParseError | None:
-    """Check power log lines one at a time, in file order; the first faulty line's error."""
+def _check_samples(numbered: Iterable[tuple[int, str]]) -> None:
+    """Check power log lines one at a time, in file order; the first faulty line raises.
+
+    Each ParseError drops the column parse's error as its context.
+    """
     last_ts: float | None = None
-    try:
-        for n, line, ts, mw in _key_value_lines(numbered, "timestamp_s,power_mw", float, float):
-            if not (math.isfinite(ts) and math.isfinite(mw)):
-                return ParseError(n, f"non-finite value in {line!r}")
-            if last_ts is not None and ts <= last_ts:
-                return ParseError(n, f"non-monotone timestamp {ts!r}")
-            if mw < 0:
-                return ParseError(n, f"negative power {mw!r}")
-            last_ts = ts
-    except ParseError as fault:
-        return fault
-    return None
+    for n, line, ts, mw in _key_value_lines(numbered, "timestamp_s,power_mw", float, float):
+        if not (math.isfinite(ts) and math.isfinite(mw)):
+            raise ParseError(n, f"non-finite value in {line!r}") from None
+        if last_ts is not None and ts <= last_ts:
+            raise ParseError(n, f"non-monotone timestamp {ts!r}") from None
+        if mw < 0:
+            raise ParseError(n, f"negative power {mw!r}") from None
+        last_ts = ts
 
 
 def parse_timing_log(
@@ -200,16 +197,14 @@ def parse_timing_log(
     ``max_minibatches`` is given, at most that many retained durations are
     kept (extra trailing measurements are trimmed).
     """
-    lines = text.splitlines()
-    kept = _data_lines(lines)
-    if not kept:
-        raise DataError("timing log has no header line")
-    header = kept[0]
+    numbered = _numbered_lines(text.splitlines())
+    try:
+        n, header = next(numbered)
+    except StopIteration:
+        raise DataError("timing log has no header line") from None
     parts = header.split(",")
-    keys = [p.partition("=")[0] for p in parts]
-    if keys != ["b", "f_mhz", "warmup"]:
-        message = f"expected header b=<int>,f_mhz=<num>,warmup=<int>, got {header!r}"
-        raise ParseError(next(_numbered_lines(lines))[0], message)
+    if [p.partition("=")[0] for p in parts] != ["b", "f_mhz", "warmup"]:
+        raise ParseError(n, f"expected header b=<int>,f_mhz=<num>,warmup=<int>, got {header!r}")
     try:
         b = int(parts[0].partition("=")[2])
         f_mhz = float(parts[1].partition("=")[2])
@@ -217,21 +212,19 @@ def parse_timing_log(
         if b <= 0 or not 0 < f_mhz < math.inf or warmup < 0:
             raise ValueError("header value out of range")
     except ValueError:
-        raise ParseError(next(_numbered_lines(lines))[0], f"invalid header values in {header!r}") from None
+        raise ParseError(n, f"invalid header values in {header!r}") from None
 
-    # The durations are parsed and checked as one column; on any fault a
-    # line-by-line re-check names the first faulty line.
-    try:
-        durations = list(map(float, kept[1:]))
-        if not (all(map(math.isfinite, durations)) and all(map(operator.lt, repeat(0.0), durations))):
-            raise ValueError("non-finite or non-positive duration")
-    except ValueError:
-        numbered = _numbered_lines(lines)
-        next(numbered)  # the header
-        fault = _first_duration_fault(numbered)
-        if fault is None:
-            raise  # the two checks disagree: a defect here, not in the file
-        raise fault from None
+    durations: list[float] = []
+    for n, line in numbered:
+        try:
+            duration = float(line)
+        except ValueError:
+            raise ParseError(n, f"expected one duration per line, got {line!r}") from None
+        if not math.isfinite(duration):
+            raise ParseError(n, f"non-finite value in {line!r}")
+        if duration <= 0:
+            raise ParseError(n, f"non-positive duration {duration!r}")
+        durations.append(duration)
     if warmup_override is not None:
         warmup = warmup_override
     if max_minibatches is not None:
@@ -241,23 +234,9 @@ def parse_timing_log(
     return TimingTrace(
         batch_size=b,
         frequency_mhz=f_mhz,
-        minibatch_durations=tuple(durations),
+        minibatch_durations=durations,
         warmup_discarded=warmup,
     )
-
-
-def _first_duration_fault(numbered: Iterable[tuple[int, str]]) -> ParseError | None:
-    """Check duration lines one at a time, in file order; the first faulty line's error."""
-    for n, line in numbered:
-        try:
-            duration = float(line)
-        except ValueError:
-            return ParseError(n, f"expected one duration per line, got {line!r}")
-        if not math.isfinite(duration):
-            return ParseError(n, f"non-finite value in {line!r}")
-        if duration <= 0:
-            return ParseError(n, f"non-positive duration {duration!r}")
-    return None
 
 
 class TimeScaleError(DataError):
@@ -480,7 +459,7 @@ def _cell_columns(cells: list[str]) -> tuple[list[int], list[float], list[list[f
     """Batch sizes, frequencies and value columns of the cell lines.
 
     Raises ValueError on any malformed line without saying which; the
-    caller finds it with ``_first_cell_fault``.
+    caller names it with ``_check_cells``.
     """
     commas = set(map(str.count, cells, repeat(","))) or {3}
     if commas != {3} and commas != {4}:
@@ -498,38 +477,40 @@ def _cell_columns(cells: list[str]) -> tuple[list[int], list[float], list[list[f
     return cell_b, cell_f, values
 
 
-def _first_cell_fault(
+def _check_cells(
     numbered_cells: Iterable[tuple[int, str]],
     batch_sizes: Sequence[int],
     frequencies: Sequence[float],
-) -> ParseError | None:
-    """Check cell lines one at a time, in file order; the first faulty line's error."""
+) -> None:
+    """Check cell lines one at a time, in file order; the first faulty line raises.
+
+    Each ParseError drops the column parse's error as its context.
+    """
     batch_set, freq_set = set(batch_sizes), set(frequencies)
     seen: set[tuple[int, float]] = set()
     n_fields: int | None = None
     for n, line in numbered_cells:
         fields = line.split(",")
         if len(fields) not in (4, 5):
-            return ParseError(n, f"expected b,f_mhz,t_s_seconds,peak_w[,avg_w], got {line!r}")
+            raise ParseError(n, f"expected b,f_mhz,t_s_seconds,peak_w[,avg_w], got {line!r}") from None
         if n_fields is None:
             n_fields = len(fields)
         elif len(fields) != n_fields:
-            return ParseError(n, "mixed avg_w column: all cells must agree")
+            raise ParseError(n, "mixed avg_w column: all cells must agree") from None
         try:
             b = int(fields[0])
             f = float(fields[1])
             for tok in fields[2:]:
                 float(tok)
         except ValueError:
-            return ParseError(n, f"invalid cell values in {line!r}")
+            raise ParseError(n, f"invalid cell values in {line!r}") from None
         if b not in batch_set:
-            return ParseError(n, f"cell batch size {b} not on axis")
+            raise ParseError(n, f"cell batch size {b} not on axis") from None
         if f not in freq_set:
-            return ParseError(n, f"cell frequency {f!r} not on axis")
+            raise ParseError(n, f"cell frequency {f!r} not on axis") from None
         if (b, f) in seen:
-            return ParseError(n, f"duplicate cell ({b}, {f!r})")
+            raise ParseError(n, f"duplicate cell ({b}, {f!r})") from None
         seen.add((b, f))
-    return None
 
 
 def load_profile(text: str) -> DeviceProfile:
@@ -571,10 +552,8 @@ def load_profile(text: str) -> DeviceProfile:
         if placed.duplicate is not None:
             raise ValueError("duplicate cell")
     except (ValueError, KeyError):
-        fault = _first_cell_fault(numbered, batch_sizes, frequencies)
-        if fault is None:
-            raise  # the two checks disagree: a defect here, not in the file
-        raise fault from None
+        _check_cells(numbered, batch_sizes, frequencies)
+        raise  # the two checks disagree: a defect here, not in the file
     if placed.missing is not None:
         b, f = placed.missing
         raise DataError(f"missing cell ({b}, {f!r})")

@@ -27,8 +27,10 @@ from .core import (
     PowerCap,
     RelationVector,
     SelectionResult,
+    _check_estimate,
     _check_keys,
     _energy_at,
+    _entry,
     _Record,
     _select_caps,
     _set,
@@ -147,11 +149,14 @@ class SweepRow(_Record):
 
 
 def _realized(profile: DeviceProfile, i: int, j: int, counts: Mapping[int, float]) -> float:
-    b = profile.batch_sizes[i]
-    count = counts.get(b)
-    if count is None:
-        raise EntriesError(f"true counts incomplete: no entry for batch size {b}", counts)
-    return float(profile.time_rows[i][j] * count)
+    """Grid cell (i, j)'s time times its true count; an EntriesError carries ``counts``
+    when the count is missing or takes the product out of the normal float range."""
+    tt = float(profile.time_rows[i][j] * _entry(counts, profile.batch_sizes[i], "true counts"))
+    try:
+        _check_estimate(tt)
+    except DataError as exc:
+        raise EntriesError(str(exc), counts) from None
+    return tt
 
 
 def _cell_finder(profile: DeviceProfile) -> Callable[[SelectionResult], tuple[int, int]]:

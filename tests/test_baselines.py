@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +198,21 @@ class TestFastestConfiguration:
         # one overflowing estimate just loses to the finite one
         sel = pp.fastest_configuration(profile_flip, {8: 1.7e308, 32: 1.0}, pp.PowerCap(7.0))
         assert (sel.batch_size, math.isfinite(sel.estimated_tt_acc)) == (32, True)
+
+    def test_subnormal_estimates_rejected(self, profile_flip):
+        # Normal counts whose products with every feasible time fall below the normal floats.
+        with pytest.raises(pp.DataError) as exc:
+            pp.fastest_configuration(profile_flip, {8: 1e-320, 32: 1e-320}, pp.PowerCap(7.0))
+        assert str(exc.value).endswith(" is subnormal")
+        tiny = sys.float_info.min
+        assert pp.SelectionResult(8, 100.0, tiny, 1, "ours").estimated_tt_acc == tiny
+        below = math.nextafter(tiny, 0.0)
+        with pytest.raises(pp.DataError) as exc:
+            pp.SelectionResult(8, 100.0, below, 1, "ours")
+        assert str(exc.value) == f"estimated time to accuracy {below!r} is subnormal"
+        for tt in (0.0, math.inf):
+            with pytest.raises(pp.DataError, match="^estimated time to accuracy must be positive and finite$"):
+                pp.SelectionResult(8, 100.0, tt, 1, "ours")
 
     def test_count_of_unreachable_batch_never_converted(self, profile_flip):
         # an int count with no float form, on a batch no cap here reaches (b=32 peaks at 4.2 W and up)

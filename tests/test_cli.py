@@ -468,6 +468,20 @@ def test_counts_whose_estimate_overflows_names_its_file(data_dir, tmp_path, caps
     assert capsys.readouterr() == ("", f"error: {counts}: estimated time to accuracy must be positive and finite\n")
 
 
+@pytest.mark.parametrize("command", ["compare", "sensitivity"])
+def test_counts_whose_estimate_is_subnormal_names_its_file(data_dir, tmp_path, capsys, command):
+    # Each count is valid on its own, but under 5 W batch size 32's fastest
+    # estimate, 34.7 s at 460 MHz times 1e-320, is subnormal.
+    counts = tmp_path / "counts.csv"
+    counts.write_text("8,10\n32,1e-320\n", encoding="utf-8")
+    args = [command, "--profile", str(data_dir / "profile_b8_b32.csv"), "--relation",
+            str(data_dir / "relation_b8_b32.csv"), "--counts", str(counts), "--p-max", "5.0"]
+    if command == "compare":
+        args += ["--safe-freqs", str(data_dir / "safe_freqs_b8_b32.csv")]
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {counts}: estimated time to accuracy {34.7 * 1e-320!r} is subnormal\n")
+
+
 def test_padded_source_ids_print_as_unpadded(data_dir, tmp_path):
     relation_text = (data_dir / "relation_b8_b32.csv").read_text(encoding="utf-8")
     counts_text = (data_dir / "counts_b8_b32.csv").read_text(encoding="utf-8")

@@ -107,6 +107,12 @@ class TestParseTimingLog:
             pp.parse_timing_log(f"b=32,f_mhz=307.0,warmup=0\n# note\n0.2\n{token}\n0.2")
         assert str(exc.value) == f"line 4: non-finite value in {token!r}"
 
+    @pytest.mark.parametrize("token", ["0", "-0.0", "-2.5"])
+    def test_non_positive_duration_locates_error(self, token):
+        with pytest.raises(pp.ParseError) as exc:
+            pp.parse_timing_log(f"b=32,f_mhz=307.0,warmup=0\n0.2\n{token}\n0.2")
+        assert str(exc.value) == f"line 3: non-positive duration {float(token)!r}"
+
     def test_warmup_override(self):
         text = "b=32,f_mhz=307.0,warmup=1\n0.5\n0.2\n0.2"
         trace = pp.parse_timing_log(text, warmup_override=2)
@@ -291,6 +297,38 @@ class TestLogParsersAgainstReference:
             data.draw(st.none() | st.integers(0, 4)),
         )
         assert _outcome(pp.parse_timing_log, *args) == _outcome(reference_parse_timing_log, *args)
+
+
+PROFILE_HEAD = "m,1\n8,32\n300.0,600.0\n8,300.0,2.0,3.0\n"
+# Per faulty line: its parser, the text and the faulty line's number.
+FAULTY_LINES = {
+    "power token": (pp.parse_power_log, "0.0,1000\n1.0,x\n", 2),
+    "power field count": (pp.parse_power_log, "0.0,1000\n1.0\n", 2),
+    "power non-finite": (pp.parse_power_log, "0.0,1000\n1.0,inf\n", 2),
+    "power timestamp": (pp.parse_power_log, "0.0,1000\n0.0,900\n", 2),
+    "power negative": (pp.parse_power_log, "# log\n0.0,1000\n1.0,-5\n", 3),
+    "timing header keys": (pp.parse_timing_log, "b=8,f=300,warmup=1\n0.5\n", 1),
+    "timing header values": (pp.parse_timing_log, "\nb=8,f_mhz=-300,warmup=1\n0.5\n", 2),
+    "timing duration token": (pp.parse_timing_log, "b=8,f_mhz=300,warmup=1\n0.5\nx\n", 3),
+    "timing duration non-finite": (pp.parse_timing_log, "b=8,f_mhz=300,warmup=1\n0.5\nnan\n", 3),
+    "timing duration zero": (pp.parse_timing_log, "b=8,f_mhz=300,warmup=1\n0.5\n0\n", 3),
+    "cell token": (pp.load_profile, PROFILE_HEAD + "8,600.0,x,4.0\n", 5),
+    "cell field count": (pp.load_profile, PROFILE_HEAD + "8,600.0,1.0\n", 5),
+    "cell off axis": (pp.load_profile, PROFILE_HEAD + "16,600.0,1.0,4.0\n", 5),
+    "cell duplicate": (pp.load_profile, PROFILE_HEAD + "8,300.0,2.0,3.0\n", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULTY_LINES))
+def test_parse_errors_print_no_internal_error(case):
+    # A ParseError raised while the column parse's error is handled drops it
+    # (``from None``), so a traceback shows the faulty line and nothing else.
+    parse, text, line_no = FAULTY_LINES[case]
+    with pytest.raises(pp.ParseError) as info:
+        parse(text)
+    assert info.value.line_no == line_no
+    assert info.value.__cause__ is None
+    assert info.value.__suppress_context__ is True or info.value.__context__ is None
 
 
 # Per two-field file: its parser, its line-by-line reference, and the key and

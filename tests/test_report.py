@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
-from powerplan.core import TIE_REL_TOL, _select_caps
+from powerplan.core import TIE_REL_TOL, EntriesError, _select_caps
 from powerplan.report import (
     STATUS_INFEASIBLE,
     STATUS_OK,
@@ -499,12 +499,33 @@ class TestOutOfRangeProducts:
         # A cap only batch size 8 fits is planned as ever.
         assert pp.fastest_configuration(profile, counts, pp.PowerCap(3.2)).batch_size == 8
 
+    @pytest.mark.parametrize(
+        "count, message",
+        [(1e-320, f"estimated time to accuracy {10.0 * 1e-320!r} is subnormal"),
+         (1e308, "estimated time to accuracy must be positive and finite")],
+    )
+    def test_realized_time_out_of_range_names_the_counts(self, count, message):
+        # Batch size 32 draws 5 W or more, so no selection under 4.5 W uses its
+        # count; baseline 1 still runs it at the trusted safe 300 MHz, 10 s.
+        profile = pp.DeviceProfile(
+            "realized", (8, 32), (300.0, 600.0), [[90.0, 60.0], [10.0, 5.0]], [[3.0, 4.0], [5.0, 6.0]], 1
+        )
+        counts = {8: 10.0, 32: count}
+        with pytest.raises(EntriesError) as info:
+            pp.build_comparison(
+                profile, pp.RelationVector({8: 1.0, 32: 1.0}), [pp.PowerCap(4.5)],
+                pp.SafeFrequencyTable({4.5: 300.0}), counts,
+            )
+        assert (str(info.value), info.value.entries) == (message, counts)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_subnormal_products_select_as_a_full_scan(self, seed):
         rng = np.random.default_rng(seed)
         base, _ = random_profile(rng, with_avg_power=False)
         # Times near 1e-300 and ratios down to 1e-27: over half the products
-        # are subnormal and some underflow to 0, which is rejected.
+        # are subnormal and some underflow to 0.  The selection rejects a
+        # subnormal or zero winner, and the oracle, built through
+        # SelectionResult as well, rejects it with the same text.
         profile = pp.DeviceProfile(
             "subnormal", base.batch_sizes, base.frequencies,
             [[t * 1e-300 for t in row] for row in base.time_rows], base.power_rows, base.samples_per_unit,

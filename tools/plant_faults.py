@@ -59,6 +59,19 @@ FAULTS = {
     "smaller batch resumes at the lowest frequency": (
         "ingest.py", "        j = start\n", "        j = 0\n", ("tests/test_core.py", "tests/test_ingest.py"),
     ),
+    "zero duration accepted": ("ingest.py", "if duration <= 0:", "if duration < 0:", ("tests/test_ingest.py",)),
+    "line numbers off by one": (
+        "ingest.py", "enumerate(lines, start=1)", "enumerate(lines, start=0)", ("tests/test_ingest.py",),
+    ),
+    "warm-up durations kept": (
+        "ingest.py", "return self.minibatch_durations[self.warmup_discarded :]", "return self.minibatch_durations",
+        ("tests/test_ingest.py",),
+    ),
+    "percentile lerp from the lower end only": (
+        "ingest.py", "return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t", "return a + (b - a) * t",
+        ("tests/test_ingest.py",),
+    ),
+    "no tie tolerance": ("core.py", "TIE_REL_TOL = 1e-9", "TIE_REL_TOL = 0.0", KERNEL_TESTS),
 }
 
 
