@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 
 from .core import (
     DataError,
     DeviceProfile,
+    Pick,
     PowerCap,
     RelationVector,
     SelectionResult,
@@ -32,6 +33,7 @@ from .core import (
     _last_near_min,
     _Record,
     _result_at,
+    _select_caps,
     _select_one,
     _set,
 )
@@ -147,10 +149,21 @@ def baseline2_select(
     safe ceiling, so system and application knobs remain decoupled.
     """
     _check_keys(profile, r.entries)
-    ratios = [_entry(r.entries, b, "relation vector") for b in profile.batch_sizes]
+    ratios = list(map(r.entries.get, profile.batch_sizes))
+    if None in ratios:
+        _entry(r.entries, profile.batch_sizes[ratios.index(None)], "relation vector")  # raises: no entry
     j = profile.frequency_index(safe.frequency_for(cap))
     i = _last_near_min(ratios)
     return _result_at(profile, i, j, profile.time_rows[i][j] * ratios[i], len(ratios), "baseline2", r.entries)
+
+
+def _count_picks(
+    profile: DeviceProfile, true_counts: Mapping[int, float], p_maxes: Sequence[float]
+) -> Iterator[Pick | None]:
+    """``_select_caps`` for the ``fastest`` policy, after the counts' own and key checks."""
+    _check_counts(true_counts)
+    _check_keys(profile, true_counts, "true counts name")
+    yield from _select_caps(profile, true_counts, p_maxes, "fastest", "true counts")
 
 
 def fastest_configuration(
@@ -164,9 +177,7 @@ def fastest_configuration(
     the measured samples-to-accuracy count, so the reported time is absolute
     seconds rather than a normalized estimate.
     """
-    _check_counts(true_counts)
-    _check_keys(profile, true_counts, "true counts name")
-    return _select_one(profile, true_counts, cap, "fastest", missing_label="true counts")
+    return _select_one(profile, _count_picks(profile, true_counts, (cap.p_max,)), cap)
 
 
 def energy_estimate(

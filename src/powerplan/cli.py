@@ -193,7 +193,11 @@ def cmd_ingest(args) -> int:
         raise DataError(f"{args.timing[placed.duplicate]}: duplicate cell {keys[placed.duplicate]}")
     if placed.missing is not None:
         b, f = placed.missing
-        raise DataError(f"missing cell ({b}, {f!r}): grid must be complete")
+        by_b, by_f = args.timing[cell_b.index(b)], args.timing[cell_f.index(f)]
+        raise DataError(
+            f"missing cell ({b}, {f!r}): grid must be complete; "
+            f"batch size {b} first from {by_b}, frequency {f!r} first from {by_f}"
+        )
     time, peak, avg = (placed.fill(column) for column in zip(*points))
     profile = DeviceProfile(
         model_id=args.model_id,

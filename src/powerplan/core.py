@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from types import MappingProxyType
 
 # Two estimates within this relative distance count as a tie and fall
@@ -517,21 +517,28 @@ def _check_keys(
         raise DataError(f"{subject} batch sizes not in profile: {sorted(unknown)}")
 
 
+Pick = tuple[int, int, SelectionResult]  # an argmin cell (i, j) and its selection
+
+
 def _select_caps(
     profile: DeviceProfile,
     multipliers: Mapping[int, float],
     p_maxes: Sequence[float],
     policy_tag: str,
     missing_label: str = "relation vector",
-) -> list[tuple[int, int, SelectionResult] | None]:
-    """Per cap, the argmin cell (i, j) of time * multiplier over the cap's
-    frontier and its SelectionResult, or None when nothing fits.
+) -> Iterator[Pick | None]:
+    """Yield, per cap in ``p_maxes``, the argmin cell (i, j) of time * multiplier
+    over the cap's frontier and its SelectionResult, or None when nothing fits.
+
+    A generator: the multipliers are looked up at the first ``next()``, and
+    each cap's checks run only when its pick is taken, so a caller that
+    interleaves several passes raises each error at the cap where a
+    one-cap call would.  Each cap needs O(rows) working memory, so caps may
+    be many and in any order.
 
     Every cell within TIE_REL_TOL of the minimum ties, and the last one in
     (i, j) order wins: the larger batch size, then the higher frequency
-    (equal time, fewer optimizer steps).  Multipliers are looked up once
-    per call and each cap needs O(rows) working memory, so caps may be
-    many and in any order.
+    (equal time, fewer optimizer steps).
 
     Only rows that can still win or tie are scanned.  Time never rises
     with frequency and a rounded product is monotone, so a row's estimate
@@ -553,13 +560,12 @@ def _select_caps(
     lows = [0.0 if row[0] * m == math.inf else row[-1] * m for row, m in zip(time, mults)]
     order = sorted(range(reach), key=lows.__getitem__)
     sorted_lows = [lows[i] for i in order]
-    picks: list[tuple[int, int, SelectionResult] | None] = []
     w = reach  # the previous cap's winner; no row yet
     for p_max in p_maxes:
         # As in feasible_combinations: the first n rows fit, each up to its column bisect_left - 1.
         n = bisect_left(firsts, p_max)
         if not n:
-            picks.append(None)
+            yield None
             continue
         if n > missing:
             _entry(multipliers, batches[missing], missing_label)  # raises: no entry
@@ -571,19 +577,22 @@ def _select_caps(
         tts = [time[i][j] * mults[i] for i, j in zip(rows, cols)]
         k = _last_near_min(tts)
         w, j = rows[k], cols[k]
-        picks.append((w, j, _result_at(profile, w, j, tts[k], n, policy_tag, multipliers)))
-    return picks
+        yield w, j, _result_at(profile, w, j, tts[k], n, policy_tag, multipliers)
+
+
+def _relation_picks(
+    profile: DeviceProfile, r: RelationVector, p_maxes: Sequence[float]
+) -> Iterator[Pick | None]:
+    """``_select_caps`` for the ``ours`` policy, after the relation's key check."""
+    _check_keys(profile, r.entries)
+    yield from _select_caps(profile, r.entries, p_maxes, "ours")
 
 
 def _select_one(
-    profile: DeviceProfile,
-    multipliers: Mapping[int, float],
-    cap: PowerCap,
-    policy_tag: str,
-    missing_label: str = "relation vector",
+    profile: DeviceProfile, picks: Iterator[Pick | None], cap: PowerCap
 ) -> SelectionResult:
-    """``_select_caps`` at one cap; raises InfeasibleError when nothing fits."""
-    (pick,) = _select_caps(profile, multipliers, (cap.p_max,), policy_tag, missing_label)
+    """The selection of a pass over ``cap`` alone; raises InfeasibleError when nothing fits."""
+    pick = next(picks)
     if pick is None:
         # Peak power never falls along either axis, so the first cell holds the lowest peak.
         raise InfeasibleError(
@@ -602,5 +611,4 @@ def select_configuration_fast(
     when the relation vector misses a feasible batch size (silent shrinking
     of the search space would mask data bugs).
     """
-    _check_keys(profile, r.entries)
-    return _select_one(profile, r.entries, cap, "ours")
+    return _select_one(profile, _relation_picks(profile, r, (cap.p_max,)), cap)

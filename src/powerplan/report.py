@@ -15,6 +15,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from .baselines import (
     SafeFrequencyTable,
+    _count_picks,
     baseline1_select,
     baseline2_select,
     fastest_configuration,
@@ -23,7 +24,6 @@ from .core import (
     DataError,
     DeviceProfile,
     EntriesError,
-    InfeasibleError,
     PowerCap,
     RelationVector,
     SelectionResult,
@@ -32,6 +32,7 @@ from .core import (
     _energy_at,
     _entry,
     _Record,
+    _relation_picks,
     _select_caps,
     _set,
     select_configuration_fast,
@@ -183,30 +184,30 @@ def build_comparison(
     ``true_counts`` is None.  A cap that leaves the joint selector with an
     empty feasible set produces an 'infeasible' row instead of aborting the
     whole report.
+
+    Each joint policy (``ours``, and ``fastest`` with counts) plans every
+    cap in one kernel pass, taken one pick per cap, so every error fires at
+    the cap and policy where a one-cap selection would: caps ascending,
+    then baseline1, baseline2, ours, fastest.
     """
     cell = _cell_finder(profile)
+    ordered = sorted(caps, key=lambda c: c.p_max)
+    p_maxes = [cap.p_max for cap in ordered]
+    passes = {"ours": _relation_picks(profile, r, p_maxes)}
+    if true_counts is not None:
+        passes["fastest"] = _count_picks(profile, true_counts, p_maxes)
     rows: list[ComparisonRow] = []
-    for cap in sorted(caps, key=lambda c: c.p_max):
+    for cap in ordered:
         # Rows follow this order; baseline1, the speedup anchor, always fits.
-        selections: dict[str, SelectionResult | None] = {
-            "baseline1": baseline1_select(profile, r, cap, safe),
-            "baseline2": baseline2_select(profile, r, cap, safe),
-        }
-        try:
-            selections["ours"] = select_configuration_fast(profile, r, cap)
-        except InfeasibleError:
-            selections["ours"] = None
-        if true_counts is not None:
-            try:
-                selections["fastest"] = fastest_configuration(profile, true_counts, cap)
-            except InfeasibleError:
-                selections["fastest"] = None
-
-        for tag, sel in selections.items():
-            if sel is None:
+        b1 = baseline1_select(profile, r, cap, safe)
+        b2 = baseline2_select(profile, r, cap, safe)
+        picks = {"baseline1": (*cell(b1), b1), "baseline2": (*cell(b2), b2)}
+        picks.update((tag, next(picked)) for tag, picked in passes.items())
+        for tag, pick in picks.items():
+            if pick is None:
                 rows.append(ComparisonRow(cap.p_max, tag, None, None, None, None, None, None, STATUS_INFEASIBLE))
                 continue
-            i, j = cell(sel)
+            i, j, sel = pick
             realized = None if true_counts is None else _realized(profile, i, j, true_counts)
             basis = sel.estimated_tt_acc if realized is None else realized
             if tag == "baseline1":

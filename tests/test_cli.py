@@ -183,6 +183,19 @@ class TestIngestCommand:
         assert main(args) == 3
         assert "missing cell" in capsys.readouterr().err
 
+    def test_grid_hole_names_the_logs_of_its_axes(self, data_dir, tmp_path, capsys):
+        # One header moved off the 307 MHz column: (16, 307.0) becomes a hole.
+        moved = tmp_path / "timing_b16_f307.csv"
+        text = (data_dir / "timing_b16_f307.csv").read_text(encoding="utf-8")
+        moved.write_text(text.replace("f_mhz=307.0", "f_mhz=307.5", 1), encoding="utf-8")
+        args = ingest_args(data_dir, tmp_path / "p.csv")
+        args[args.index("--timing") + 1] = str(moved)
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            f"error: missing cell (16, 307.0): grid must be complete; batch size 16 first from {moved}, "
+            f"frequency 307.0 first from {data_dir / 'timing_b32_f307.csv'}\n"
+        )
+
     def test_duplicate_point_names_timing_log(self, data_dir, tmp_path, capsys):
         again = tmp_path / "timing_again.csv"
         again.write_bytes((data_dir / "timing_b32_f614.csv").read_bytes())

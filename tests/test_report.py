@@ -40,6 +40,29 @@ def policy_rows(report, policy_tag):
     return [row for row in report.rows if row.policy_tag == policy_tag]
 
 
+def row_basis(profile, sel, true_counts):
+    """A selection's grid cell, realized time (None without counts) and speedup basis."""
+    i = profile.batch_index(sel.batch_size)
+    j = profile.frequency_index(sel.frequency_mhz)
+    if true_counts is None:
+        return i, j, None, sel.estimated_tt_acc
+    realized = float(profile.time_rows[i][j] * true_counts[sel.batch_size])
+    return i, j, realized, realized
+
+
+def one_cap_row(profile, cap, tag, select, multipliers, true_counts, anchor):
+    """The repr of the comparison row that ``select`` at ``cap`` alone gives."""
+    try:
+        sel = select(profile, multipliers, cap)
+    except pp.InfeasibleError:
+        return repr(ComparisonRow(cap.p_max, tag, None, None, None, None, None, None, STATUS_INFEASIBLE))
+    i, j, realized, basis = row_basis(profile, sel, true_counts)
+    energy = None if profile.avg_power_rows is None else profile.avg_power_rows[i][j] * basis
+    return repr(ComparisonRow(
+        cap.p_max, tag, sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, realized, energy, anchor / basis
+    ))
+
+
 class TestBuildComparison:
     def test_ours_row_switches_batch_size_across_caps(
         self, profile_flip, relation_small, counts_small, safe_small
@@ -130,6 +153,61 @@ class TestBuildComparison:
         )
         assert [r.p_max_w for r in report.rows] == [4.5, 4.5, 4.5, 7.0, 7.0, 7.0]
         assert [r.policy_tag for r in report.rows[:3]] == ["baseline1", "baseline2", "ours"]
+
+    @pytest.mark.parametrize(
+        "safe_text, caps, counts, message",
+        [
+            # Cap 4.0 plans in full (the counts cover the one row that fits); at 6.0
+            # baseline1's table lookup fails before the fastest pass meets batch size 16.
+            ("4.0,300.0", [6.0, 4.0], {8: 10, 32: 5}, "safe-frequency table does not define cap 6.0"),
+            # Baseline1 runs first at the first cap, before the counts' key check.
+            ("9.0,300.0", [4.0], {8: 1, 64: 2}, "safe-frequency table does not define cap 4.0"),
+            ("4.0,300.0", [4.0], {}, "no batch sizes"),
+        ],
+    )
+    def test_errors_fire_at_their_cap_and_policy(self, safe_text, caps, counts, message):
+        # Order: caps ascending, then baseline1, baseline2, ours, fastest.
+        profile = pp.DeviceProfile(
+            "m", (8, 16, 32), (300.0, 600.0), [[90, 45], [60, 30], [50, 20]],
+            [[3.8, 4.9], [4.5, 5.5], [5.0, 6.5]], 4096,
+        )
+        r = pp.RelationVector({8: 1.0, 16: 0.8, 32: 0.5})
+        safe = pp.parse_safe_table(safe_text)
+        with pytest.raises(pp.DataError) as exc:
+            pp.build_comparison(profile, r, [pp.PowerCap(c) for c in caps], safe, true_counts=counts)
+        assert str(exc.value) == message
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        with_counts=st.booleans(),
+        n_random=st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_joint_rows_match_one_cap_selections(self, seed, with_counts, n_random):
+        rng = np.random.default_rng(seed)
+        profile, _ = random_profile(rng, max_batches=6, max_freqs=12, with_avg_power=bool(seed % 2))
+        counts = random_counts(rng, profile.batch_sizes)
+        r = pp.relation_vector({b: c * float(rng.uniform(0.5, 2.0)) for b, c in counts.items()})
+        power = profile.power_table
+        caps = [pp.PowerCap(float(power.min()) * 0.5), pp.PowerCap.unlimited()]  # infeasible; all
+        caps += [pp.PowerCap(float(p)) for p in rng.uniform(power.min() * 0.9, power.max() * 1.1, n_random)]
+        caps += [caps[k] for k in rng.integers(0, len(caps), 2)]  # duplicates
+        caps = [caps[k] for k in rng.permutation(len(caps))]  # in no particular order
+        # A trusted table: baseline1 is not re-checked against the cap.
+        safe = pp.SafeFrequencyTable({cap.p_max: profile.frequencies[0] for cap in caps})
+        true_counts = counts if with_counts else None
+
+        report = pp.build_comparison(profile, r, caps, safe, true_counts=true_counts)
+        got = {tag: [repr(row) for row in policy_rows(report, tag)] for tag in ("ours", "fastest")}
+        want = {"ours": [], "fastest": []}
+        for cap in sorted(caps, key=lambda c: c.p_max):
+            anchor = row_basis(profile, pp.baseline1_select(profile, r, cap, safe), true_counts)[3]
+            want["ours"].append(one_cap_row(profile, cap, "ours", pp.select_configuration_fast, r, true_counts, anchor))
+            if with_counts:
+                want["fastest"].append(
+                    one_cap_row(profile, cap, "fastest", pp.fastest_configuration, counts, true_counts, anchor)
+                )
+        assert got == want
 
 
 class TestBuildSensitivity:
@@ -495,7 +573,7 @@ class TestOutOfRangeProducts:
         ((i, j, _),) = _select_caps(profile, counts, [5.5], "fastest")
         assert (i, j) == (0, 1)
         with pytest.raises(pp.DataError, match="^estimated time to accuracy must be positive and finite$"):
-            _select_caps(profile, counts, [5.5, 4.5], "fastest")
+            list(_select_caps(profile, counts, [5.5, 4.5], "fastest"))
         # A cap only batch size 8 fits is planned as ever.
         assert pp.fastest_configuration(profile, counts, pp.PowerCap(3.2)).batch_size == 8
 

@@ -72,6 +72,14 @@ FAULTS = {
         ("tests/test_ingest.py",),
     ),
     "no tie tolerance": ("core.py", "TIE_REL_TOL = 1e-9", "TIE_REL_TOL = 0.0", KERNEL_TESTS),
+    "fastest pass planned on the relation": (
+        "report.py", 'passes["fastest"] = _count_picks(profile, true_counts, p_maxes)',
+        'passes["fastest"] = _count_picks(profile, r.entries, p_maxes)', ("tests/test_report.py",),
+    ),
+    "comparison picks against the caps unsorted": (
+        "report.py", "p_maxes = [cap.p_max for cap in ordered]", "p_maxes = [cap.p_max for cap in caps]",
+        ("tests/test_report.py",),
+    ),
 }
 
 
