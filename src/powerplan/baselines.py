@@ -1,11 +1,11 @@
 """Comparison policies and the energy model.
 
-Baseline 1 is the state of practice: the largest batch size that fits,
-run at a precomputed worst-case-safe frequency for the cap.  Baseline 2
-picks the batch size with the best samples-to-accuracy ratio but keeps
-Baseline 1's frequency, so no joint optimization happens.  The fastest
-configuration is the upper bound: the joint selector fed ground-truth
-convergence counts instead of proxy ratios.
+Both baselines run at a precomputed worst-case-safe frequency for the cap
+and take the best-ratio batch size among their candidates: Baseline 1, the
+state of practice, has only the largest batch size; Baseline 2 has them
+all, so no joint optimization happens.  The fastest configuration is the
+upper bound: the joint selector fed ground-truth convergence counts
+instead of proxy ratios.
 
 Energy is a model, not a measurement: average power at the chosen grid
 point times the time-to-accuracy estimate.  Peak power decides
@@ -117,6 +117,29 @@ def compute_safe_table(
     return SafeFrequencyTable(entries)
 
 
+def _safe_picks(
+    profile: DeviceProfile, r: RelationVector, caps: Sequence[PowerCap], safe: SafeFrequencyTable, policy_tag: str
+) -> Iterator[Pick]:
+    """Yield, per cap, a baseline's cell (i, j) at the cap's safe frequency and its SelectionResult.
+
+    The batch size is the best-ratio candidate, ties going to the larger one.
+    Each cap's safe frequency is looked up first; the relation is checked
+    once, after the first cap's lookup.
+    """
+    first = 0 if policy_tag == "baseline2" else len(profile.batch_sizes) - 1
+    ratios: list[float] = []
+    for cap in caps:
+        j = profile.frequency_index(safe.frequency_for(cap))
+        if not ratios:
+            _check_keys(profile, r.entries)
+            ratios = list(map(r.entries.get, profile.batch_sizes[first:]))
+            if None in ratios:
+                _entry(r.entries, profile.batch_sizes[first + ratios.index(None)], "relation vector")  # raises
+            k = _last_near_min(ratios)
+            i = first + k
+        yield i, j, _result_at(profile, i, j, profile.time_rows[i][j] * ratios[k], len(ratios), policy_tag, r.entries)
+
+
 def baseline1_select(
     profile: DeviceProfile,
     r: RelationVector,
@@ -128,12 +151,7 @@ def baseline1_select(
     The safe table is trusted by construction (worst-case precomputation),
     so the chosen point is deliberately not re-checked against the cap.
     """
-    j = profile.frequency_index(safe.frequency_for(cap))
-    i = len(profile.batch_sizes) - 1
-    _check_keys(profile, r.entries)
-    b = profile.batch_sizes[i]
-    ratio = _entry(r.entries, b, "relation vector")
-    return _result_at(profile, i, j, profile.time_rows[i][j] * ratio, 1, "baseline1", r.entries)
+    return next(_safe_picks(profile, r, (cap,), safe, "baseline1"))[2]
 
 
 def baseline2_select(
@@ -148,13 +166,7 @@ def baseline2_select(
     batch sizes (ties go to the larger batch); the frequency stays at the
     safe ceiling, so system and application knobs remain decoupled.
     """
-    _check_keys(profile, r.entries)
-    ratios = list(map(r.entries.get, profile.batch_sizes))
-    if None in ratios:
-        _entry(r.entries, profile.batch_sizes[ratios.index(None)], "relation vector")  # raises: no entry
-    j = profile.frequency_index(safe.frequency_for(cap))
-    i = _last_near_min(ratios)
-    return _result_at(profile, i, j, profile.time_rows[i][j] * ratios[i], len(ratios), "baseline2", r.entries)
+    return next(_safe_picks(profile, r, (cap,), safe, "baseline2"))[2]
 
 
 def _count_picks(

@@ -19,6 +19,7 @@ from .core import (
     DeviceProfile,
     EntriesError,
     InfeasibleError,
+    OrderError,
     PowerCap,
     _check_keys,
     select_configuration_fast,
@@ -199,15 +200,20 @@ def cmd_ingest(args) -> int:
             f"batch size {b} first from {by_b}, frequency {f!r} first from {by_f}"
         )
     time, peak, avg = (placed.fill(column) for column in zip(*points))
-    profile = DeviceProfile(
-        model_id=args.model_id,
-        batch_sizes=batch_sizes,
-        frequencies=frequencies,
-        time_table=time,
-        power_table=peak,
-        samples_per_unit=args.s,
-        avg_power_table=avg,
-    )
+    try:
+        profile = DeviceProfile(
+            model_id=args.model_id,
+            batch_sizes=batch_sizes,
+            frequencies=frequencies,
+            time_table=time,
+            power_table=peak,
+            samples_per_unit=args.s,
+            avg_power_table=avg,
+        )
+    except OrderError as exc:  # name the logs that measured the two cells out of order
+        logs = args.timing if exc.table == "time" else args.power
+        named = " and ".join(f"({b}, {f!r}) from {logs[keys.index((b, f))]}" for b, f in exc.cells)
+        raise DataError(f"{exc}; cells {named}") from None
     _write_output(args.out, save_profile(profile))
     print(f"wrote {args.out}: {len(batch_sizes)}x{len(frequencies)} grid, model_id={args.model_id}")
     return EXIT_OK

@@ -46,6 +46,14 @@ class EntriesError(DataError):
         self.entries = entries
 
 
+class OrderError(DataError):
+    """A profile's ``table`` ("time" or "power") is out of order between its ``cells``, two (batch size, MHz)."""
+
+    def __init__(self, message: str, table: str, *cells: tuple[int, float]) -> None:
+        super().__init__(message)
+        self.table, self.cells = table, cells
+
+
 class InfeasibleError(RuntimeError):
     """No (batch size, frequency) combination stays under the power cap."""
 
@@ -284,21 +292,23 @@ class DeviceProfile(_Record):
         # Monotonicity violations point at sensor faults; reject rather than
         # smooth so the owner re-profiles the offending row.
         if rising is not None:
-            raise DataError(
+            j = next(j for j, (a, b) in enumerate(zip(time[rising], time[rising][1:])) if a < b)
+            raise OrderError(
                 f"time table increases with frequency for batch size {bs[rising]}; "
-                "noisy measurement, re-profile this row"
+                "noisy measurement, re-profile this row", "time", (bs[rising], fs[j]), (bs[rising], fs[j + 1])
             )
         if falling is not None:
-            raise DataError(
+            j = next(j for j, (a, b) in enumerate(zip(power[falling], power[falling][1:])) if a > b)
+            raise OrderError(
                 f"power table decreases with frequency for batch size {bs[falling]}; "
-                "noisy measurement, re-profile this row"
+                "noisy measurement, re-profile this row", "power", (bs[falling], fs[j]), (bs[falling], fs[j + 1])
             )
-        for lower, upper in zip(power, power[1:]):
+        for i, (lower, upper) in enumerate(zip(power, power[1:])):
             if not all(map(operator.le, lower, upper)):
                 j = next(j for j, (a, b) in enumerate(zip(lower, upper)) if a > b)
-                raise DataError(
+                raise OrderError(
                     f"power table decreases with batch size at frequency {fs[j]}; "
-                    "noisy measurement, re-profile this column"
+                    "noisy measurement, re-profile this column", "power", (bs[i], fs[j]), (bs[i + 1], fs[j])
                 )
 
     @property
@@ -362,10 +372,6 @@ class RelationVector(_Record):
             raise DataError("relation vector must contain an entry exactly equal to 1.0")
         _set(self, "entries", MappingProxyType(dict(sorted(clean.items()))))
         _set(self, "source_id", source_id)
-
-    @property
-    def batch_sizes(self) -> tuple[int, ...]:
-        return tuple(self.entries)
 
 
 def _check_estimate(tt: float) -> None:

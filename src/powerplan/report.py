@@ -16,8 +16,7 @@ from collections.abc import Callable, Mapping, Sequence
 from .baselines import (
     SafeFrequencyTable,
     _count_picks,
-    baseline1_select,
-    baseline2_select,
+    _safe_picks,
     fastest_configuration,
 )
 from .core import (
@@ -26,7 +25,6 @@ from .core import (
     EntriesError,
     PowerCap,
     RelationVector,
-    SelectionResult,
     _check_estimate,
     _check_keys,
     _energy_at,
@@ -160,13 +158,6 @@ def _realized(profile: DeviceProfile, i: int, j: int, counts: Mapping[int, float
     return tt
 
 
-def _cell_finder(profile: DeviceProfile) -> Callable[[SelectionResult], tuple[int, int]]:
-    """A lookup from a selection on ``profile`` to its grid cell (i, j)."""
-    rows = {b: i for i, b in enumerate(profile.batch_sizes)}
-    cols = {f: j for j, f in enumerate(profile.frequencies)}
-    return lambda sel: (rows[sel.batch_size], cols[sel.frequency_mhz])
-
-
 def build_comparison(
     profile: DeviceProfile,
     r: RelationVector,
@@ -185,25 +176,22 @@ def build_comparison(
     empty feasible set produces an 'infeasible' row instead of aborting the
     whole report.
 
-    Each joint policy (``ours``, and ``fastest`` with counts) plans every
-    cap in one kernel pass, taken one pick per cap, so every error fires at
-    the cap and policy where a one-cap selection would: caps ascending,
-    then baseline1, baseline2, ours, fastest.
+    Every policy plans every cap in one pass, taken one pick per cap, so
+    every error fires at the cap and policy where a one-cap selection
+    would: caps ascending, then baseline1, baseline2, ours, fastest.
     """
-    cell = _cell_finder(profile)
     ordered = sorted(caps, key=lambda c: c.p_max)
     p_maxes = [cap.p_max for cap in ordered]
-    passes = {"ours": _relation_picks(profile, r, p_maxes)}
+    passes = {tag: _safe_picks(profile, r, ordered, safe, tag) for tag in ("baseline1", "baseline2")}
+    passes["ours"] = _relation_picks(profile, r, p_maxes)
     if true_counts is not None:
         passes["fastest"] = _count_picks(profile, true_counts, p_maxes)
     rows: list[ComparisonRow] = []
     for cap in ordered:
-        # Rows follow this order; baseline1, the speedup anchor, always fits.
-        b1 = baseline1_select(profile, r, cap, safe)
-        b2 = baseline2_select(profile, r, cap, safe)
-        picks = {"baseline1": (*cell(b1), b1), "baseline2": (*cell(b2), b2)}
-        picks.update((tag, next(picked)) for tag, picked in passes.items())
-        for tag, pick in picks.items():
+        # Every pick is taken before any row's realized time can raise.  Rows
+        # follow this order; baseline1, the speedup anchor, always fits.
+        picks = [(tag, next(picked)) for tag, picked in passes.items()]
+        for tag, pick in picks:
             if pick is None:
                 rows.append(ComparisonRow(cap.p_max, tag, None, None, None, None, None, None, STATUS_INFEASIBLE))
                 continue
@@ -244,14 +232,14 @@ def build_sensitivity(
         raise DataError("no target counts supplied")
     proxy_ids = tuple(sorted(proxies))
     target_ids = tuple(sorted(targets))
-    cell = _cell_finder(profile)
-    chosen = {pid: cell(select_configuration_fast(profile, proxies[pid], cap)) for pid in proxy_ids}
+    picks = [select_configuration_fast(profile, proxies[pid], cap) for pid in proxy_ids]
+    chosen = [(profile.batch_index(sel.batch_size), profile.frequency_index(sel.frequency_mhz)) for sel in picks]
     values = [[0.0] * len(target_ids) for _ in proxy_ids]
     for t_idx, tid in enumerate(target_ids):
         counts = targets[tid]
         fastest_tt = fastest_configuration(profile, counts, cap).estimated_tt_acc
-        for p_idx, pid in enumerate(proxy_ids):
-            realized = _realized(profile, *chosen[pid], counts)
+        for p_idx, (i, j) in enumerate(chosen):
+            realized = _realized(profile, i, j, counts)
             values[p_idx][t_idx] = (realized - fastest_tt) / fastest_tt * 100.0
     return SensitivityMatrix(cap.p_max, proxy_ids, target_ids, values)
 

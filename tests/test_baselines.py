@@ -60,6 +60,19 @@ class TestSafeFrequencyTable:
         with pytest.raises(pp.DataError, match="differing frequency axes"):
             pp.compute_safe_table([profile_joint, other], [pp.PowerCap(5.0)])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: pp.SafeFrequencyTable({5.0: 0.0}), "safe frequency for cap 5.0 must be positive"),
+            (lambda: pp.SafeFrequencyTable({5.0: -307.0}), "safe frequency for cap 5.0 must be positive"),
+            (lambda: pp.compute_safe_table([], [pp.PowerCap(5.0)]), "no profiles supplied"),
+        ],
+    )
+    def test_rejected_inputs_name_their_fault(self, build, message):
+        with pytest.raises(pp.DataError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_computed_table_is_feasible_by_construction(self):
         rng = np.random.default_rng(70)
         for _ in range(100):
@@ -155,6 +168,18 @@ class TestBaseline2:
         partial = pp.RelationVector({64: 1.0})
         with pytest.raises(pp.DataError, match="relation vector incomplete"):
             pp.baseline2_select(profile_joint, partial, pp.PowerCap(5.0), safe_shared)
+
+    def test_relation_checked_after_safe_frequency(self, profile_joint, safe_shared):
+        # Baseline 1's check order: the cap's safe frequency, then the relation's keys, then its entries.
+        no_smallest = pp.RelationVector({128: 1.0})
+        with pytest.raises(pp.DataError, match="frequency 533.0 MHz not in profile"):
+            pp.baseline2_select(profile_joint, no_smallest, pp.PowerCap(5.0), pp.SafeFrequencyTable({5.0: 533.0}))
+        with pytest.raises(pp.DataError, match="safe-frequency table does not define cap 5.0"):
+            pp.baseline2_select(profile_joint, no_smallest, pp.PowerCap(5.0), pp.SafeFrequencyTable({6.0: 307.0}))
+        with pytest.raises(pp.DataError, match="relation vector incomplete: no entry for batch size 64"):
+            pp.baseline2_select(profile_joint, no_smallest, pp.PowerCap(5.0), safe_shared)
+        with pytest.raises(pp.DataError, match="not in profile: \\[256\\]"):
+            pp.baseline2_select(profile_joint, pp.RelationVector({64: 1.0, 256: 1.0}), pp.PowerCap(5.0), safe_shared)
 
 
 class TestFastestConfiguration:

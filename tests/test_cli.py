@@ -196,6 +196,42 @@ class TestIngestCommand:
             f"frequency 307.0 first from {data_dir / 'timing_b32_f307.csv'}\n"
         )
 
+    def test_slow_timing_log_names_both_cells_of_its_row(self, data_dir, tmp_path, capsys):
+        # Durations x10 at (16, 614.0): T_s now rises from 307 to 614 MHz.
+        slow = tmp_path / "timing_b16_f614.csv"
+        lines = (data_dir / "timing_b16_f614.csv").read_text(encoding="utf-8").splitlines()
+        slow.write_text("\n".join(lines[:1] + [repr(float(x) * 10) for x in lines[1:]]) + "\n", encoding="utf-8")
+        args = ingest_args(data_dir, tmp_path / "p.csv")
+        args[args.index("--timing") + 2] = str(slow)
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            "error: time table increases with frequency for batch size 16; noisy measurement, re-profile this row; "
+            f"cells (16, 307.0) from {data_dir / 'timing_b16_f307.csv'} and (16, 614.0) from {slow}\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize(
+        "swap, fault, cells",
+        [
+            # The b16 and b32 power logs swapped at 614 MHz: peak falls with batch size there.
+            ((1, 3), "decreases with batch size at frequency 614.0; noisy measurement, re-profile this column",
+             [((16, 614.0), 3), ((32, 614.0), 1)]),
+            # The b16 power logs swapped between 307 and 614 MHz: peak falls with frequency.
+            ((0, 1), "decreases with frequency for batch size 16; noisy measurement, re-profile this row",
+             [((16, 307.0), 1), ((16, 614.0), 0)]),
+        ],
+        ids=["batch", "frequency"],
+    )
+    def test_swapped_power_logs_are_named(self, data_dir, tmp_path, capsys, swap, fault, cells):
+        args = ingest_args(data_dir, tmp_path / "p.csv")
+        p = args.index("--power") + 1
+        logs = args[p : p + 4]
+        a, b = swap
+        args[p + a], args[p + b] = logs[b], logs[a]
+        assert main(args) == 3
+        named = " and ".join(f"{cell} from {logs[k]}" for cell, k in cells)
+        assert capsys.readouterr().err == f"error: power table {fault}; cells {named}\n"
+
     def test_duplicate_point_names_timing_log(self, data_dir, tmp_path, capsys):
         again = tmp_path / "timing_again.csv"
         again.write_bytes((data_dir / "timing_b32_f614.csv").read_bytes())
@@ -581,6 +617,18 @@ class TestSensitivityCommand:
         assert rc == 3
         assert "duplicate proxy id" in capsys.readouterr().err
 
+    def test_duplicate_target_id_rejected(self, data_dir, capsys):
+        # Both files declare source_id truth-small.
+        rc = main([
+            "sensitivity",
+            "--profile", str(data_dir / "profile_b8_b32.csv"),
+            "--relation", str(data_dir / "relation_b8_b32.csv"),
+            "--counts", str(data_dir / "counts_b8_b32.csv"), str(data_dir / "counts_b8_b32.csv"),
+            "--p-max", "4.5",
+        ])
+        assert rc == 3
+        assert capsys.readouterr() == ("", "error: duplicate target id 'truth-small'\n")
+
 
 class TestSweepCommand:
     def sweep_args(self, data_dir, extra=()):
@@ -656,6 +704,22 @@ class TestOutputFiles:
         path.write_bytes(b"previous\n")
         with pytest.raises(UnicodeEncodeError):
             _replace_file(str(path), "ok\udcff")  # a lone surrogate has no UTF-8 form
+        assert path.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"previous\n")
+        written = []
+
+        def refuse(src, dst):  # the temporary file is complete when the rename fails
+            written.append(Path(src).read_bytes())
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="No space left"):
+            _replace_file(str(path), "new\n")
+        assert written == [b"new\n"]
         assert path.read_bytes() == b"previous\n"
         assert os.listdir(tmp_path) == ["p.csv"]
 

@@ -46,6 +46,12 @@ class TestPowerCap:
         with pytest.raises(pp.DataError):
             pp.PowerCap.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["5", None, True])
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(pp.DataError) as exc:
+            pp.PowerCap(bad)
+        assert str(exc.value) == f"power cap must be a number, got {bad!r}"
+
     def test_strict_comparison_intent(self):
         # the cap itself is not feasible: power == cap must be excluded
         prof = tiny_profile([[10.0]], [[5.0]])
@@ -163,6 +169,12 @@ class TestDeviceProfileValidation:
         with pytest.raises(pp.DataError, match="dimension mismatch"):
             tiny_profile([[1.0, 2.0]], [[1.0]])
 
+    @pytest.mark.parametrize("table", [5.0, [1.0]])
+    def test_rejects_a_table_that_is_not_rows(self, table):
+        with pytest.raises(pp.DataError) as exc:
+            tiny_profile(table, [[1.0]])
+        assert str(exc.value) == "dimension mismatch: time table is not a table of rows, expected (1, 1)"
+
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(pp.DataError, match="strictly positive"):
             tiny_profile([[0.0]], [[1.0]])
@@ -241,6 +253,23 @@ class TestDeviceProfileValidation:
             profile_joint.batch_index(12)
         with pytest.raises(pp.DataError, match="not in profile"):
             profile_joint.frequency_index(500.0)
+
+
+class TestSelectionResultValidation:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"policy_tag": "random"}, "unknown policy tag 'random'"),
+            ({"estimated_energy": 0.0}, "estimated energy must be positive"),
+            ({"estimated_energy": -1.0}, "estimated energy must be positive"),
+            ({"feasible_count": 0}, "feasible_count must be at least 1"),
+        ],
+    )
+    def test_rejected_fields_name_their_fault(self, changes, message):
+        fields = dict(batch_size=32, frequency_mhz=307.0, estimated_tt_acc=2.0, feasible_count=1, policy_tag="ours")
+        with pytest.raises(pp.DataError) as exc:
+            pp.SelectionResult(**{**fields, **changes})
+        assert str(exc.value) == message
 
 
 class TestFeasibleCombinations:

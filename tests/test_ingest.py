@@ -477,6 +477,12 @@ class TestProfilingSchedule:
 
 
 class TestProfilePersistence:
+    @pytest.mark.parametrize("text", ["m,4096\n", "m,4096\n8,16\n", "# header only\nm,4096\n# 8,16\n"])
+    def test_missing_axis_lines(self, text):
+        with pytest.raises(pp.DataError) as exc:
+            pp.load_profile(text)
+        assert str(exc.value) == "profile file missing axis lines"
+
     def test_hand_written_round_trip(self):
         prof = pp.DeviceProfile(
             model_id="two-by-two",
@@ -710,6 +716,19 @@ class TestRelationAndCountsFiles:
 
 
 class TestTraceInvariants:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: pp.TimingTrace(16, 307.0, (0.1, 0.2), warmup_discarded=-1), "warm-up count must be non-negative"),
+            (lambda: pp.aggregate_point(pp.PowerTrace((0.0,), (1000.0,)), pp.TimingTrace(16, 307.0, (0.1,)), 0),
+             "samples_per_unit must be positive"),
+        ],
+    )
+    def test_rejected_inputs_name_their_fault(self, build, message):
+        with pytest.raises(pp.DataError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_power_trace_monotone_timestamps(self):
         with pytest.raises(pp.DataError, match="strictly increasing"):
             pp.PowerTrace((0.0, 0.0), (1.0, 2.0))

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -193,15 +194,21 @@ class TestBuildComparison:
         caps += [pp.PowerCap(float(p)) for p in rng.uniform(power.min() * 0.9, power.max() * 1.1, n_random)]
         caps += [caps[k] for k in rng.integers(0, len(caps), 2)]  # duplicates
         caps = [caps[k] for k in rng.permutation(len(caps))]  # in no particular order
-        # A trusted table: baseline1 is not re-checked against the cap.
-        safe = pp.SafeFrequencyTable({cap.p_max: profile.frequencies[0] for cap in caps})
+        # A trusted table, never re-checked against the cap, with a frequency
+        # drawn per cap, so a pass that carries one cap's into the next shows.
+        p_maxes = sorted({cap.p_max for cap in caps})
+        safe = pp.SafeFrequencyTable(dict(zip(p_maxes, sorted(rng.choice(profile.frequencies, len(p_maxes))))))
         true_counts = counts if with_counts else None
 
         report = pp.build_comparison(profile, r, caps, safe, true_counts=true_counts)
-        got = {tag: [repr(row) for row in policy_rows(report, tag)] for tag in ("ours", "fastest")}
-        want = {"ours": [], "fastest": []}
+        tags = ("baseline1", "baseline2", "ours", "fastest")
+        got = {tag: [repr(row) for row in policy_rows(report, tag)] for tag in tags}
+        want = {tag: [] for tag in tags}
         for cap in sorted(caps, key=lambda c: c.p_max):
             anchor = row_basis(profile, pp.baseline1_select(profile, r, cap, safe), true_counts)[3]
+            for tag, baseline in (("baseline1", pp.baseline1_select), ("baseline2", pp.baseline2_select)):
+                select = functools.partial(baseline, safe=safe)
+                want[tag].append(one_cap_row(profile, cap, tag, select, r, true_counts, anchor))
             want["ours"].append(one_cap_row(profile, cap, "ours", pp.select_configuration_fast, r, true_counts, anchor))
             if with_counts:
                 want["fastest"].append(
@@ -211,6 +218,14 @@ class TestBuildComparison:
 
 
 class TestBuildSensitivity:
+    @pytest.mark.parametrize("empty, message", [("proxies", "no proxy relation vectors supplied"),
+                                                ("targets", "no target counts supplied")])
+    def test_an_empty_axis_is_rejected(self, profile_flip, relation_small, counts_small, empty, message):
+        axes = {"proxies": {"p": relation_small}, "targets": {"t": counts_small}, empty: {}}
+        with pytest.raises(pp.DataError) as exc:
+            pp.build_sensitivity(profile_flip, axes["proxies"], axes["targets"], pp.PowerCap(7.0))
+        assert str(exc.value) == message
+
     def scenario(self, seed=81):
         rng = np.random.default_rng(seed)
         profile, _ = random_profile(rng, max_batches=6, max_freqs=10)

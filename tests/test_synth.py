@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,13 @@ class TestSynthCounts:
             pp.synth_counts((), pp.SynthConvergenceParams(n_min=1, b_noise=1.0))
         with pytest.raises(pp.DataError, match="positive"):
             pp.SynthConvergenceParams(n_min=0, b_noise=1.0)
+        for b_noise in (0.0, -1.0, math.nan):
+            with pytest.raises(pp.DataError) as exc:
+                pp.SynthConvergenceParams(n_min=1, b_noise=b_noise)
+            assert str(exc.value) == "b_noise must be positive"
+        with pytest.raises(pp.DataError) as exc:
+            pp.convergence_count(-1, pp.SynthConvergenceParams(n_min=1, b_noise=1.0))
+        assert str(exc.value) == "batch size must be non-negative"
 
 
 class TestGenerateProfile:

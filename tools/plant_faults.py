@@ -80,6 +80,14 @@ FAULTS = {
         "report.py", "p_maxes = [cap.p_max for cap in ordered]", "p_maxes = [cap.p_max for cap in caps]",
         ("tests/test_report.py",),
     ),
+    "baseline candidate sets swapped": (
+        "baselines.py", 'first = 0 if policy_tag == "baseline2"', 'first = 0 if policy_tag == "baseline1"',
+        ("tests/test_baselines.py", "tests/test_report.py"),
+    ),
+    "baseline ties go to the smaller batch": (
+        "baselines.py", "k = _last_near_min(ratios)", "k = ratios.index(min(ratios))", ("tests/test_baselines.py",),
+    ),
+    "temporary file left behind": ("cli.py", "        os.unlink(tmp)\n", "        pass\n", ("tests/test_cli.py",)),
 }
 
 
