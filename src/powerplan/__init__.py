@@ -10,7 +10,6 @@ from .baselines import (
     baseline1_select,
     baseline2_select,
     compute_safe_table,
-    energy_estimate,
     fastest_configuration,
     format_safe_table,
     parse_safe_table,
@@ -89,7 +88,6 @@ __all__ = [
     "compute_safe_table",
     "convergence_count",
     "discovered_feasible",
-    "energy_estimate",
     "fastest_configuration",
     "feasible_combinations",
     "format_counts_file",

@@ -1,4 +1,4 @@
-"""Comparison policies and the energy model.
+"""Comparison policies: the two baselines and the fastest configuration.
 
 Both baselines run at a precomputed worst-case-safe frequency for the cap
 and take the best-ratio batch size among their candidates: Baseline 1, the
@@ -7,8 +7,9 @@ all, so no joint optimization happens.  The fastest configuration is the
 upper bound: the joint selector fed ground-truth convergence counts
 instead of proxy ratios.
 
-Energy is a model, not a measurement: average power at the chosen grid
-point times the time-to-accuracy estimate.  Peak power decides
+Energy is a model, not a measurement: ``core._energy_at`` multiplies
+average power at the chosen grid point by the time-to-accuracy estimate,
+and ``compare`` reports it in its energy column.  Peak power decides
 feasibility; average power decides energy.
 """
 
@@ -28,7 +29,6 @@ from .core import (
     SelectionResult,
     _check_counts,
     _check_keys,
-    _energy_at,
     _entry,
     _last_near_min,
     _Record,
@@ -191,19 +191,3 @@ def fastest_configuration(
     """
     return _select_one(profile, _count_picks(profile, true_counts, (cap.p_max,)), cap)
 
-
-def energy_estimate(
-    result: SelectionResult, profile: DeviceProfile, ratio_or_count: float
-) -> float:
-    """Joules for a selection: average power at (b, f) times the time estimate.
-
-    ``ratio_or_count`` is the convergence multiplier the caller wants the
-    energy based on: the relation ratio gives normalized energy, a true
-    count gives absolute joules.
-    """
-    if profile.avg_power_rows is None:
-        raise DataError("profile lacks average power")
-    _check_counts({result.batch_size: ratio_or_count})
-    i = profile.batch_index(result.batch_size)
-    j = profile.frequency_index(result.frequency_mhz)
-    return _energy_at(profile, i, j, float(profile.time_rows[i][j] * ratio_or_count))

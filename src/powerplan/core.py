@@ -139,9 +139,9 @@ class PowerCap(_Record):
 
     @classmethod
     def parse(cls, text: str) -> "PowerCap":
-        """Parse a cap from CLI/file text: a positive number or ``unlimited``."""
+        """Parse a cap from CLI/file text: a positive number, ``inf`` or ``unlimited``."""
         token = text.strip().lower()
-        if token in ("unlimited", "inf"):
+        if token == "unlimited":
             return cls.unlimited()
         try:
             watts = float(token)
@@ -310,10 +310,6 @@ class DeviceProfile(_Record):
                     f"power table decreases with batch size at frequency {fs[j]}; "
                     "noisy measurement, re-profile this column", "power", (bs[i], fs[j]), (bs[i + 1], fs[j])
                 )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.batch_sizes), len(self.frequencies))
 
     def batch_index(self, batch_size: int) -> int:
         try:

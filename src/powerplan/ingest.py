@@ -84,9 +84,6 @@ class PowerTrace(_Record):
         _set(self, "timestamps_s", timestamps_s)
         _set(self, "power_mw", power_mw)
 
-    def __len__(self) -> int:
-        return len(self.power_mw)
-
     @property
     def peak_w(self) -> float:
         if not self.power_mw:
@@ -290,6 +287,8 @@ def aggregate_point(
         if not 0 < peak_percentile <= 100:
             raise DataError("peak percentile must lie in (0, 100]")
         peak_w = _percentile(power.power_mw, peak_percentile) / 1000.0
+    if not peak_w > 0:  # samples are non-negative, so the peak is 0 W
+        raise DataError(f"peak power must be positive, got {peak_w!r} W")
     # TimingTrace guarantees at least one retained duration.
     retained = timing.retained
     mean = math.fsum(retained) / len(retained)

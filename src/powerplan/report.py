@@ -86,10 +86,6 @@ class ComparisonReport(_Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[ComparisonRow, ...]) -> None:
-        for row in rows:
-            if row.policy_tag == "baseline1" and row.status == STATUS_OK:
-                if row.speedup_vs_baseline1 != 1.0:
-                    raise DataError("baseline1 speedup must be exactly 1")
         _set(self, "rows", rows)
 
 
@@ -97,9 +93,9 @@ class SensitivityMatrix(_Record):
     """Percent extra realized training time versus the fastest configuration.
 
     Rows are proxy sources, columns target ground truths, for one cap.  An
-    entry is 0 exactly when the proxy-driven choice realizes the fastest
-    configuration's time; entries are stored exact and only rounded when
-    rendered.  ``values`` is a tuple of rows, each a tuple of floats, so
+    entry is 0 exactly when the proxy-driven choice realizes at most the
+    fastest configuration's time; entries are stored exact and only rounded
+    when rendered.  ``values`` is a tuple of rows, each a tuple of floats, so
     ``values[p][t]`` is proxy ``p`` against target ``t``.
     """
 
@@ -240,7 +236,8 @@ def build_sensitivity(
         fastest_tt = fastest_configuration(profile, counts, cap).estimated_tt_acc
         for p_idx, (i, j) in enumerate(chosen):
             realized = _realized(profile, i, j, counts)
-            values[p_idx][t_idx] = (realized - fastest_tt) / fastest_tt * 100.0
+            if realized > fastest_tt:  # else a tie within the fastest pick's TIE_REL_TOL: the entry stays 0
+                values[p_idx][t_idx] = (realized - fastest_tt) / fastest_tt * 100.0
     return SensitivityMatrix(cap.p_max, proxy_ids, target_ids, values)
 
 

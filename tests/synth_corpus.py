@@ -96,7 +96,7 @@ def random_cap(rng: np.random.Generator, profile: pp.DeviceProfile) -> pp.PowerC
 def brute_force_feasible(profile: pp.DeviceProfile, cap: pp.PowerCap) -> dict[int, int]:
     """Per batch index, the max feasible frequency index, by exhaustive scan."""
     best: dict[int, int] = {}
-    n_b, n_f = profile.shape
+    n_b, n_f = len(profile.batch_sizes), len(profile.frequencies)
     for i in range(n_b):
         for j in range(n_f):
             if profile.power_table[i, j] < cap.p_max:
@@ -109,7 +109,7 @@ def brute_force_min_estimate(
 ) -> float | None:
     """Exact minimum of time * multiplier over every pair under the cap."""
     best = None
-    n_b, n_f = profile.shape
+    n_b, n_f = len(profile.batch_sizes), len(profile.frequencies)
     for i in range(n_b):
         b = profile.batch_sizes[i]
         for j in range(n_f):
@@ -179,6 +179,17 @@ def brute_force_select(
         policy_tag=policy_tag,
         estimated_energy=energy,
     )
+
+
+def selection_energy(sel: pp.SelectionResult, profile: pp.DeviceProfile, multiplier: float) -> float:
+    """Joules at ``sel``'s grid cell: average power times the cell's time times ``multiplier``.
+
+    The product is taken in the order ``compare``'s energy column takes it,
+    so a relation ratio gives normalized energy and a true count absolute joules.
+    """
+    i = profile.batch_index(sel.batch_size)
+    j = profile.frequency_index(sel.frequency_mhz)
+    return profile.avg_power_rows[i][j] * (profile.time_rows[i][j] * multiplier)
 
 
 def _reference_lines(text):

@@ -26,6 +26,7 @@ from synth_corpus import (
     random_grid,
     random_profile,
     random_relation,
+    selection_energy,
 )
 
 
@@ -56,7 +57,7 @@ def test_criterion_1_oracle_equivalence():
         cap = random_cap(rng, profile)
 
         best = None
-        n_b, n_f = profile.shape
+        n_b, n_f = len(profile.batch_sizes), len(profile.frequencies)
         for i in range(n_b):
             mult = r.entries[profile.batch_sizes[i]]
             for j in range(n_f):
@@ -320,6 +321,6 @@ def test_criterion_9_demonstration():
         return float(wit_profile.time_table[i, j] * wit_counts[sel.batch_size])
 
     assert realized(slower) > realized(ours)
-    ours_energy = pp.energy_estimate(ours, wit_profile, wit_counts[ours.batch_size])
-    slower_energy = pp.energy_estimate(slower, wit_profile, wit_counts[slower.batch_size])
+    ours_energy = selection_energy(ours, wit_profile, wit_counts[ours.batch_size])
+    slower_energy = selection_energy(slower, wit_profile, wit_counts[slower.batch_size])
     assert ours_energy > slower_energy

@@ -10,6 +10,7 @@ from synth_corpus import (
     random_counts,
     random_profile,
     random_relation,
+    selection_energy,
 )
 
 
@@ -289,6 +290,8 @@ class TestDominance:
 
 
 class TestEnergyEstimate:
+    """Energy at a selection, from the ``selection_energy`` oracle and from the library's energy fields."""
+
     def test_plain_multiplication(self):
         prof = pp.DeviceProfile(
             model_id="energy",
@@ -300,35 +303,17 @@ class TestEnergyEstimate:
             avg_power_table=[[4.0]],
         )
         sel = pp.SelectionResult(8, 100.0, 100.0, 1, "ours")
-        assert pp.energy_estimate(sel, prof, 2.0) == 400.0  # 4 W * (50 s * 2)
+        assert selection_energy(sel, prof, 2.0) == 400.0  # 4 W * (50 s * 2)
+        assert pp.fastest_configuration(prof, {8: 2.0}, pp.PowerCap.unlimited()).estimated_energy == 400.0
 
     def test_linearity_in_multiplier(self, profile_flip):
         sel = pp.select_configuration_fast(
             profile_flip, pp.RelationVector({8: 1.0, 32: 1.0}), pp.PowerCap(4.5)
         )
-        once = pp.energy_estimate(sel, profile_flip, 0.5)
-        twice = pp.energy_estimate(sel, profile_flip, 1.0)
+        once = selection_energy(sel, profile_flip, 0.5)
+        twice = selection_energy(sel, profile_flip, 1.0)
         assert twice == 2.0 * once
-
-    def test_missing_avg_power(self):
-        prof = pp.DeviceProfile(
-            model_id="no-avg",
-            batch_sizes=(8,),
-            frequencies=(100.0,),
-            time_table=[[50.0]],
-            power_table=[[5.0]],
-            samples_per_unit=64,
-        )
-        sel = pp.SelectionResult(8, 100.0, 100.0, 1, "ours")
-        with pytest.raises(pp.DataError, match="profile lacks average power"):
-            pp.energy_estimate(sel, prof, 1.0)
-
-    def test_invalid_multiplier(self, profile_flip):
-        sel = pp.SelectionResult(8, 307.0, 90.0, 1, "ours")
-        with pytest.raises(pp.DataError, match="invalid count"):
-            pp.energy_estimate(sel, profile_flip, 0.0)
-        with pytest.raises(pp.DataError, match="invalid count"):
-            pp.energy_estimate(sel, profile_flip, math.inf)
+        assert twice == sel.estimated_energy
 
     def test_time_optimal_is_not_always_energy_optimal(self):
         # pinned witness: the joint selector beats baseline2 on time yet
@@ -350,6 +335,11 @@ class TestEnergyEstimate:
             return float(profile.time_table[i, j] * counts[sel.batch_size])
 
         assert realized(b2) > realized(ours)
-        assert pp.energy_estimate(b2, profile, counts[b2.batch_size]) < pp.energy_estimate(
+        assert selection_energy(b2, profile, counts[b2.batch_size]) < selection_energy(
             ours, profile, counts[ours.batch_size]
         )
+        # compare's energy column holds the same joules
+        report = pp.build_comparison(profile, r, [cap], safe, true_counts=counts)
+        energy = {row.policy_tag: row.energy_j for row in report.rows}
+        assert energy["baseline2"] == selection_energy(b2, profile, counts[b2.batch_size])
+        assert energy["ours"] == selection_energy(ours, profile, counts[ours.batch_size])

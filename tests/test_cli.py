@@ -116,6 +116,7 @@ class TestIngestCommand:
         [
             ("power_b16_f307.csv", "# no sample\n", "empty power trace"),
             ("power_b16_f307.csv", "0.0,1e308\n1.0,1e308\n", "power samples sum past the float range"),
+            ("power_b16_f307.csv", "0.0,0\n1.0,0\n2.0,0\n", "peak power must be positive, got 0.0 W"),
             ("timing_b16_f307.csv", "b=16,f_mhz=307.0,warmup=0\n1e308\n1e308\n",
              "retained mini-batch durations sum past the float range"),
         ],
@@ -592,6 +593,24 @@ class TestSensitivityCommand:
             ["proxy_plain", "truth-small"],
         ]
 
+    def test_proxy_pick_inside_the_fastest_tie_is_zero(self, tmp_path, capsys):
+        # The fastest configuration (32, 614.0) ties the proxy's pick (8, 614.0)
+        # within TIE_REL_TOL but realizes 5e-9 s more.
+        files = {
+            "profile": "tie,100\n8,32\n307.0,614.0\n8,307.0,2.0,1.0\n8,614.0,1.0,2.0\n"
+                       "32,307.0,2.0,1.5\n32,614.0,1.00000000005,3.0\n",
+            "relation": "source_id,proxy\n8,0.1\n32,1.0\n",
+            "counts": "source_id,truth\n8,100\n32,100\n",
+        }
+        argv = ["sensitivity", "--p-max", "10", "--csv", str(tmp_path / "sens.csv")]
+        for option, text in files.items():
+            (tmp_path / f"{option}.csv").write_text(text, encoding="utf-8")
+            argv += [f"--{option}", str(tmp_path / f"{option}.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("p_max_w=10.0  truth\nproxy         0.0\n\n", "")
+        csv_text = (tmp_path / "sens.csv").read_text()
+        assert csv_text == "p_max_w,proxy_id,target_id,time_increase_pct\n10.0,proxy,truth,0.0\n"
+
     def test_infeasible_cap_exits_4(self, data_dir, capsys):
         rc = main([
             "sensitivity",
@@ -961,7 +980,7 @@ def invalid_on_its_own(name: str, data: bytes) -> bool:
         parsed = FILE_PARSERS[name.partition("_")[0]](data.decode("utf-8"))
     except (UnicodeDecodeError, pp.DataError):
         return True
-    return isinstance(parsed, pp.PowerTrace) and len(parsed) == 0  # ingest needs a sample
+    return isinstance(parsed, pp.PowerTrace) and not any(parsed.power_mw)  # ingest needs a non-zero sample
 
 
 class TestFileArgumentFuzz:

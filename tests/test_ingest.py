@@ -26,7 +26,7 @@ from synth_corpus import (
 class TestParsePowerLog:
     def test_three_samples(self):
         trace = pp.parse_power_log("0.0,4000\n1.0,4500\n2.0,4200")
-        assert len(trace) == 3
+        assert len(trace.power_mw) == 3
         assert trace.peak_w == 4.5
 
     def test_comments_and_blanks_skipped(self):
@@ -58,7 +58,7 @@ class TestParsePowerLog:
         mws = rng.uniform(500.0, 9000.0, 10_000)
         text = "\n".join(f"{float(i)},{repr(float(p))}" for i, p in enumerate(mws))
         trace = pp.parse_power_log(text)
-        assert len(trace) == 10_000
+        assert len(trace.power_mw) == 10_000
         assert trace.peak_w == float(mws.max()) / 1000.0
 
 
@@ -174,17 +174,25 @@ class TestAggregatePoint:
                     st.floats(min_value=0.0, max_value=100.0, exclude_min=True)),
     )
     # Each example tells numpy's result from a near miss: a one-sided lerp
-    # (q = 97.8) and the rank computed as (n - 1) * q / 100 (q = 9.1).
+    # (q = 97.8), the rank computed as (n - 1) * q / 100 (q = 9.1), and the
+    # midpoint t = 0.5 lerped from the lower end (q = 50, 4510.349999999999 mW).
     @example(pool=[8020.0, 363.0, 9656.0, 992.0], picks=[0, 1, 2, 3], q=97.8)
     @example(pool=[2038.0, 1039.0, 7897.0, 7921.0], picks=[0, 1, 2, 3], q=9.1)
+    @example(pool=[1209.3, 7811.4], picks=[0, 1], q=50.0)
     def test_peak_percentile_is_numpys_bit_for_bit(self, pool, picks, q):
         # Samples drawn from a pool with replacement, so values repeat; the
-        # peak is numpy's default percentile in watts, to the last bit.
+        # peak is numpy's default percentile in watts, to the last bit, and
+        # a 0 W one is rejected.
         mws = [pool[k % len(pool)] for k in picks]
         power = pp.PowerTrace(tuple(map(float, range(len(mws)))), tuple(mws))
         timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
+        expected = float(np.percentile(mws, q)) / 1000.0
+        if expected == 0.0:
+            with pytest.raises(pp.DataError, match="peak power must be positive"):
+                pp.aggregate_point(power, timing, 100, peak_percentile=q)
+            return
         peak_w = pp.aggregate_point(power, timing, 100, peak_percentile=q).peak_w
-        assert peak_w.hex() == (float(np.percentile(mws, q)) / 1000.0).hex()
+        assert peak_w.hex() == expected.hex()
 
     def test_means_are_correctly_rounded(self):
         # sum() of floats rounds differently before and after Python 3.12
@@ -204,6 +212,14 @@ class TestAggregatePoint:
         timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
         with pytest.raises(pp.DataError, match="empty power trace"):
             pp.aggregate_point(pp.PowerTrace((), ()), timing, 100)
+
+    @pytest.mark.parametrize("samples, percentile", [("0.0,0\n1.0,0", None), ("0,0\n1,0\n2,0\n3,5000", 50.0)])
+    def test_zero_peak_rejected(self, samples, percentile):
+        # A mostly-zero log has a 5 W maximum but a 0 W median.
+        timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
+        with pytest.raises(pp.DataError) as exc:
+            pp.aggregate_point(pp.parse_power_log(samples), timing, 100, peak_percentile=percentile)
+        assert str(exc.value) == "peak power must be positive, got 0.0 W"
 
     def test_recovers_synthetic_ground_truth(self):
         rng = np.random.default_rng(62)
@@ -517,6 +533,12 @@ class TestProfilePersistence:
         text = "m,4\n8\n100.0\n8,100.0,1.0,1.0\n8,100.0,1.0,1.0\n"
         with pytest.raises(pp.ParseError, match="duplicate cell"):
             pp.load_profile(text)
+        # A batch axis that repeats a value, its cells in grid order: the fast
+        # path that skips the duplicate check must not take it.
+        text = "m,4\n8,8\n1.0,2.0\n8,1.0,5.0,1.0\n8,2.0,4.0,2.0\n8,1.0,5.0,1.0\n8,2.0,4.0,2.0\n"
+        with pytest.raises(pp.ParseError) as exc:
+            pp.load_profile(text)
+        assert str(exc.value) == "line 6: duplicate cell (8, 1.0)"
 
     def test_cell_off_axis(self):
         text = "m,4\n8\n100.0\n12,100.0,1.0,1.0\n"
@@ -684,6 +706,9 @@ class TestRelationAndCountsFiles:
     def test_ratio_validation_applies(self):
         with pytest.raises(pp.DataError, match="out of range"):
             pp.parse_relation_file("8,1.5\n16,1.0\n")
+        with pytest.raises(pp.DataError) as exc:  # the largest ratio just under 1
+            pp.parse_relation_file("8,0.5\n32,0.9995\n")
+        assert str(exc.value) == "relation vector must contain an entry exactly equal to 1.0"
 
     def test_counts_validation(self):
         with pytest.raises(pp.DataError, match="invalid count"):

@@ -287,6 +287,24 @@ class TestBuildSensitivity:
                 expected = (realized - best) / best * 100.0
                 assert matrix.values[p_idx][t_idx] == expected
 
+    def test_proxy_pick_inside_the_fastest_tie_is_zero(self):
+        # The fastest pick breaks the tie within TIE_REL_TOL toward (32, 614.0)
+        # at 100.000000005 s; the proxy picks (8, 614.0), which realizes 100.0 s.
+        profile = pp.DeviceProfile(
+            model_id="tie",
+            batch_sizes=(8, 32),
+            frequencies=(307.0, 614.0),
+            time_table=[[2.0, 1.0], [2.0, 1.00000000005]],
+            power_table=[[1.0, 2.0], [1.5, 3.0]],
+            samples_per_unit=100,
+        )
+        proxy, counts, cap = pp.RelationVector({8: 0.1, 32: 1.0}), {8: 100.0, 32: 100.0}, pp.PowerCap(10.0)
+        fastest = pp.fastest_configuration(profile, counts, cap)
+        assert (fastest.batch_size, fastest.frequency_mhz, fastest.estimated_tt_acc) == (32, 614.0, 100.000000005)
+        assert pp.select_configuration_fast(profile, proxy, cap).batch_size == 8
+        matrix = pp.build_sensitivity(profile, {"proxy": proxy}, {"truth": counts}, cap)
+        assert matrix.values == ((0.0,),)
+
     def test_infeasible_cap_raises(self, profile_flip, relation_small, counts_small):
         with pytest.raises(pp.InfeasibleError):
             pp.build_sensitivity(
@@ -353,7 +371,10 @@ class TestBuildSweep:
         from powerplan.report import MAX_CAP_LADDER
 
         assert len(pp.cap_range(1.0, float(MAX_CAP_LADDER), 1.0)) == MAX_CAP_LADDER
-        for args in [(1.0, float(MAX_CAP_LADDER + 1), 1.0), (0.001, 1e6, 1e-3), (1.0, math.inf, 1.0)]:
+        # In the last, (max - min) / step plus the accumulation slack is exactly
+        # MAX_CAP_LADDER: a ladder of MAX_CAP_LADDER + 1 caps.
+        for args in [(1.0, float(MAX_CAP_LADDER + 1), 1.0), (0.001, 1e6, 1e-3), (1.0, math.inf, 1.0),
+                     (1.0, 1.0 + (MAX_CAP_LADDER - 1e-9), 1.0)]:
             with pytest.raises(pp.DataError, match=f"more than {MAX_CAP_LADDER} caps"):
                 pp.cap_range(*args)
 

@@ -135,7 +135,7 @@ class TestGenerateProfile:
             params = random_device_params(rng)
             batches, freqs = random_grid(rng, max_batches=5, max_freqs=8)
             profile = pp.generate_profile(batches, freqs, params, 1024)
-            assert profile.shape == (len(batches), len(freqs))
+            assert (len(profile.batch_sizes), len(profile.frequencies)) == (len(batches), len(freqs))
             assert np.all(np.diff(profile.time_table, axis=1) < 0)
             assert np.all(profile.avg_power_table <= profile.power_table)
 

@@ -7,10 +7,11 @@ Run from the repository root:
 Each fault replaces one piece of one line under ``src/powerplan`` with a
 wrong one.  For each, the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` into a temporary directory, plants the fault there and
-runs the fault's test files with ``pytest -x``.  A fault is caught when
-those tests fail.  The script first runs every listed test file on the
-unpatched copy, which must pass.  It exits 1 if the copy fails, if a
-fault's text no longer occurs exactly once, or if any fault survives.
+runs the fault's test files (or node ids, where a whole file would take
+too long) with ``pytest -x``.  A fault is caught when those tests fail.
+The script first runs every listed test file on the unpatched copy, which
+must pass.  It exits 1 if the copy fails, if a fault's text no longer
+occurs exactly once, or if any fault survives.
 
 The script lives outside ``testpaths``, so the tier-1 run does not pay for
 it; CI runs it as a step of its own.
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 KERNEL_TESTS = ("tests/test_report.py", "tests/test_core.py", "tests/test_cli.py")
 
-# name: (file under src/powerplan, text, its faulty replacement, test files that must catch it)
+# name: (file under src/powerplan, text, its faulty replacement, test files or node ids that must catch it)
 FAULTS = {
     "bound without the tie margin": (
         "core.py", "bisect_right(sorted_lows, guess * _PRUNE_SLACK)", "bisect_right(sorted_lows, guess)",
@@ -57,7 +58,7 @@ FAULTS = {
         ("tests/test_report.py",),
     ),
     "smaller batch resumes at the lowest frequency": (
-        "ingest.py", "        j = start\n", "        j = 0\n", ("tests/test_core.py", "tests/test_ingest.py"),
+        "ingest.py", "        j = start\n", "        j = 0\n", ("tests/test_ingest.py::TestProfilingSchedule",),
     ),
     "zero duration accepted": ("ingest.py", "if duration <= 0:", "if duration < 0:", ("tests/test_ingest.py",)),
     "line numbers off by one": (
@@ -88,6 +89,28 @@ FAULTS = {
         "baselines.py", "k = _last_near_min(ratios)", "k = ratios.index(min(ratios))", ("tests/test_baselines.py",),
     ),
     "temporary file left behind": ("cli.py", "        os.unlink(tmp)\n", "        pass\n", ("tests/test_cli.py",)),
+    "sensitivity entry below the tied fastest kept": (
+        "report.py", "if realized > fastest_tt:", "if True:", ("tests/test_report.py",),
+    ),
+    "zero peak accepted": (
+        "ingest.py", "if not peak_w > 0:", "if peak_w < 0:",
+        ("tests/test_ingest.py::TestAggregatePoint::test_zero_peak_rejected",),
+    ),
+    "cap ladder one over its limit": (
+        "report.py", "if not n_steps < MAX_CAP_LADDER:", "if not n_steps <= MAX_CAP_LADDER:", ("tests/test_report.py",),
+    ),
+    "percentile midpoint lerped from the lower end": (
+        "ingest.py", "if t >= 0.5 else", "if t > 0.5 else",
+        ("tests/test_ingest.py::TestAggregatePoint::test_peak_percentile_is_numpys_bit_for_bit",),
+    ),
+    "relation's largest ratio only near 1": (
+        "core.py", "any(r == 1.0 for r in clean.values())", "any(r >= 0.999 for r in clean.values())",
+        ("tests/test_ingest.py::TestRelationAndCountsFiles",),
+    ),
+    "repeated axis value takes the fast path": (
+        "ingest.py", "and (len(row_start), len(freq_pos)) == shape", "and True",
+        ("tests/test_ingest.py::TestProfilePersistence",),
+    ),
 }
 
 
@@ -106,7 +129,7 @@ def fresh_copy(workdir: Path) -> None:
 
 
 def main() -> int:
-    files = sorted({f for *_, tests in FAULTS.values() for f in tests})
+    files = sorted({f.partition("::")[0] for *_, tests in FAULTS.values() for f in tests})
     ok = True
     with tempfile.TemporaryDirectory(prefix="plant-faults-") as tmp:
         workdir = Path(tmp) / "copy"
