@@ -27,6 +27,7 @@ from .core import (
 from .ingest import (
     DEFAULT_MINIBATCHES,
     DEFAULT_WARMUP,
+    GridError,
     TimeScaleError,
     aggregate_point,
     load_profile,
@@ -189,17 +190,16 @@ def cmd_ingest(args) -> int:
     cell_b, cell_f = zip(*keys)
     batch_sizes = tuple(sorted(set(cell_b)))
     frequencies = tuple(sorted(set(cell_f)))
-    placed = place_cells(batch_sizes, frequencies, cell_b, cell_f)
-    if placed.duplicate is not None:
-        raise DataError(f"{args.timing[placed.duplicate]}: duplicate cell {keys[placed.duplicate]}")
-    if placed.missing is not None:
-        b, f = placed.missing
+    try:
+        time, peak, avg = place_cells(batch_sizes, frequencies, cell_b, cell_f, zip(*points))
+    except GridError as exc:  # name the timing logs that measured the cells
+        if exc.missing is None:
+            raise DataError(f"{args.timing[exc.duplicate]}: {exc}") from None
+        b, f = exc.missing
         by_b, by_f = args.timing[cell_b.index(b)], args.timing[cell_f.index(f)]
         raise DataError(
-            f"missing cell ({b}, {f!r}): grid must be complete; "
-            f"batch size {b} first from {by_b}, frequency {f!r} first from {by_f}"
-        )
-    time, peak, avg = (placed.fill(column) for column in zip(*points))
+            f"{exc}: grid must be complete; batch size {b} first from {by_b}, frequency {f!r} first from {by_f}"
+        ) from None
     try:
         profile = DeviceProfile(
             model_id=args.model_id,

@@ -289,6 +289,8 @@ def aggregate_point(
         peak_w = _percentile(power.power_mw, peak_percentile) / 1000.0
     if not peak_w > 0:  # samples are non-negative, so the peak is 0 W
         raise DataError(f"peak power must be positive, got {peak_w!r} W")
+    if not avg_w > 0:  # a positive peak, but the mean of the samples underflows to 0 W
+        raise DataError(f"average power must be positive, got {avg_w!r} W")
     # TimingTrace guarantees at least one retained duration.
     retained = timing.retained
     mean = math.fsum(retained) / len(retained)
@@ -360,30 +362,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-class CellPlacement:
-    """Where the cells of a (batch size, frequency) grid land, one entry per cell."""
+class GridError(DataError):
+    """A grid point that two cells cover (``duplicate``, the later cell's number) or none (``missing``, its (b, f))."""
 
-    __slots__ = ("order", "shape", "duplicate", "missing")
-
-    def __init__(
-        self,
-        order: list[int] | None,
-        shape: tuple[int, int],
-        duplicate: int | None,
-        missing: tuple[int, float] | None,
-    ) -> None:
-        # Cell numbers sorted by flat row-major grid position i * n_freqs + j;
-        # None when the cells come in that order already, as save_profile writes them.
-        self.order = order
-        self.shape = shape
-        self.duplicate = duplicate  # first cell that lands where an earlier cell did
-        self.missing = missing  # first (b, f) grid point no cell covers
-
-    def fill(self, values: Sequence[float]) -> list[Sequence[float]]:
-        """Rows holding each cell's value at its grid position; the grid must be complete."""
-        flat = values if self.order is None else list(map(values.__getitem__, self.order))
-        n_freqs = self.shape[1]
-        return [flat[k : k + n_freqs] for k in range(0, len(flat), n_freqs)]
+    def __init__(self, message: str, duplicate: int | None = None, missing: tuple[int, float] | None = None) -> None:
+        super().__init__(message)
+        self.duplicate, self.missing = duplicate, missing
 
 
 def place_cells(
@@ -391,41 +375,40 @@ def place_cells(
     frequencies: Sequence[float],
     cell_b: Sequence[int],
     cell_f: Sequence[float],
-) -> CellPlacement:
-    """Place cells on the grid through axis lookups and sort them into grid order.
+    columns: Iterable[Sequence[float]],
+) -> list[list[Sequence[float]]]:
+    """Each of ``columns``, one value per cell, as the rows of the (batch size, frequency) grid.
 
-    A grid point covered twice or not at all is reported, not raised, so the
-    caller can name the offending line or file.  Raises KeyError for a cell
-    whose batch size or frequency is not on its axis.  Memory follows the
-    number of cells, never the size of the grid the axes declare.
+    Cells that come in grid order, as save_profile writes them, need no
+    lookups; any others are placed through the axes.  Raises GridError for a
+    grid point covered twice or not at all, and KeyError for a cell whose
+    batch size or frequency is not on its axis.  Memory follows the number
+    of cells, never the size of the grid the axes declare.
     """
     shape = (len(batch_sizes), len(frequencies))
     n_grid = shape[0] * shape[1]
     row_start = {b: i * shape[1] for i, b in enumerate(batch_sizes)}
     freq_pos = {f: j for j, f in enumerate(frequencies)}
-    if (
+    if not (
         len(cell_b) == n_grid
         and (len(row_start), len(freq_pos)) == shape  # no axis value repeats
         and list(cell_f) == list(frequencies) * shape[0]
         and list(cell_b) == [b for b in batch_sizes for _ in frequencies]
     ):
-        return CellPlacement(None, shape, None, None)  # already in grid order: no lookups
-    index = list(map(operator.add, map(row_start.__getitem__, cell_b), map(freq_pos.__getitem__, cell_f)))
-    order = sorted(range(len(index)), key=index.__getitem__)
-    duplicate = missing = None
-    if len(order) != n_grid or list(map(index.__getitem__, order)) != list(range(n_grid)):
-        seen: set[int] = set()
-        for k, p in enumerate(index):
-            if p in seen:
-                duplicate = k
-                break
-            seen.add(p)
-        covered = sorted(set(index))
-        gap = next((p for p, q in enumerate(covered) if p != q), len(covered))
-        if gap < n_grid:
-            i, j = divmod(gap, shape[1])
-            missing = (batch_sizes[i], frequencies[j])
-    return CellPlacement(order, shape, duplicate, missing)
+        index = list(map(operator.add, map(row_start.__getitem__, cell_b), map(freq_pos.__getitem__, cell_f)))
+        order = sorted(range(len(index)), key=index.__getitem__)
+        if len(order) != n_grid or list(map(index.__getitem__, order)) != list(range(n_grid)):
+            seen: set[int] = set()
+            for k, p in enumerate(index):
+                if p in seen:
+                    raise GridError(f"duplicate cell ({cell_b[k]}, {cell_f[k]!r})", duplicate=k)
+                seen.add(p)
+            # No point is covered twice, so the grid has a hole: the first position the sorted cells skip.
+            i, j = divmod(next((p for p, q in enumerate(sorted(seen)) if p != q), len(seen)), shape[1])
+            b, f = batch_sizes[i], frequencies[j]
+            raise GridError(f"missing cell ({b}, {f!r})", missing=(b, f))
+        columns = [list(map(column.__getitem__, order)) for column in columns]
+    return [[column[k : k + shape[1]] for k in range(0, n_grid, shape[1])] for column in columns]
 
 
 def save_profile(profile: DeviceProfile) -> str:
@@ -547,23 +530,18 @@ def load_profile(text: str) -> DeviceProfile:
     cells = _data_lines(lines[n:])
     try:
         cell_b, cell_f, values = _cell_columns(cells)
-        placed = place_cells(batch_sizes, frequencies, cell_b, cell_f)
-        if placed.duplicate is not None:
-            raise ValueError("duplicate cell")
-    except (ValueError, KeyError):
+        tables = place_cells(batch_sizes, frequencies, cell_b, cell_f, values)
+    except (ValueError, KeyError):  # GridError too
         _check_cells(numbered, batch_sizes, frequencies)
-        raise  # the two checks disagree: a defect here, not in the file
-    if placed.missing is not None:
-        b, f = placed.missing
-        raise DataError(f"missing cell ({b}, {f!r})")
+        raise  # a missing cell, which sits on no line; else the two checks disagree, a defect here
     return DeviceProfile(
         model_id=model_id,
         batch_sizes=batch_sizes,
         frequencies=frequencies,
-        time_table=placed.fill(values[0]),
-        power_table=placed.fill(values[1]),
+        time_table=tables[0],
+        power_table=tables[1],
         samples_per_unit=s,
-        avg_power_table=placed.fill(values[2]) if len(values) == 3 else None,
+        avg_power_table=tables[2] if len(tables) == 3 else None,
     )
 
 

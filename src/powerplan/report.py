@@ -26,12 +26,10 @@ from .core import (
     PowerCap,
     RelationVector,
     _check_estimate,
-    _check_keys,
     _energy_at,
     _entry,
     _Record,
     _relation_picks,
-    _select_caps,
     _set,
     select_configuration_fast,
 )
@@ -251,10 +249,9 @@ def build_sweep(
     One kernel call plans every cap, the same selection that
     ``select_configuration_fast`` makes at each.
     """
-    _check_keys(profile, r.entries)
-    picks = _select_caps(profile, r.entries, [cap.p_max for cap in caps], "ours")
+    picks = _relation_picks(profile, r, [cap.p_max for cap in caps])
     rows: list[SweepRow] = []
-    for cap, pick in zip(caps, picks):
+    for pick, cap in zip(picks, caps):  # each pick first: a bad relation raises even with no caps
         if pick is None:
             rows.append(SweepRow(cap.p_max, None, None, None, None, STATUS_INFEASIBLE))
             continue

@@ -117,6 +117,7 @@ class TestIngestCommand:
             ("power_b16_f307.csv", "# no sample\n", "empty power trace"),
             ("power_b16_f307.csv", "0.0,1e308\n1.0,1e308\n", "power samples sum past the float range"),
             ("power_b16_f307.csv", "0.0,0\n1.0,0\n2.0,0\n", "peak power must be positive, got 0.0 W"),
+            ("power_b16_f307.csv", "0,1e-320\n1,0\n2,0\n3,0\n4,0\n5,0\n", "average power must be positive, got 0.0 W"),
             ("timing_b16_f307.csv", "b=16,f_mhz=307.0,warmup=0\n1e308\n1e308\n",
              "retained mini-batch durations sum past the float range"),
         ],

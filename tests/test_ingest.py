@@ -122,6 +122,8 @@ class TestParseTimingLog:
         text = "b=32,f_mhz=307.0,warmup=1\n0.5\n0.2\n0.3\n0.4"
         trace = pp.parse_timing_log(text, max_minibatches=2)
         assert trace.retained == (0.2, 0.3)
+        with pytest.raises(pp.DataError, match="^max_minibatches must be at least 1$"):
+            pp.parse_timing_log(text, max_minibatches=0)
 
     def test_generated_durations_round_trip_exactly(self):
         rng = np.random.default_rng(61)
@@ -220,6 +222,14 @@ class TestAggregatePoint:
         with pytest.raises(pp.DataError) as exc:
             pp.aggregate_point(pp.parse_power_log(samples), timing, 100, peak_percentile=percentile)
         assert str(exc.value) == "peak power must be positive, got 0.0 W"
+
+    def test_zero_average_rejected(self):
+        # A positive peak of 1e-323 W whose mean over six samples underflows to 0 W.
+        timing = pp.parse_timing_log("b=16,f_mhz=460.0,warmup=0\n0.3")
+        power = pp.parse_power_log("0,1e-320\n" + "".join(f"{t},0\n" for t in range(1, 6)))
+        with pytest.raises(pp.DataError) as exc:
+            pp.aggregate_point(power, timing, 100)
+        assert str(exc.value) == "average power must be positive, got 0.0 W"
 
     def test_recovers_synthetic_ground_truth(self):
         rng = np.random.default_rng(62)

@@ -328,9 +328,16 @@ class TestBuildSensitivity:
             pp.SensitivityMatrix(5.0, ("a",), (), [[]])
         with pytest.raises(pp.DataError, match="shape does not match id axes"):
             pp.SensitivityMatrix(5.0, (), ("t",), [])
+        with pytest.raises(pp.DataError, match="shape does not match id axes"):
+            pp.SensitivityMatrix(5.0, ("a",), ("t",), [1.0])  # not rows
 
 
 class TestBuildSweep:
+    def test_relation_checked_without_caps(self, profile_flip, relation_small):
+        r = pp.RelationVector({**relation_small.entries, 9: 0.5})
+        with pytest.raises(pp.DataError, match=r"^relation vector names batch sizes not in profile: \[9\]$"):
+            pp.build_sweep(profile_flip, r, [])
+
     def test_infeasible_rows_flagged(self, profile_flip, relation_small):
         rows = pp.build_sweep(
             profile_flip, relation_small, [pp.PowerCap(2.0), pp.PowerCap(5.0)]

@@ -96,6 +96,10 @@ FAULTS = {
         "ingest.py", "if not peak_w > 0:", "if peak_w < 0:",
         ("tests/test_ingest.py::TestAggregatePoint::test_zero_peak_rejected",),
     ),
+    "zero average accepted": (
+        "ingest.py", "if not avg_w > 0:", "if avg_w < 0:",
+        ("tests/test_ingest.py::TestAggregatePoint::test_zero_average_rejected",),
+    ),
     "cap ladder one over its limit": (
         "report.py", "if not n_steps < MAX_CAP_LADDER:", "if not n_steps <= MAX_CAP_LADDER:", ("tests/test_report.py",),
     ),
