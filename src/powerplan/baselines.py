@@ -31,8 +31,8 @@ from .core import (
     _check_keys,
     _entry,
     _last_near_min,
+    _pick_energy,
     _Record,
-    _result_at,
     _select_caps,
     _select_one,
     _set,
@@ -120,7 +120,7 @@ def compute_safe_table(
 def _safe_picks(
     profile: DeviceProfile, r: RelationVector, caps: Sequence[PowerCap], safe: SafeFrequencyTable, policy_tag: str
 ) -> Iterator[Pick]:
-    """Yield, per cap, a baseline's cell (i, j) at the cap's safe frequency and its SelectionResult.
+    """Yield, per cap, a baseline's cell (i, j) at the cap's safe frequency, as ``_select_caps`` does.
 
     The batch size is the best-ratio candidate, ties going to the larger one.
     Each cap's safe frequency is looked up first; the relation is checked
@@ -137,7 +137,8 @@ def _safe_picks(
                 _entry(r.entries, profile.batch_sizes[first + ratios.index(None)], "relation vector")  # raises
             k = _last_near_min(ratios)
             i = first + k
-        yield i, j, _result_at(profile, i, j, profile.time_rows[i][j] * ratios[k], len(ratios), policy_tag, r.entries)
+        tt = profile.time_rows[i][j] * ratios[k]
+        yield i, j, tt, len(ratios), _pick_energy(profile, i, j, tt, r.entries)
 
 
 def baseline1_select(
@@ -151,7 +152,7 @@ def baseline1_select(
     The safe table is trusted by construction (worst-case precomputation),
     so the chosen point is deliberately not re-checked against the cap.
     """
-    return next(_safe_picks(profile, r, (cap,), safe, "baseline1"))[2]
+    return _select_one(profile, _safe_picks(profile, r, (cap,), safe, "baseline1"), cap, "baseline1")
 
 
 def baseline2_select(
@@ -166,7 +167,7 @@ def baseline2_select(
     batch sizes (ties go to the larger batch); the frequency stays at the
     safe ceiling, so system and application knobs remain decoupled.
     """
-    return next(_safe_picks(profile, r, (cap,), safe, "baseline2"))[2]
+    return _select_one(profile, _safe_picks(profile, r, (cap,), safe, "baseline2"), cap, "baseline2")
 
 
 def _count_picks(
@@ -175,7 +176,7 @@ def _count_picks(
     """``_select_caps`` for the ``fastest`` policy, after the counts' own and key checks."""
     _check_counts(true_counts)
     _check_keys(profile, true_counts, "true counts name")
-    yield from _select_caps(profile, true_counts, p_maxes, "fastest", "true counts")
+    yield from _select_caps(profile, true_counts, p_maxes, "true counts")
 
 
 def fastest_configuration(
@@ -189,5 +190,5 @@ def fastest_configuration(
     the measured samples-to-accuracy count, so the reported time is absolute
     seconds rather than a normalized estimate.
     """
-    return _select_one(profile, _count_picks(profile, true_counts, (cap.p_max,)), cap)
+    return _select_one(profile, _count_picks(profile, true_counts, (cap.p_max,)), cap, "fastest")
 

@@ -457,13 +457,15 @@ def _last_near_min(values: Sequence[float]) -> int:
     """Index of the last entry within TIE_REL_TOL of the global minimum.
 
     Ties are judged against the minimum itself, never against a running
-    best, so the result does not depend on scan order.
+    best, so the result does not depend on scan order.  An infinite entry
+    ties with nothing finite; when every entry is infinite, the last one is
+    returned for the estimate check to reject.
     """
     low = min(values)
-    if low == math.inf:  # time * count overflowed: SelectionResult rejects it
+    if low == math.inf:
         return len(values) - 1
     k = len(values) - 1
-    while not values[k] - low <= TIE_REL_TOL * values[k]:
+    while not values[k] - low <= TIE_REL_TOL * values[k] < math.inf:
         k -= 1
     return k
 
@@ -474,32 +476,21 @@ def _energy_at(profile: DeviceProfile, i: int, j: int, tt: float) -> float | Non
     return profile.avg_power_rows[i][j] * tt
 
 
-def _result_at(
-    profile: DeviceProfile,
-    i: int,
-    j: int,
-    tt: float,
-    feasible_count: int,
-    policy_tag: str,
-    entries: Mapping[int, float],
-) -> SelectionResult:
-    """The SelectionResult for grid cell (i, j) at estimated time ``tt``, with its energy.
+def _pick_energy(profile: DeviceProfile, i: int, j: int, tt: float, entries: Mapping[int, float]) -> float | None:
+    """Grid cell (i, j)'s energy at estimated time ``tt``, after the checks a SelectionResult makes of both.
 
     ``tt`` is the cell's time times a multiplier from ``entries``.  Both are
-    valid on their own, so a result out of range is an EntriesError that
-    carries ``entries``.
+    valid on their own, so an estimate or energy out of range is an
+    EntriesError that carries ``entries``.
     """
     try:
-        return SelectionResult(
-            batch_size=profile.batch_sizes[i],
-            frequency_mhz=profile.frequencies[j],
-            estimated_tt_acc=tt,
-            feasible_count=feasible_count,
-            policy_tag=policy_tag,
-            estimated_energy=_energy_at(profile, i, j, tt),
-        )
+        _check_estimate(tt)
     except DataError as exc:
         raise EntriesError(str(exc), entries) from None
+    energy = _energy_at(profile, i, j, tt)
+    if energy is not None and not energy > 0:
+        raise EntriesError("estimated energy must be positive", entries)
+    return energy
 
 
 def _entry(entries: Mapping[int, float], b: int, label: str) -> float:
@@ -519,18 +510,19 @@ def _check_keys(
         raise DataError(f"{subject} batch sizes not in profile: {sorted(unknown)}")
 
 
-Pick = tuple[int, int, SelectionResult]  # an argmin cell (i, j) and its selection
+# An argmin cell (i, j), its estimated time, the feasible count and the energy (None without average power).
+Pick = tuple[int, int, float, int, float | None]
 
 
 def _select_caps(
     profile: DeviceProfile,
     multipliers: Mapping[int, float],
     p_maxes: Sequence[float],
-    policy_tag: str,
     missing_label: str = "relation vector",
 ) -> Iterator[Pick | None]:
     """Yield, per cap in ``p_maxes``, the argmin cell (i, j) of time * multiplier
-    over the cap's frontier and its SelectionResult, or None when nothing fits.
+    over the cap's frontier with its estimate, feasible count and energy, or
+    None when nothing fits.
 
     A generator: the multipliers are looked up at the first ``next()``, and
     each cap's checks run only when its pick is taken, so a caller that
@@ -540,16 +532,16 @@ def _select_caps(
 
     Every cell within TIE_REL_TOL of the minimum ties, and the last one in
     (i, j) order wins: the larger batch size, then the higher frequency
-    (equal time, fewer optimizer steps).
+    (equal time, fewer optimizer steps).  An estimate that overflows ties
+    with nothing finite.
 
     Only rows that can still win or tie are scanned.  Time never rises
     with frequency and a rounded product is monotone, so a row's estimate
     at its last column bounds all its estimates from below.  A cap scans
     the feasible rows whose bound is at most ``_PRUNE_SLACK`` times a
     guessed estimate: the previous cap's winner, else the feasible row with
-    the least bound.  Any other row is finite and lies beyond the tie
-    tolerance of the minimum, so the pick is the full scan's.  A row whose
-    product may overflow is always scanned: an infinite estimate ties.
+    the least bound.  Any other row lies beyond the tie tolerance of the
+    minimum, or is infinite, so the pick is the full scan's.
     """
     batches, time, power = profile.batch_sizes, profile.time_rows, profile.power_rows
     firsts = next(zip(*power))
@@ -558,8 +550,7 @@ def _select_caps(
     # Rows no cap reaches never have their multiplier used, so it is not converted.
     reach = min(missing, bisect_left(firsts, max(p_maxes, default=0.0)))
     mults = list(map(float, looked_up[:reach]))
-    # Each row's lower bound; 0 for a row whose first (slowest) column may overflow.
-    lows = [0.0 if row[0] * m == math.inf else row[-1] * m for row, m in zip(time, mults)]
+    lows = [row[-1] * m for row, m in zip(time, mults)]
     order = sorted(range(reach), key=lows.__getitem__)
     sorted_lows = [lows[i] for i in order]
     w = reach  # the previous cap's winner; no row yet
@@ -578,8 +569,8 @@ def _select_caps(
         cols = [bisect_left(power[i], p_max) - 1 for i in rows]
         tts = [time[i][j] * mults[i] for i, j in zip(rows, cols)]
         k = _last_near_min(tts)
-        w, j = rows[k], cols[k]
-        yield w, j, _result_at(profile, w, j, tts[k], n, policy_tag, multipliers)
+        w, j, tt = rows[k], cols[k], tts[k]
+        yield w, j, tt, n, _pick_energy(profile, w, j, tt, multipliers)
 
 
 def _relation_picks(
@@ -587,13 +578,13 @@ def _relation_picks(
 ) -> Iterator[Pick | None]:
     """``_select_caps`` for the ``ours`` policy, after the relation's key check."""
     _check_keys(profile, r.entries)
-    yield from _select_caps(profile, r.entries, p_maxes, "ours")
+    yield from _select_caps(profile, r.entries, p_maxes)
 
 
 def _select_one(
-    profile: DeviceProfile, picks: Iterator[Pick | None], cap: PowerCap
+    profile: DeviceProfile, picks: Iterator[Pick | None], cap: PowerCap, policy_tag: str
 ) -> SelectionResult:
-    """The selection of a pass over ``cap`` alone; raises InfeasibleError when nothing fits."""
+    """The SelectionResult of a pass over ``cap`` alone; raises InfeasibleError when nothing fits."""
     pick = next(picks)
     if pick is None:
         # Peak power never falls along either axis, so the first cell holds the lowest peak.
@@ -601,7 +592,8 @@ def _select_one(
             f"no configuration satisfies power cap {cap} W; "
             f"the lowest peak in the profile is {profile.power_rows[0][0]!r} W"
         )
-    return pick[2]
+    i, j, tt, feasible_count, energy = pick
+    return SelectionResult(profile.batch_sizes[i], profile.frequencies[j], tt, feasible_count, policy_tag, energy)
 
 
 def select_configuration_fast(
@@ -613,4 +605,4 @@ def select_configuration_fast(
     when the relation vector misses a feasible batch size (silent shrinking
     of the search space would mask data bugs).
     """
-    return _select_one(profile, _relation_picks(profile, r, (cap.p_max,)), cap)
+    return _select_one(profile, _relation_picks(profile, r, (cap.p_max,)), cap, "ours")

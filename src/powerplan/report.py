@@ -11,7 +11,9 @@ estimated one.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import attrgetter
 
 from .baselines import (
     SafeFrequencyTable,
@@ -180,6 +182,7 @@ def build_comparison(
     passes["ours"] = _relation_picks(profile, r, p_maxes)
     if true_counts is not None:
         passes["fastest"] = _count_picks(profile, true_counts, p_maxes)
+    bs, fs = profile.batch_sizes, profile.frequencies
     rows: list[ComparisonRow] = []
     for cap in ordered:
         # Every pick is taken before any row's realized time can raise.  Rows
@@ -189,23 +192,13 @@ def build_comparison(
             if pick is None:
                 rows.append(ComparisonRow(cap.p_max, tag, None, None, None, None, None, None, STATUS_INFEASIBLE))
                 continue
-            i, j, sel = pick
+            i, j, tt, _, _ = pick
             realized = None if true_counts is None else _realized(profile, i, j, true_counts)
-            basis = sel.estimated_tt_acc if realized is None else realized
+            basis = tt if realized is None else realized
             if tag == "baseline1":
                 anchor = basis
-            rows.append(
-                ComparisonRow(
-                    p_max_w=cap.p_max,
-                    policy_tag=tag,
-                    batch_size=sel.batch_size,
-                    frequency_mhz=sel.frequency_mhz,
-                    estimated_tt_acc=sel.estimated_tt_acc,
-                    realized_tt_acc=realized,
-                    energy_j=_energy_at(profile, i, j, basis),
-                    speedup_vs_baseline1=anchor / basis,
-                )
-            )
+            energy = _energy_at(profile, i, j, basis)
+            rows.append(ComparisonRow(cap.p_max, tag, bs[i], fs[j], tt, realized, energy, anchor / basis))
     return ComparisonReport(tuple(rows))
 
 
@@ -250,13 +243,14 @@ def build_sweep(
     ``select_configuration_fast`` makes at each.
     """
     picks = _relation_picks(profile, r, [cap.p_max for cap in caps])
+    bs, fs = profile.batch_sizes, profile.frequencies
     rows: list[SweepRow] = []
     for pick, cap in zip(picks, caps):  # each pick first: a bad relation raises even with no caps
         if pick is None:
             rows.append(SweepRow(cap.p_max, None, None, None, None, STATUS_INFEASIBLE))
-            continue
-        sel = pick[2]
-        rows.append(SweepRow(cap.p_max, sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, sel.estimated_energy))
+        else:
+            i, j, tt, _, energy = pick
+            rows.append(SweepRow(cap.p_max, bs[i], fs[j], tt, energy))
     return tuple(rows)
 
 
@@ -274,85 +268,94 @@ def _fmt_cap(p_max_w: float) -> str:
     return "unlimited" if math.isinf(p_max_w) else repr(float(p_max_w))
 
 
-def _csv_cell(value: float | None) -> str:
-    """A float cell of a CSV row: exact, and empty when missing."""
-    return "" if value is None else repr(float(value))
+# A renderer maps a column's values to its cells, for a table when ``table`` and for a CSV otherwise.
+def _caps(values: list, table: bool) -> list[str]:
+    return list(map(_fmt_cap, values))
 
 
-def _table_cell(value: float | None) -> str:
-    """A float cell of a table: six significant digits, and "-" when missing."""
-    return "-" if value is None else f"{value:.6g}"
+def _texts(values: list, table: bool) -> list[str]:
+    return values
 
 
-def _align(table: Sequence[Sequence[str]]) -> str:
-    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
-    return "\n".join(lines) + "\n"
+def _ints(values: list, table: bool) -> list[str]:
+    """A batch size is an integer of any type (a numpy one from library callers), so
+    it renders with str(), never as a float; a missing one renders as a missing float."""
+    missing = "-" if table else ""
+    return [missing if v is None else str(v) for v in values]
 
 
-# A batch size is an integer of any type (a numpy one from library callers), so
-# it renders with str(), never as a float; only its absence goes through ``cell``.
-def _comparison_cells(r: ComparisonRow, cell: Callable[[float | None], str]) -> list[str]:
-    """A comparison row's cells in column order, each float rendered by ``cell``."""
-    return [
-        _fmt_cap(r.p_max_w),
-        r.policy_tag,
-        cell(None) if r.batch_size is None else str(r.batch_size),
-        cell(r.frequency_mhz),
-        cell(r.estimated_tt_acc),
-        cell(r.realized_tt_acc),
-        cell(r.energy_j),
-        cell(r.speedup_vs_baseline1),
-        r.status,
-    ]
+def _floats(values: list, table: bool) -> list[str]:
+    """Six significant digits in a table and exact in a CSV; "-" and "" when missing."""
+    if table:
+        return ["-" if v is None else f"{v:.6g}" for v in values]
+    return ["" if v is None else repr(float(v)) for v in values]
 
 
-def _sweep_cells(r: SweepRow, cell: Callable[[float | None], str]) -> list[str]:
-    """A sweep row's cells in column order, each float rendered by ``cell``."""
-    return [
-        _fmt_cap(r.p_max_w),
-        cell(None) if r.batch_size is None else str(r.batch_size),
-        cell(r.frequency_mhz),
-        cell(r.estimated_tt_acc),
-        cell(r.energy_j),
-        r.status,
-    ]
+# Each report's columns in order: CSV header, table header (None: CSV only), row attribute, renderer.
+_COMPARISON_COLUMNS = (
+    ("p_max_w", "p_max_w", "p_max_w", _caps),
+    ("policy", "policy", "policy_tag", _texts),
+    ("batch_size", "b", "batch_size", _ints),
+    ("frequency_mhz", "f_mhz", "frequency_mhz", _floats),
+    ("estimated_tt_acc_s", "est_tt_s", "estimated_tt_acc", _floats),
+    ("realized_tt_acc_s", "real_tt_s", "realized_tt_acc", _floats),
+    ("energy_j", "energy_j", "energy_j", _floats),
+    ("speedup_vs_baseline1", "speedup", "speedup_vs_baseline1", _floats),
+    ("status", None, "status", _texts),  # an infeasible row's dashes show it in the table
+)
+_SWEEP_COLUMNS = (
+    ("p_max_w", "p_max_w", "p_max_w", _caps),
+    ("batch_size", "b", "batch_size", _ints),
+    ("frequency_mhz", "f_mhz", "frequency_mhz", _floats),
+    ("estimated_tt_acc_s", "est_tt_s", "estimated_tt_acc", _floats),
+    ("energy_j", "energy_j", "energy_j", _floats),
+    ("status", "status", "status", _texts),
+)
+
+
+def _columns(rows: Iterable[_Record], columns: tuple, table: bool) -> list[list[str]]:
+    """Each of ``columns`` as its header and its cells over ``rows``, for a table when ``table``."""
+    rows = tuple(rows)  # read once per column, so an iterator is taken in whole first
+    out = []
+    for csv_header, table_header, attr, render in columns:
+        header = table_header if table else csv_header
+        if header is not None:
+            out.append([header, *render(list(map(attrgetter(attr), rows)), table)])
+    return out
+
+
+def _align(columns: Sequence[Sequence[str]]) -> str:
+    """The columns side by side, each padded to its widest cell, two spaces apart, lines right-stripped."""
+    padded = [list(map(str.ljust, column, repeat(max(map(len, column))))) for column in columns]
+    return "".join(["  ".join(line).rstrip() + "\n" for line in zip(*padded)])
 
 
 def comparison_csv_rows(report: ComparisonReport) -> list[list[str]]:
-    header = ["p_max_w", "policy", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "realized_tt_acc_s",
-              "energy_j", "speedup_vs_baseline1", "status"]
-    return [header] + [_comparison_cells(r, _csv_cell) for r in report.rows]
+    return list(map(list, zip(*_columns(report.rows, _COMPARISON_COLUMNS, False))))
 
 
 def format_comparison_table(report: ComparisonReport) -> str:
-    # No status column: an infeasible row's dashes show it.
-    header = ["p_max_w", "policy", "b", "f_mhz", "est_tt_s", "real_tt_s", "energy_j", "speedup"]
-    return _align([header] + [_comparison_cells(r, _table_cell)[:-1] for r in report.rows])
+    return _align(_columns(report.rows, _COMPARISON_COLUMNS, True))
 
 
 def sensitivity_csv_rows(matrices: Sequence[SensitivityMatrix]) -> list[list[str]]:
     rows = [["p_max_w", "proxy_id", "target_id", "time_increase_pct"]]
     for m in matrices:
-        for p_idx, pid in enumerate(m.proxy_ids):
-            for t_idx, tid in enumerate(m.target_ids):
-                rows.append([_fmt_cap(m.p_max_w), pid, tid, f"{m.values[p_idx][t_idx]:.1f}"])
+        cap = _fmt_cap(m.p_max_w)
+        for pid, values in zip(m.proxy_ids, m.values):
+            rows += [[cap, pid, tid, f"{v:.1f}"] for tid, v in zip(m.target_ids, values)]
     return rows
 
 
 def format_sensitivity_table(matrix: SensitivityMatrix) -> str:
-    header = (f"p_max_w={_fmt_cap(matrix.p_max_w)}",) + matrix.target_ids
-    table = [header]
-    for p_idx, pid in enumerate(matrix.proxy_ids):
-        table.append((pid,) + tuple(f"{v:.1f}" for v in matrix.values[p_idx]))
-    return _align(table)
+    first = [f"p_max_w={_fmt_cap(matrix.p_max_w)}", *matrix.proxy_ids]
+    targets = zip(matrix.target_ids, zip(*matrix.values))
+    return _align([first] + [[tid, *(f"{v:.1f}" for v in column)] for tid, column in targets])
 
 
 def sweep_csv_rows(rows: Sequence[SweepRow]) -> list[list[str]]:
-    header = ["p_max_w", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "energy_j", "status"]
-    return [header] + [_sweep_cells(r, _csv_cell) for r in rows]
+    return list(map(list, zip(*_columns(rows, _SWEEP_COLUMNS, False))))
 
 
 def format_sweep_table(rows: Sequence[SweepRow]) -> str:
-    header = ["p_max_w", "b", "f_mhz", "est_tt_s", "energy_j", "status"]
-    return _align([header] + [_sweep_cells(r, _table_cell) for r in rows])
+    return _align(_columns(rows, _SWEEP_COLUMNS, True))

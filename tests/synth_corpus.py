@@ -156,8 +156,8 @@ def brute_force_select(
 
     Candidates are, per batch size, the highest frequency under the cap
     (found without assuming sorted rows).  Of those, in ascending (batch,
-    frequency) order, the last whose estimate lies within TIE_REL_TOL of the
-    global minimum wins.
+    frequency) order, the last whose finite estimate lies within TIE_REL_TOL
+    of the global minimum wins.
     """
     frontier = brute_force_feasible(profile, cap)
     if not frontier:
@@ -167,7 +167,8 @@ def brute_force_select(
         tt = float(profile.time_table[i, j] * multipliers[profile.batch_sizes[i]])
         cells.append((i, j, tt))
     best = min(tt for _, _, tt in cells)
-    i, j, tt = [c for c in cells if c[2] - best <= TIE_REL_TOL * c[2]][-1]
+    # An infinite estimate ties with no finite one; when all are infinite, SelectionResult rejects the last.
+    i, j, tt = [c for c in cells if c[2] - best <= TIE_REL_TOL * c[2] < math.inf or best == math.inf][-1]
     energy = None
     if profile.avg_power_table is not None:
         energy = float(profile.avg_power_table[i, j] * tt)
@@ -190,6 +191,90 @@ def selection_energy(sel: pp.SelectionResult, profile: pp.DeviceProfile, multipl
     i = profile.batch_index(sel.batch_size)
     j = profile.frequency_index(sel.frequency_mhz)
     return profile.avg_power_rows[i][j] * (profile.time_rows[i][j] * multiplier)
+
+
+def out_of_range_pick_profile() -> pp.DeviceProfile:
+    """Batch sizes 8 and 32 at 300 and 600 MHz; batch size 32 at 600 MHz takes
+    1e-200 s at an average 1e-200 W, so its energy underflows to 0 W·s.
+
+    Under 2.2 W batch size 32 runs only at 300 MHz (1 s at 1 W) and, on a tie
+    with batch size 8's 1 s, wins.  Under 3.0 W it runs at 600 MHz.
+    """
+    return pp.DeviceProfile(
+        "out-of-range", (8, 32), (300.0, 600.0), [[2.0, 1.0], [1.0, 1e-200]], [[1.0, 2.0], [1.5, 2.5]], 1,
+        [[1.0, 1.0], [1.0, 1e-200]],
+    )
+
+
+def _reference_cap(p_max_w) -> str:
+    return "unlimited" if math.isinf(p_max_w) else repr(float(p_max_w))
+
+
+def _reference_csv_cell(value) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def _reference_table_cell(value) -> str:
+    return "-" if value is None else f"{value:.6g}"
+
+
+def _reference_align(table) -> str:
+    """A table given row by row: each column padded to its widest cell, two spaces apart."""
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_comparison_cells(r, cell) -> list[str]:
+    return [
+        _reference_cap(r.p_max_w),
+        r.policy_tag,
+        cell(None) if r.batch_size is None else str(r.batch_size),
+        cell(r.frequency_mhz),
+        cell(r.estimated_tt_acc),
+        cell(r.realized_tt_acc),
+        cell(r.energy_j),
+        cell(r.speedup_vs_baseline1),
+        r.status,
+    ]
+
+
+def _reference_sweep_cells(r, cell) -> list[str]:
+    return [
+        _reference_cap(r.p_max_w),
+        cell(None) if r.batch_size is None else str(r.batch_size),
+        cell(r.frequency_mhz),
+        cell(r.estimated_tt_acc),
+        cell(r.energy_j),
+        r.status,
+    ]
+
+
+def reference_renders(sweep, report, matrices) -> tuple:
+    """The six report renderers' outputs, built row by row: sweep CSV rows and
+    table, comparison CSV rows and table, sensitivity CSV rows and tables."""
+    sweep_csv = [["p_max_w", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "energy_j", "status"]]
+    sweep_csv += [_reference_sweep_cells(r, _reference_csv_cell) for r in sweep]
+    sweep_table = [["p_max_w", "b", "f_mhz", "est_tt_s", "energy_j", "status"]]
+    sweep_table += [_reference_sweep_cells(r, _reference_table_cell) for r in sweep]
+    comparison_csv = [["p_max_w", "policy", "batch_size", "frequency_mhz", "estimated_tt_acc_s",
+                       "realized_tt_acc_s", "energy_j", "speedup_vs_baseline1", "status"]]
+    comparison_csv += [_reference_comparison_cells(r, _reference_csv_cell) for r in report.rows]
+    comparison_table = [["p_max_w", "policy", "b", "f_mhz", "est_tt_s", "real_tt_s", "energy_j", "speedup"]]
+    comparison_table += [_reference_comparison_cells(r, _reference_table_cell)[:-1] for r in report.rows]
+    sensitivity_csv = [["p_max_w", "proxy_id", "target_id", "time_increase_pct"]]
+    sensitivity_tables = []
+    for m in matrices:
+        table = [(f"p_max_w={_reference_cap(m.p_max_w)}",) + tuple(m.target_ids)]
+        for pid, values in zip(m.proxy_ids, m.values):
+            table.append((pid,) + tuple(f"{v:.1f}" for v in values))
+            for tid, v in zip(m.target_ids, values):
+                sensitivity_csv.append([_reference_cap(m.p_max_w), pid, tid, f"{v:.1f}"])
+        sensitivity_tables.append(_reference_align(table))
+    return (
+        sweep_csv, _reference_align(sweep_table), comparison_csv, _reference_align(comparison_table),
+        sensitivity_csv, sensitivity_tables,
+    )
 
 
 def _reference_lines(text):

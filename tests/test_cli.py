@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import powerplan as pp
 from powerplan import cli
 from powerplan.cli import COMMANDS, _read_plain, _replace_file, _write_csv, build_parser, main
-from synth_corpus import random_counts, random_profile, random_relation
+from synth_corpus import out_of_range_pick_profile, random_counts, random_profile, random_relation
 
 FLIP_CAPS = ["4.5", "7.0", "unlimited"]
 DATA = Path(__file__).parent / "data"
@@ -531,6 +531,29 @@ def test_counts_whose_estimate_is_subnormal_names_its_file(data_dir, tmp_path, c
         args += ["--safe-freqs", str(data_dir / "safe_freqs_b8_b32.csv")]
     assert main(args) == 3
     assert capsys.readouterr() == ("", f"error: {counts}: estimated time to accuracy {34.7 * 1e-320!r} is subnormal\n")
+
+
+@pytest.mark.parametrize(
+    "ratio, message",
+    [(1.0, "estimated energy must be positive"),
+     (1e-120, f"estimated time to accuracy {1e-200 * 1e-120!r} is subnormal")],
+)
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_pick_out_of_range_names_the_relation_file(tmp_path, capsys, command, ratio, message):
+    # Each file is valid on its own, but under the second cap the winning
+    # pick's energy underflows to 0 W·s or its estimate is subnormal.
+    profile, relation = tmp_path / "profile.csv", tmp_path / "relation.csv"
+    profile.write_text(pp.save_profile(out_of_range_pick_profile()), encoding="utf-8")
+    relation.write_text(f"8,1.0\n32,{ratio!r}\n", encoding="utf-8")
+    args = [command, "--profile", str(profile), "--relation", str(relation)]
+    if command == "sweep":
+        args += ["--p-max-min", "2.2", "--p-max-max", "3.0", "--step", "0.8"]
+    else:
+        safe = tmp_path / "safe.csv"
+        safe.write_text("2.2,300.0\n3.0,300.0\n", encoding="utf-8")
+        args += ["--safe-freqs", str(safe), "--p-max", "2.2", "3.0"]
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {relation}: {message}\n")
 
 
 def test_padded_source_ids_print_as_unpadded(data_dir, tmp_path):

@@ -456,8 +456,9 @@ class TestTieBreaking:
         prof = tiny_profile(
             [[10.0, 10.0]], [[2.0, 2.0]], frequencies=(100.0, 200.0)
         )
-        ((i, j, sel),) = _select_caps(prof, {32: 1.0}, [math.inf], "ours")
+        ((i, j, _, _, _),) = _select_caps(prof, {32: 1.0}, [math.inf])
         assert (i, j) == (0, 1)
+        sel = pp.select_configuration_fast(prof, pp.RelationVector({32: 1.0}), pp.PowerCap.unlimited())
         assert sel.frequency_mhz == 200.0
 
     def test_near_ties_within_tolerance_are_deterministic(self):

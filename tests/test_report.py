@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import os
@@ -29,9 +30,12 @@ from powerplan.report import (
 from synth_corpus import (
     brute_force_feasible,
     brute_force_select,
+    out_of_range_pick_profile,
     plant_duplicate_row,
     random_counts,
     random_profile,
+    random_relation,
+    reference_renders,
 )
 
 CAPS_FLIP = [pp.PowerCap(4.5), pp.PowerCap(7.0), pp.PowerCap.unlimited()]
@@ -593,7 +597,7 @@ class TestPruningIsExact:
 class TestOutOfRangeProducts:
     """A valid time times a valid multiplier can overflow to inf or fall
     into the subnormal range.  Only a counts mapping can overflow (a ratio
-    is at most 1), and an infinite estimate ties with any finite minimum."""
+    is at most 1), and an infinite estimate ties with no finite minimum."""
 
     def overflow_profile(self):
         # Batch size 32 overflows at 307 MHz (1e300 s times 1e9) but not at 921 MHz (1e9 s).
@@ -602,23 +606,91 @@ class TestOutOfRangeProducts:
         )
         return profile, {8: 10.0, 32: 1e9}
 
-    def test_later_row_overflowing_at_low_frequency_wins_the_tie(self):
+    def test_later_row_overflowing_at_low_frequency_never_ties(self):
         profile, counts = self.overflow_profile()
-        # Under 4.5 W batch size 32 runs only at 307 MHz: its infinite estimate
-        # ties with batch size 8's 600 s and, as the larger batch, wins, so the
-        # selection is rejected.
-        with pytest.raises(pp.DataError, match="^estimated time to accuracy must be positive and finite$"):
-            pp.fastest_configuration(profile, counts, pp.PowerCap(4.5))
-        # Under 5.5 W it runs at 921 MHz, 1e9 s, far behind batch size 8.
-        sel = pp.fastest_configuration(profile, counts, pp.PowerCap(5.5))
-        assert (sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, sel.feasible_count) == (8, 921.0, 600.0, 2)
-        # After that cap, with batch size 8 as the warm start, the overflowing row is still scanned.
-        ((i, j, _),) = _select_caps(profile, counts, [5.5], "fastest")
-        assert (i, j) == (0, 1)
-        with pytest.raises(pp.DataError, match="^estimated time to accuracy must be positive and finite$"):
-            list(_select_caps(profile, counts, [5.5, 4.5], "fastest"))
+        # Under 4.5 W batch size 32 runs only at 307 MHz, where its estimate
+        # overflows.  An infinite estimate ties with nothing finite, so batch
+        # size 8's 600 s wins; under 5.5 W batch size 32's 1e9 s is far behind.
+        for cap in (4.5, 5.5):
+            sel = pp.fastest_configuration(profile, counts, pp.PowerCap(cap))
+            assert (sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, sel.feasible_count) == (8, 921.0, 600.0, 2)
+        # After 5.5 W, with batch size 8 as the warm start, the overflowing row's bound (1e9 s) prunes it.
+        assert [pick[:3] for pick in _select_caps(profile, counts, [5.5, 4.5])] == [(0, 1, 600.0)] * 2
+        # With batch size 32 at 921 MHz taking 1e-8 s, its bound (10 s) is below 600 s, so under 4.5 W
+        # its row is scanned; its infinite estimate at 307 MHz still loses.
+        scanned = pp.DeviceProfile(
+            "overflow", (8, 32), (307.0, 921.0), [[90.0, 60.0], [1e300, 1e-8]], [[3.0, 4.0], [3.5, 5.0]], 1
+        )
+        sel = pp.fastest_configuration(scanned, counts, pp.PowerCap(4.5))
+        assert (sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc) == (8, 921.0, 600.0)
+        # Only a cap whose every feasible estimate overflows is rejected.
+        with pytest.raises(EntriesError, match="^estimated time to accuracy must be positive and finite$"):
+            pp.fastest_configuration(profile, {8: 1e308, 32: 1e9}, pp.PowerCap(4.5))
         # A cap only batch size 8 fits is planned as ever.
         assert pp.fastest_configuration(profile, counts, pp.PowerCap(3.2)).batch_size == 8
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's numpy products
+    def test_overflowing_products_select_as_a_full_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        base, _ = random_profile(rng, with_avg_power=False)
+        # Times near 1e300 s and counts up to 1e12: many products overflow,
+        # and an infinite estimate ties with no finite one.
+        profile = pp.DeviceProfile(
+            "overflow", base.batch_sizes, base.frequencies,
+            [[t * 1e300 for t in row] for row in base.time_rows], base.power_rows, base.samples_per_unit,
+        )
+        counts = dict(zip(profile.batch_sizes, (10.0 ** rng.uniform(0.0, 12.0, len(profile.batch_sizes))).tolist()))
+        power = sorted({p for row in profile.power_rows for p in row})
+        p_maxes = [*power[:: max(1, len(power) // 12)], math.inf]
+        p_maxes = [p_maxes[k] for k in rng.permutation(len(p_maxes))]
+        want = []
+        for p_max in p_maxes:
+            sel = outcome(brute_force_select, profile, counts, pp.PowerCap(p_max), "fastest")
+            assert outcome(pp.fastest_configuration, profile, counts, pp.PowerCap(p_max)) == sel
+            if isinstance(sel, pp.SelectionResult):
+                i, j = profile.batch_index(sel.batch_size), profile.frequency_index(sel.frequency_mhz)
+                sel = (i, j, sel.estimated_tt_acc)
+            want.append(sel)
+            if isinstance(sel, str):
+                break
+        # One pass over every cap, each warm-started from the last, up to the first error.
+        got = []
+        try:
+            got.extend(None if pick is None else pick[:3] for pick in _select_caps(profile, counts, p_maxes))
+        except pp.DataError as exc:
+            got.append(str(exc))
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "ratio, message",
+        [(1.0, "estimated energy must be positive"),
+         (1e-120, f"estimated time to accuracy {1e-200 * 1e-120!r} is subnormal")],
+    )
+    def test_winning_pick_out_of_range_raises_at_its_cap(self, ratio, message):
+        # Under 3.0 W batch size 32 wins at 600 MHz: 1e-200 s times a ratio of 1 at
+        # an average 1e-200 W is 0 W·s, and times a ratio of 1e-120 it is subnormal.
+        profile = out_of_range_pick_profile()
+        r = pp.RelationVector({8: 1.0, 32: ratio})
+        counts = dict(r.entries)
+        safe = pp.SafeFrequencyTable({2.2: 300.0, 3.0: 300.0})
+        caps = [pp.PowerCap(2.2), pp.PowerCap(3.0)]
+        sel = pp.select_configuration_fast(profile, r, caps[0])
+        assert (sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, sel.estimated_energy) == (32, 300.0) + (ratio,) * 2
+        assert pp.build_sweep(profile, r, caps[:1])[0].estimated_tt_acc == ratio
+        for call, entries in [
+            (lambda: pp.select_configuration_fast(profile, r, caps[1]), r.entries),
+            (lambda: pp.fastest_configuration(profile, counts, caps[1]), counts),
+            (lambda: pp.build_sweep(profile, r, caps), r.entries),
+            (lambda: pp.build_comparison(profile, r, caps, safe), r.entries),
+            (lambda: pp.build_comparison(profile, r, caps, safe, counts), r.entries),
+        ]:
+            with pytest.raises(EntriesError) as info:
+                call()
+            assert str(info.value) == message
+            assert info.value.entries is entries
+        # The baselines' safe 300 MHz keeps their picks in range.
+        assert pp.baseline2_select(profile, r, caps[1], safe).estimated_energy == ratio
 
     @pytest.mark.parametrize(
         "count, message",
@@ -690,6 +762,50 @@ class TestRendering:
         csv_rows = sweep_csv_rows(rows)
         assert float(csv_rows[1][3]) == rows[0].estimated_tt_acc
         assert format_sweep_table(rows).startswith("p_max_w")
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_renderers_match_the_row_wise_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        profile, _ = random_profile(rng, with_avg_power=bool(seed % 2))
+        batches = profile.batch_sizes
+        counts = random_counts(rng, batches)
+        r = pp.relation_vector(counts)
+        lo, hi = min(map(min, profile.power_rows)), max(map(max, profile.power_rows))
+        # A cap below every peak (infeasible rows), an unlimited one and some in between.
+        p_maxes = [lo * 0.5, math.inf, *rng.uniform(lo * 0.9, hi * 1.1, 8).tolist()]
+        caps = [pp.PowerCap(p) for p in p_maxes]
+        # A cap no frequency fits runs the baselines at the lowest one, trusted by construction.
+        worst = [max(column) for column in zip(*profile.power_rows)]
+        safe = pp.SafeFrequencyTable(
+            {p: profile.frequencies[max(0, bisect.bisect_left(worst, p) - 1)] for p in p_maxes}
+        )
+        sweep = pp.build_sweep(profile, r, caps)
+        report = pp.build_comparison(profile, r, caps, safe, counts if seed % 3 else None)
+        proxies = {f"proxy-{k}": random_relation(rng, batches) for k in range(1 + seed % 3)}
+        targets = {f"t{k}": random_counts(rng, batches) for k in range(1 + seed % 2)}
+        matrices = [pp.build_sensitivity(profile, proxies, targets, cap) for cap in caps if cap.p_max > lo]
+        matrices.append(pp.SensitivityMatrix(math.inf, ("a", "wide proxy id"), ("target",), [[12.25], [0.0]]))
+        # The same rows built by hand: numpy-int batch sizes and int frequencies.
+        hand_sweep = [
+            SweepRow(row.p_max_w, np.int64(row.batch_size), int(row.frequency_mhz), row.estimated_tt_acc,
+                     row.energy_j) if row.status == STATUS_OK else row
+            for row in sweep
+        ]
+        hand_report = ComparisonReport(tuple(
+            ComparisonRow(row.p_max_w, row.policy_tag, np.int32(row.batch_size), int(row.frequency_mhz),
+                          *row._astuple()[4:]) if row.status == STATUS_OK else row
+            for row in report.rows
+        ))
+        assert any(row.status == STATUS_INFEASIBLE for row in sweep)
+        for sweep, report, matrices in [
+            (sweep, report, matrices), (hand_sweep, hand_report, matrices), ((), ComparisonReport(()), []),
+        ]:
+            renders = (
+                sweep_csv_rows(iter(sweep)), format_sweep_table(iter(sweep)),
+                comparison_csv_rows(report), format_comparison_table(report),
+                sensitivity_csv_rows(matrices), [format_sensitivity_table(m) for m in matrices],
+            )
+            assert renders == reference_renders(sweep, report, matrices)
 
     def test_library_built_rows_render_exactly(self):
         # A numpy batch size prints as an int, an int frequency as a float, and a missing

@@ -7,11 +7,11 @@ Run from the repository root:
 Each fault replaces one piece of one line under ``src/powerplan`` with a
 wrong one.  For each, the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` into a temporary directory, plants the fault there and
-runs the fault's test files (or node ids, where a whole file would take
-too long) with ``pytest -x``.  A fault is caught when those tests fail.
-The script first runs every listed test file on the unpatched copy, which
-must pass.  It exits 1 if the copy fails, if a fault's text no longer
-occurs exactly once, or if any fault survives.
+runs the tests named for it, test files or node ids, with ``pytest -x``.
+A fault is caught when those tests fail.  Node ids keep the whole run
+short.  The script first runs every named test on the unpatched copy,
+which must pass.  It exits 1 if the copy fails, if a fault's text no
+longer occurs exactly once, or if any fault survives.
 
 The script lives outside ``testpaths``, so the tier-1 run does not pay for
 it; CI runs it as a step of its own.
@@ -29,7 +29,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-KERNEL_TESTS = ("tests/test_report.py", "tests/test_core.py", "tests/test_cli.py")
+# The report tests that plan many caps and policies against one-cap selections and exhaustive scans.
+KERNEL_TESTS = tuple(
+    f"tests/test_report.py::{name}"
+    for name in ("TestBuildComparison", "TestBuildSensitivity", "TestSweepMatchesBruteForce", "TestPruningIsExact")
+)
 
 # name: (file under src/powerplan, text, its faulty replacement, test files or node ids that must catch it)
 FAULTS = {
@@ -38,12 +42,9 @@ FAULTS = {
         KERNEL_TESTS,
     ),
     "bound from the first column": (
-        "core.py", "else row[-1] * m for row, m in", "else row[0] * m for row, m in", KERNEL_TESTS,
+        "core.py", "lows = [row[-1] * m for row, m in", "lows = [row[0] * m for row, m in", KERNEL_TESTS,
     ),
     "warm start kept after it leaves the prefix": ("core.py", "if w >= n:", "if w >= reach:", KERNEL_TESTS),
-    "overflowing rows pruned like the others": (
-        "core.py", "lows = [0.0 if row[0] * m == math.inf else row[-1] * m", "lows = [row[-1] * m", KERNEL_TESTS,
-    ),
     "peak at the cap fits": (
         "core.py", "cols = [bisect_left(power[i], p_max) - 1", "cols = [bisect_right(power[i], p_max) - 1",
         KERNEL_TESTS,
@@ -51,46 +52,51 @@ FAULTS = {
     "ties go to the smaller batch": ("core.py", "k = _last_near_min(tts)", "k = tts.index(min(tts))", KERNEL_TESTS),
     "energy from peak power": (
         "core.py", "return profile.avg_power_rows[i][j] * tt", "return profile.power_rows[i][j] * tt",
-        ("tests/test_report.py", "tests/test_baselines.py"),
+        ("tests/test_report.py::TestBuildComparison", "tests/test_baselines.py"),
     ),
     "sweep ladder one cap short": (
         "report.py", "range(int(math.floor(n_steps)) + 1)", "range(int(math.floor(n_steps)))",
-        ("tests/test_report.py",),
+        ("tests/test_report.py::TestBuildSweep",),
     ),
     "smaller batch resumes at the lowest frequency": (
         "ingest.py", "        j = start\n", "        j = 0\n", ("tests/test_ingest.py::TestProfilingSchedule",),
     ),
-    "zero duration accepted": ("ingest.py", "if duration <= 0:", "if duration < 0:", ("tests/test_ingest.py",)),
+    "zero duration accepted": (
+        "ingest.py", "if duration <= 0:", "if duration < 0:", ("tests/test_ingest.py::TestParseTimingLog",),
+    ),
     "line numbers off by one": (
-        "ingest.py", "enumerate(lines, start=1)", "enumerate(lines, start=0)", ("tests/test_ingest.py",),
+        "ingest.py", "enumerate(lines, start=1)", "enumerate(lines, start=0)",
+        ("tests/test_ingest.py::TestParsePowerLog",),
     ),
     "warm-up durations kept": (
         "ingest.py", "return self.minibatch_durations[self.warmup_discarded :]", "return self.minibatch_durations",
-        ("tests/test_ingest.py",),
+        ("tests/test_ingest.py::TestParseTimingLog",),
     ),
     "percentile lerp from the lower end only": (
         "ingest.py", "return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t", "return a + (b - a) * t",
-        ("tests/test_ingest.py",),
+        ("tests/test_ingest.py::TestAggregatePoint",),
     ),
     "no tie tolerance": ("core.py", "TIE_REL_TOL = 1e-9", "TIE_REL_TOL = 0.0", KERNEL_TESTS),
     "fastest pass planned on the relation": (
         "report.py", 'passes["fastest"] = _count_picks(profile, true_counts, p_maxes)',
-        'passes["fastest"] = _count_picks(profile, r.entries, p_maxes)', ("tests/test_report.py",),
+        'passes["fastest"] = _count_picks(profile, r.entries, p_maxes)', ("tests/test_report.py::TestBuildComparison",),
     ),
     "comparison picks against the caps unsorted": (
         "report.py", "p_maxes = [cap.p_max for cap in ordered]", "p_maxes = [cap.p_max for cap in caps]",
-        ("tests/test_report.py",),
+        ("tests/test_report.py::TestBuildComparison",),
     ),
     "baseline candidate sets swapped": (
         "baselines.py", 'first = 0 if policy_tag == "baseline2"', 'first = 0 if policy_tag == "baseline1"',
-        ("tests/test_baselines.py", "tests/test_report.py"),
+        ("tests/test_baselines.py", "tests/test_report.py::TestBuildComparison"),
     ),
     "baseline ties go to the smaller batch": (
         "baselines.py", "k = _last_near_min(ratios)", "k = ratios.index(min(ratios))", ("tests/test_baselines.py",),
     ),
-    "temporary file left behind": ("cli.py", "        os.unlink(tmp)\n", "        pass\n", ("tests/test_cli.py",)),
+    "temporary file left behind": (
+        "cli.py", "        os.unlink(tmp)\n", "        pass\n", ("tests/test_cli.py::TestOutputFiles",),
+    ),
     "sensitivity entry below the tied fastest kept": (
-        "report.py", "if realized > fastest_tt:", "if True:", ("tests/test_report.py",),
+        "report.py", "if realized > fastest_tt:", "if True:", ("tests/test_report.py::TestBuildSensitivity",),
     ),
     "zero peak accepted": (
         "ingest.py", "if not peak_w > 0:", "if peak_w < 0:",
@@ -101,7 +107,8 @@ FAULTS = {
         ("tests/test_ingest.py::TestAggregatePoint::test_zero_average_rejected",),
     ),
     "cap ladder one over its limit": (
-        "report.py", "if not n_steps < MAX_CAP_LADDER:", "if not n_steps <= MAX_CAP_LADDER:", ("tests/test_report.py",),
+        "report.py", "if not n_steps < MAX_CAP_LADDER:", "if not n_steps <= MAX_CAP_LADDER:",
+        ("tests/test_report.py::TestBuildSweep",),
     ),
     "percentile midpoint lerped from the lower end": (
         "ingest.py", "if t >= 0.5 else", "if t > 0.5 else",
@@ -114,6 +121,18 @@ FAULTS = {
     "repeated axis value takes the fast path": (
         "ingest.py", "and (len(row_start), len(freq_pos)) == shape", "and True",
         ("tests/test_ingest.py::TestProfilePersistence",),
+    ),
+    "column width from the header only": (
+        "report.py", "repeat(max(map(len, column)))", "repeat(len(column[0]))",
+        ("tests/test_report.py::TestRendering",),
+    ),
+    "sweep and comparison picks unchecked": (
+        "core.py", "yield w, j, tt, n, _pick_energy(profile, w, j, tt, multipliers)",
+        "yield w, j, tt, n, _energy_at(profile, w, j, tt)", ("tests/test_report.py::TestOutOfRangeProducts",),
+    ),
+    "an infinite estimate ties": (
+        "core.py", "<= TIE_REL_TOL * values[k] < math.inf:", "<= TIE_REL_TOL * values[k]:",
+        ("tests/test_report.py::TestOutOfRangeProducts",),
     ),
 }
 
@@ -133,7 +152,8 @@ def fresh_copy(workdir: Path) -> None:
 
 
 def main() -> int:
-    files = sorted({f.partition("::")[0] for *_, tests in FAULTS.values() for f in tests})
+    named = {f for *_, tests in FAULTS.values() for f in tests}
+    files = sorted(f for f in named if f.partition("::")[0] == f or f.partition("::")[0] not in named)
     ok = True
     with tempfile.TemporaryDirectory(prefix="plant-faults-") as tmp:
         workdir = Path(tmp) / "copy"
