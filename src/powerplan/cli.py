@@ -55,36 +55,44 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
+_READ_CHUNK = 1 << 16  # bytes per os.read in _parse_file: a log is one read, then the empty one at its end
 
 
 class UsageError(Exception):
     pass
 
 
-def _in_file(path: str, func, *args, **kwargs):
-    """``func(*args, **kwargs)``, with any DataError it raises prefixed by ``path``."""
+def _in_file(path: str, func, *args):
+    """``func(*args)``, with any DataError it raises prefixed by ``path``."""
     try:
-        return func(*args, **kwargs)
+        return func(*args)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _parse_file(path: str, parse, *args, **kwargs):
+def _parse_file(path: str, parse, *args):
     """Read ``path`` and parse its text; any DataError is prefixed with the path."""
     # Every parser splits with str.splitlines, which breaks on \r\n and \r
     # as text-mode reading would translate them, so bytes are decoded as is.
-    # One unbuffered read of the whole file needs no buffer object.
+    # Raw reads until one returns b"" take no file object: open, the reads and
+    # close are the only system calls.  A directory fails at its first read.
     try:
-        with open(path, "rb", buffering=0) as fh:
-            data = fh.read()
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
+    data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise DataError(f"{path}: not valid UTF-8 at line {line_no}, byte {exc.start}") from None
-    return _in_file(path, parse, text, *args, **kwargs)
+    return _in_file(path, parse, text, *args)
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -174,9 +182,7 @@ def cmd_ingest(args) -> int:
     keys: list[tuple[int, float]] = []
     points = []
     for timing_path, power_path in zip(args.timing, args.power):
-        timing = _parse_file(
-            timing_path, parse_timing_log, warmup_override=args.warmup, max_minibatches=args.m
-        )
+        timing = _parse_file(timing_path, parse_timing_log, args.warmup, args.m)  # warmup_override, max_minibatches
         power = _parse_file(power_path, parse_power_log)
         try:
             point = aggregate_point(power, timing, args.s, peak_percentile=args.peak_percentile)
@@ -268,7 +274,7 @@ def cmd_sensitivity(args) -> int:
         _in_file(path, _check_keys, profile, rv.entries)
         pid = rv.source_id or Path(path).stem
         if pid in proxies:
-            raise DataError(f"duplicate proxy id {pid!r}")
+            raise DataError(f"{path}: duplicate proxy id {pid!r}, also in {owners[id(proxies[pid].entries)]}")
         proxies[pid] = rv
         owners[id(rv.entries)] = path
     targets = {}
@@ -277,7 +283,7 @@ def cmd_sensitivity(args) -> int:
         _in_file(path, _check_keys, profile, counts, "true counts name")
         tid = tid or Path(path).stem
         if tid in targets:
-            raise DataError(f"duplicate target id {tid!r}")
+            raise DataError(f"{path}: duplicate target id {tid!r}, also in {owners[id(targets[tid])]}")
         targets[tid] = counts
         owners[id(counts)] = path
     matrices = [

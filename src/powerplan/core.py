@@ -160,6 +160,11 @@ class PowerCap(_Record):
 Rows = tuple[tuple[float, ...], ...]
 
 
+def _all_finite(values: Sequence[float]) -> bool:
+    """``all(map(math.isfinite, values))``; a finite sum proves it, so only a sum that is not checks each entry."""
+    return math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))
+
+
 def _table_rows(
     table: object, name: str, shape: tuple[int, int], descending: bool = False
 ) -> tuple[Rows, int | None]:
@@ -179,11 +184,8 @@ def _table_rows(
         got = f"shape {(len(rows), *widths)}" if len(widths) <= 1 else f"rows of widths {sorted(widths)}"
         raise DataError(f"dimension mismatch: {name} has {got}, expected {shape}")
     ordered = [sorted(row, reverse=descending) for row in rows]
-    # A finite row sum proves every entry finite; only an overflowing sum of
-    # finite entries needs the entries checked one by one.  A row's least
-    # entry is an end of its sorted copy.
-    finite = all(math.isfinite(sum(row)) or all(map(math.isfinite, row)) for row in rows)
-    if not finite or min(min(s[0], s[-1]) for s in ordered) <= 0.0:
+    # A row's least entry is an end of its sorted copy.
+    if not all(map(_all_finite, rows)) or min(min(s[0], s[-1]) for s in ordered) <= 0.0:
         raise DataError(f"{name} entries must be finite and strictly positive")
     return rows, next((i for i, (s, row) in enumerate(zip(ordered, rows)) if s != list(row)), None)
 

@@ -25,7 +25,9 @@ import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
 
-from .core import DataError, DeviceProfile, PowerCap, RelationVector, _batch_size, _check_counts, _Record, _set
+from .core import (
+    DataError, DeviceProfile, PowerCap, RelationVector, _all_finite, _batch_size, _check_counts, _Record, _set
+)
 
 DEFAULT_MINIBATCHES = 5
 DEFAULT_WARMUP = 1  # first mini-batch absorbs kernel compilation noise
@@ -75,7 +77,7 @@ class PowerTrace(_Record):
         timestamps_s, power_mw = tuple(timestamps_s), tuple(power_mw)  # no copy of a tuple
         if len(timestamps_s) != len(power_mw):
             raise DataError("power trace columns differ in length")
-        if not (all(map(math.isfinite, timestamps_s)) and all(map(math.isfinite, power_mw))):
+        if not (_all_finite(timestamps_s) and _all_finite(power_mw)):
             raise DataError("power samples must be finite")
         if not all(map(operator.lt, timestamps_s, timestamps_s[1:])):
             raise DataError("power trace timestamps must be strictly increasing")
@@ -135,7 +137,7 @@ class TimingTrace(_Record):
         # Last, so that every trace the checks above reject keeps its message.
         if not math.isfinite(frequency_mhz):
             raise DataError("frequency must be finite")
-        if not all(map(math.isfinite, minibatch_durations)):
+        if not _all_finite(minibatch_durations):
             raise DataError("mini-batch durations must be finite")
         _set(self, "batch_size", batch_size)
         _set(self, "frequency_mhz", frequency_mhz)

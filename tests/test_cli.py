@@ -17,6 +17,7 @@ from powerplan import cli
 from powerplan.cli import COMMANDS, _read_plain, _replace_file, _write_csv, build_parser, main
 from synth_corpus import out_of_range_pick_profile, random_counts, random_profile, random_relation
 
+CHUNK = cli._READ_CHUNK  # bytes per raw read of an input
 FLIP_CAPS = ["4.5", "7.0", "unlimited"]
 DATA = Path(__file__).parent / "data"
 
@@ -649,28 +650,36 @@ class TestSensitivityCommand:
             "", "error: no configuration satisfies power cap 2.0 W; the lowest peak in the profile is 3.8 W\n"
         )
 
-    def test_duplicate_proxy_id_rejected(self, data_dir, capsys):
+    def test_duplicate_proxy_id_rejected(self, data_dir, tmp_path, capsys):
+        # The first file declares source_id proxy-small; the second has no
+        # source_id line, so its id is its stem, proxy-small too.
+        first = data_dir / "relation_b8_b32.csv"
+        later = tmp_path / "proxy-small.csv"
+        later.write_text("8,0.6666666666666666\n32,1.0\n", encoding="utf-8")
         rc = main([
             "sensitivity",
             "--profile", str(data_dir / "profile_b8_b32.csv"),
-            "--relation", str(data_dir / "relation_b8_b32.csv"), str(data_dir / "relation_b8_b32.csv"),
+            "--relation", str(first), str(later),
             "--counts", str(data_dir / "counts_b8_b32.csv"),
             "--p-max", "4.5",
         ])
         assert rc == 3
-        assert "duplicate proxy id" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {later}: duplicate proxy id 'proxy-small', also in {first}\n")
 
-    def test_duplicate_target_id_rejected(self, data_dir, capsys):
+    def test_duplicate_target_id_rejected(self, data_dir, tmp_path, capsys):
         # Both files declare source_id truth-small.
+        first = data_dir / "counts_b8_b32.csv"
+        later = tmp_path / "truth-copy.csv"
+        later.write_bytes(first.read_bytes())
         rc = main([
             "sensitivity",
             "--profile", str(data_dir / "profile_b8_b32.csv"),
             "--relation", str(data_dir / "relation_b8_b32.csv"),
-            "--counts", str(data_dir / "counts_b8_b32.csv"), str(data_dir / "counts_b8_b32.csv"),
+            "--counts", str(first), str(later),
             "--p-max", "4.5",
         ])
         assert rc == 3
-        assert capsys.readouterr() == ("", "error: duplicate target id 'truth-small'\n")
+        assert capsys.readouterr() == ("", f"error: {later}: duplicate target id 'truth-small', also in {first}\n")
 
 
 class TestSweepCommand:
@@ -811,6 +820,32 @@ class TestInputReads:
         assert runs[1] == runs[0]
         expected = "golden_profile.csv" if command == "ingest" else "expected/select.csv"
         assert runs[1][1] == (data_dir / expected).read_bytes()
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK])
+    def test_read_loop_returns_the_whole_file(self, tmp_path, size):
+        # CRLF lines, and a two-byte character across each chunk boundary the file crosses.
+        data = bytearray((b"0.25,4000\r\n" * (size // 11 + 1))[:size])
+        for end in range(CHUNK, size, CHUNK):
+            data[end - 1 : end + 1] = "\u00e9".encode("utf-8")
+        path = tmp_path / "input.csv"
+        path.write_bytes(data)
+        assert path.stat().st_size == size
+        assert cli._parse_file(str(path), str) == path.read_bytes().decode("utf-8")
+
+    def test_ingest_reads_a_power_log_longer_than_a_chunk(self, data_dir, tmp_path):
+        out = tmp_path / "out.csv"
+        argv, k = self.argv("ingest", data_dir, out)
+        # CRLF samples past one chunk, the peak last: a read that stops early lowers the peak.
+        text = "".join(f"{i / 1000!r},{4500 + i % 7}\r\n" for i in range(CHUNK // 8)) + "99.0,5200\r\n"
+        argv[k] = str(tmp_path / "power_long.csv")
+        Path(argv[k]).write_bytes(text.encode("utf-8"))
+        assert Path(argv[k]).stat().st_size > CHUNK
+        assert main(argv) == 0
+        power = pp.parse_power_log(text)
+        profile = pp.load_profile(out.read_text(encoding="utf-8"))
+        i, j = profile.batch_index(32), profile.frequency_index(614.0)
+        assert power.peak_w == 5.2
+        assert (profile.power_rows[i][j], profile.avg_power_rows[i][j]) == (power.peak_w, power.avg_w)
 
     @pytest.mark.parametrize(
         "kind, reason",

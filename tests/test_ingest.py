@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import powerplan as pp
+from powerplan.core import _all_finite
 from synth_corpus import (
     random_device_params,
     random_grid,
@@ -829,3 +830,49 @@ class TestTraceInvariants:
         assert trace.peak_w == 1e308 / 1000.0
         with pytest.raises(pp.DataError, match="power samples sum past the float range"):
             trace.avg_w
+
+
+# Entries whose sums overflow, or meet an inf or nan, next to ordinary ones.
+_EXTREME = st.sampled_from([1.5e308, -1.5e308, 1e308, math.inf, -math.inf, math.nan, 1.0])
+
+
+class TestFiniteness:
+    """A column or row is finite when every entry is, however far its sum runs past the float range."""
+
+    @given(st.lists(st.one_of(st.floats(), _EXTREME), max_size=8))
+    @example([1e308, 1.5e308])
+    @example([1e308, 1e308, -1.5e308])
+    @example([-1.5e308, -1e308, math.nan])
+    def test_all_finite_is_the_entry_by_entry_check(self, values):
+        assert _all_finite(tuple(values)) == all(map(math.isfinite, values))
+
+    def test_power_trace_timestamps_summing_past_the_float_range_accepted(self):
+        trace = pp.PowerTrace((1e308, 1.5e308), (1000.0, 2000.0))
+        assert trace.timestamps_s == (1e308, 1.5e308)
+        assert trace.peak_w == 2.0
+
+    def test_timing_durations_summing_past_the_float_range_accepted(self):
+        # Only the retained durations must sum inside the range.
+        trace = pp.TimingTrace(8, 100.0, (1.5e308, 1e308, 0.5), warmup_discarded=2)
+        assert trace.retained == (0.5,)
+
+    def test_profile_row_summing_past_the_float_range_accepted(self):
+        profile = pp.DeviceProfile(
+            model_id="m", batch_sizes=(8,), frequencies=(100.0, 200.0), time_table=[[1.5e308, 1e308]],
+            power_table=[[1.0, 2.0]], samples_per_unit=8,
+        )
+        assert profile.time_rows == ((1.5e308, 1e308),)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_keeps_its_message(self, bad):
+        with pytest.raises(pp.DataError, match="^power samples must be finite$"):
+            pp.PowerTrace((1e308, 1.5e308, bad), (1.0, 2.0, 3.0))
+        with pytest.raises(pp.DataError, match="^power samples must be finite$"):
+            pp.PowerTrace((0.0, 1.0, 2.0), (1e308, 1.5e308, bad))
+        with pytest.raises(pp.DataError, match="^mini-batch durations must be finite$"):
+            pp.TimingTrace(8, 100.0, (1.5e308, 1e308, bad), warmup_discarded=2)
+        with pytest.raises(pp.DataError, match="^time table entries must be finite and strictly positive$"):
+            pp.DeviceProfile(
+                model_id="m", batch_sizes=(8,), frequencies=(100.0, 200.0), time_table=[[1.5e308, bad]],
+                power_table=[[1.0, 2.0]], samples_per_unit=8,
+            )

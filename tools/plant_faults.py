@@ -134,6 +134,14 @@ FAULTS = {
         "core.py", "<= TIE_REL_TOL * values[k] < math.inf:", "<= TIE_REL_TOL * values[k]:",
         ("tests/test_report.py::TestOutOfRangeProducts",),
     ),
+    "input read stops after its first chunk": (
+        "cli.py", "while chunk := os.read(fd, _READ_CHUNK):", "if chunk := os.read(fd, _READ_CHUNK):",
+        ("tests/test_cli.py::TestInputReads",),
+    ),
+    "an overflowing sum taken for a non-finite entry": (
+        "core.py", "return math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))",
+        "return math.isfinite(sum(values, 0.0))", ("tests/test_ingest.py::TestFiniteness",),
+    ),
 }
 
 
