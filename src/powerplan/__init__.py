@@ -52,13 +52,7 @@ from .report import (
     build_sweep,
     cap_range,
 )
-from .synth import (
-    SynthConvergenceParams,
-    SynthDeviceParams,
-    convergence_count,
-    generate_profile,
-    synth_counts,
-)
+from .synth import SynthDeviceParams, generate_profile
 
 __all__ = [
     "AggregatedPoint",
@@ -75,7 +69,6 @@ __all__ = [
     "SelectionResult",
     "SensitivityMatrix",
     "SweepRow",
-    "SynthConvergenceParams",
     "SynthDeviceParams",
     "TimingTrace",
     "aggregate_point",
@@ -86,7 +79,6 @@ __all__ = [
     "build_sweep",
     "cap_range",
     "compute_safe_table",
-    "convergence_count",
     "discovered_feasible",
     "fastest_configuration",
     "feasible_combinations",
@@ -104,7 +96,6 @@ __all__ = [
     "relation_vector",
     "save_profile",
     "select_configuration_fast",
-    "synth_counts",
 ]
 
 __version__ = "0.1.0"

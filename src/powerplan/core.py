@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 
 # Two estimates within this relative distance count as a tie and fall
@@ -154,7 +154,12 @@ class PowerCap(_Record):
         return math.isinf(self.p_max)
 
     def __str__(self) -> str:
-        return "unlimited" if self.is_unlimited else repr(self.p_max)
+        return _fmt_cap(self.p_max)
+
+
+def _fmt_cap(p_max_w: float) -> str:
+    """A cap's watts as every output writes them: ``unlimited`` or the float's repr."""
+    return "unlimited" if math.isinf(p_max_w) else repr(float(p_max_w))
 
 
 Rows = tuple[tuple[float, ...], ...]
@@ -215,6 +220,19 @@ def _array_view(rows: str) -> property:
     return property(view)
 
 
+def _axes(batch_sizes: Iterable[int], frequencies: Iterable[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """A grid's batch-size axis as ints and its frequency axis as floats, each non-empty, positive
+    and strictly increasing (the frequencies finite), else DataError."""
+    message = "batch sizes must be strictly increasing positive integers"
+    bs = tuple(_batch_size(b, message) for b in batch_sizes)
+    if not bs or any(a >= b for a, b in zip(bs, bs[1:])):
+        raise DataError(message)
+    fs = tuple(map(float, frequencies))
+    if not fs or any(not 0 < f < math.inf for f in fs) or any(a >= b for a, b in zip(fs, fs[1:])):
+        raise DataError("frequencies must be strictly increasing positive values")
+    return bs, fs
+
+
 class DeviceProfile(_Record):
     """Measured time and peak-power lookup tables for one model on one device.
 
@@ -267,17 +285,7 @@ class DeviceProfile(_Record):
         self.__post_init__()  # looked up on the class, where it may be rebound
 
     def __post_init__(self) -> None:
-        message = "batch sizes must be strictly increasing positive integers"
-        bs = tuple(_batch_size(b, message) for b in self.batch_sizes)
-        if not bs or any(a >= b for a, b in zip(bs, bs[1:])):
-            raise DataError(message)
-        fs = tuple(float(f) for f in self.frequencies)
-        if (
-            not fs
-            or any(not math.isfinite(f) or f <= 0 for f in fs)
-            or any(a >= b for a, b in zip(fs, fs[1:]))
-        ):
-            raise DataError("frequencies must be strictly increasing positive values")
+        bs, fs = _axes(self.batch_sizes, self.frequencies)
         s = _positive_int(self.samples_per_unit, "samples_per_unit must be a positive integer")
         _set(self, "batch_sizes", bs)
         _set(self, "frequencies", fs)
@@ -372,12 +380,18 @@ class RelationVector(_Record):
         _set(self, "source_id", source_id)
 
 
-def _check_estimate(tt: float) -> None:
-    """Reject a time to accuracy that is not a positive, finite, normal float."""
+def _check_estimate(tt: float, entries: Mapping[int, float] | None = None) -> None:
+    """Reject a time to accuracy that is not a positive, finite, normal float; the EntriesError carries ``entries``."""
     if not (tt > 0 and math.isfinite(tt)):
-        raise DataError("estimated time to accuracy must be positive and finite")
+        raise EntriesError("estimated time to accuracy must be positive and finite", entries)
     if tt < sys.float_info.min:
-        raise DataError(f"estimated time to accuracy {tt!r} is subnormal")
+        raise EntriesError(f"estimated time to accuracy {tt!r} is subnormal", entries)
+
+
+def _check_energy(energy: float | None, entries: Mapping[int, float] | None = None) -> None:
+    """Reject an energy that is present but not positive and finite; the EntriesError carries ``entries``."""
+    if energy is not None and not 0 < energy < math.inf:
+        raise EntriesError(f"estimated energy must be {'finite' if energy > 0 else 'positive'}", entries)
 
 
 class SelectionResult(_Record):
@@ -410,8 +424,7 @@ class SelectionResult(_Record):
         if policy_tag not in POLICY_TAGS:
             raise DataError(f"unknown policy tag {policy_tag!r}")
         _check_estimate(estimated_tt_acc)
-        if estimated_energy is not None and not estimated_energy > 0:
-            raise DataError("estimated energy must be positive")
+        _check_energy(estimated_energy)
         if feasible_count < 1:
             raise DataError("feasible_count must be at least 1")
         _set(self, "batch_size", batch_size)
@@ -485,13 +498,9 @@ def _pick_energy(profile: DeviceProfile, i: int, j: int, tt: float, entries: Map
     valid on their own, so an estimate or energy out of range is an
     EntriesError that carries ``entries``.
     """
-    try:
-        _check_estimate(tt)
-    except DataError as exc:
-        raise EntriesError(str(exc), entries) from None
+    _check_estimate(tt, entries)
     energy = _energy_at(profile, i, j, tt)
-    if energy is not None and not energy > 0:
-        raise EntriesError("estimated energy must be positive", entries)
+    _check_energy(energy, entries)
     return energy
 
 

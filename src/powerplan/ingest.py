@@ -26,7 +26,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
 
 from .core import (
-    DataError, DeviceProfile, PowerCap, RelationVector, _all_finite, _batch_size, _check_counts, _Record, _set
+    DataError, DeviceProfile, PowerCap, RelationVector, _all_finite, _axes, _batch_size, _check_counts, _Record, _set
 )
 
 DEFAULT_MINIBATCHES = 5
@@ -317,12 +317,7 @@ def profiling_schedule(
     frequency a smaller batch can only draw less power.  Without a finite
     cap nothing can be pruned and the schedule covers the full grid.
     """
-    bs = [_batch_size(b, f"batch sizes must be positive integers, got {b!r}") for b in batch_sizes]
-    fs = [float(f) for f in frequencies]
-    if not bs or any(a >= b for a, b in zip(bs, bs[1:])):
-        raise DataError("batch sizes must be sorted ascending and unique")
-    if not fs or any(a >= b for a, b in zip(fs, fs[1:])):
-        raise DataError("frequencies must be sorted ascending and unique")
+    bs, fs = _axes(batch_sizes, frequencies)
 
     points: list[tuple[int, float]] = []
     if cap.is_unlimited:

@@ -24,12 +24,13 @@ from .baselines import (
 from .core import (
     DataError,
     DeviceProfile,
-    EntriesError,
     PowerCap,
     RelationVector,
+    _check_energy,
     _check_estimate,
     _energy_at,
     _entry,
+    _fmt_cap,
     _Record,
     _relation_picks,
     _set,
@@ -147,10 +148,7 @@ def _realized(profile: DeviceProfile, i: int, j: int, counts: Mapping[int, float
     """Grid cell (i, j)'s time times its true count; an EntriesError carries ``counts``
     when the count is missing or takes the product out of the normal float range."""
     tt = float(profile.time_rows[i][j] * _entry(counts, profile.batch_sizes[i], "true counts"))
-    try:
-        _check_estimate(tt)
-    except DataError as exc:
-        raise EntriesError(str(exc), counts) from None
+    _check_estimate(tt, counts)
     return tt
 
 
@@ -198,6 +196,7 @@ def build_comparison(
             if tag == "baseline1":
                 anchor = basis
             energy = _energy_at(profile, i, j, basis)
+            _check_energy(energy, true_counts)  # on the estimated basis, the pick's energy, checked already
             rows.append(ComparisonRow(cap.p_max, tag, bs[i], fs[j], tt, realized, energy, anchor / basis))
     return ComparisonReport(tuple(rows))
 
@@ -262,10 +261,6 @@ def cap_range(p_max_min: float, p_max_max: float, step: float) -> list[PowerCap]
     if not n_steps < MAX_CAP_LADDER:  # also rejects an infinite span
         raise DataError(f"cap range would hold more than {MAX_CAP_LADDER} caps; use a larger step")
     return [PowerCap(p_max_min + k * step) for k in range(int(math.floor(n_steps)) + 1)]
-
-
-def _fmt_cap(p_max_w: float) -> str:
-    return "unlimited" if math.isinf(p_max_w) else repr(float(p_max_w))
 
 
 # A renderer maps a column's values to its cells, for a table when ``table`` and for a CSV otherwise.

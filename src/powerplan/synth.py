@@ -4,9 +4,7 @@ The generative power model follows the dynamic-power relation of
 voltage-frequency scaling (dynamic power grows with f * V(f)^2), scaled by
 how much of the GPU the batch keeps busy.  Timing assumes throughput grows
 linearly with frequency and with batch size up to a parallelism saturation
-point.  The convergence-count model is a critical-batch-style stand-in:
-its constants are plumbing, not measured truth, and tests must not treat
-them as such.
+point.
 
 Noise, when enabled, perturbs the model coefficients once per profile
 (seeded), never per grid cell, so generated tables always satisfy the
@@ -15,10 +13,9 @@ monotonicity invariants of DeviceProfile.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
-from .core import DataError, DeviceProfile, _batch_size, _positive_int, _Record, _set
+from .core import DataError, DeviceProfile, _axes, _positive_int, _Record, _set
 
 
 class SynthDeviceParams(_Record):
@@ -88,20 +85,6 @@ class SynthDeviceParams(_Record):
         _set(self, "avg_duty", avg_duty)
 
 
-class SynthConvergenceParams(_Record):
-    """Stand-in convergence model: samples to accuracy grow linearly past a
-    critical batch size."""
-
-    __slots__ = ("n_min", "b_noise")
-
-    def __init__(self, n_min: int, b_noise: float) -> None:
-        n_min = _positive_int(n_min, "n_min must be a positive integer")
-        if not b_noise > 0:
-            raise DataError("b_noise must be positive")
-        _set(self, "n_min", n_min)
-        _set(self, "b_noise", float(b_noise))
-
-
 def _effective_coefficients(params: SynthDeviceParams) -> tuple[float, float, float]:
     import numpy as np
 
@@ -114,23 +97,6 @@ def _effective_coefficients(params: SynthDeviceParams) -> tuple[float, float, fl
         float(params.power_coeff * jitter[1]),
         float(params.per_sample_cost * jitter[2]),
     )
-
-
-def convergence_count(b: float, params: SynthConvergenceParams) -> int:
-    """Samples-to-accuracy multiplier for one batch size; n_min at b -> 0."""
-    if b < 0:
-        raise DataError("batch size must be non-negative")
-    return math.ceil(params.n_min * (1.0 + b / params.b_noise))
-
-
-def synth_counts(
-    batch_sizes: Iterable[int], params: SynthConvergenceParams
-) -> dict[int, int]:
-    """Ground-truth convergence counts for a batch-size axis (non-decreasing in b)."""
-    bs = [_batch_size(b, f"batch sizes must be positive integers, got {b!r}") for b in batch_sizes]
-    if not bs:
-        raise DataError("no batch sizes")
-    return {b: convergence_count(b, params) for b in bs}
 
 
 def generate_profile(
@@ -148,9 +114,7 @@ def generate_profile(
     """
     import numpy as np
 
-    message = "batch sizes must be strictly increasing positive integers"  # as DeviceProfile words it
-    batch_sizes = tuple(_batch_size(b, message) for b in batch_sizes)
-    frequencies = tuple(float(f) for f in frequencies)
+    batch_sizes, frequencies = _axes(batch_sizes, frequencies)
     bs = np.array(batch_sizes, dtype=float)
     fs = np.array(frequencies, dtype=float)
     p_static, power_coeff, per_sample_cost = _effective_coefficients(params)

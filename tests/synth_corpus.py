@@ -206,6 +206,16 @@ def out_of_range_pick_profile() -> pp.DeviceProfile:
     )
 
 
+def infinite_energy_profile() -> pp.DeviceProfile:
+    """Batch sizes 8 and 32 at 307 and 614 MHz, 1e10 s at 307 MHz and 1e9 s at
+    614 MHz, every cell at an average 1e300 W: any estimate of 1.8e8 s or more
+    takes the energy past the float range.  Peaks 1, 2, 1.5 and 3 W."""
+    return pp.load_profile(
+        "m,4\n8,32\n307.0,614.0\n8,307.0,1e10,1.0,1e300\n8,614.0,1e9,2.0,1e300\n"
+        "32,307.0,1e10,1.5,1e300\n32,614.0,1e9,3.0,1e300\n"
+    )
+
+
 def _reference_cap(p_max_w) -> str:
     return "unlimited" if math.isinf(p_max_w) else repr(float(p_max_w))
 

@@ -291,7 +291,8 @@ def test_criterion_9_demonstration():
     profile = pp.generate_profile(
         JETSON_LIKE_BATCHES, JETSON_LIKE_FREQS, JETSON_LIKE_PARAMS, 4096, model_id="jetson-like"
     )
-    counts = pp.synth_counts(JETSON_LIKE_BATCHES, pp.SynthConvergenceParams(n_min=8, b_noise=24))
+    # Samples to accuracy that grow linearly past a critical batch size: ceil(8 * (1 + b / 24)).
+    counts = {4: 10, 8: 11, 16: 14, 32: 19, 64: 30, 128: 51}
     r = pp.relation_vector(counts, source_id="self")
     caps = [pp.PowerCap(4.5), pp.PowerCap(7.0), pp.PowerCap.unlimited()]
     safe = pp.compute_safe_table([profile], caps)

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import powerplan as pp
 from powerplan import cli
 from powerplan.cli import COMMANDS, _read_plain, _replace_file, _write_csv, build_parser, main
-from synth_corpus import out_of_range_pick_profile, random_counts, random_profile, random_relation
+from synth_corpus import (
+    infinite_energy_profile, out_of_range_pick_profile, random_counts, random_profile, random_relation
+)
 
 CHUNK = cli._READ_CHUNK  # bytes per raw read of an input
 FLIP_CAPS = ["4.5", "7.0", "unlimited"]
@@ -555,6 +557,33 @@ def test_pick_out_of_range_names_the_relation_file(tmp_path, capsys, command, ra
         args += ["--safe-freqs", str(safe), "--p-max", "2.2", "3.0"]
     assert main(args) == 3
     assert capsys.readouterr() == ("", f"error: {relation}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["select", "sweep", "compare", "compare-realized"])
+def test_infinite_energy_names_its_file(tmp_path, capsys, command):
+    # Each file is valid on its own and every estimate is finite, but an
+    # energy, at an average 1e300 W, is not: the pick's (5e8 s), or, with
+    # counts, baseline 1's realized one (1e9 s at its safe 307 MHz).
+    profile, relation, counts = tmp_path / "profile.csv", tmp_path / "relation.csv", tmp_path / "counts.csv"
+    profile.write_text(pp.save_profile(infinite_energy_profile()), encoding="utf-8")
+    relation.write_text("8,1.0\n32,0.5\n", encoding="utf-8")
+    args = [command, "--profile", str(profile), "--relation", str(relation), "--p-max", "7.0"]
+    named = relation
+    if command == "sweep":
+        args[-2:] = ["--p-max-min", "7.0", "--p-max-max", "7.0", "--step", "1.0"]
+    elif command.startswith("compare"):
+        safe = tmp_path / "safe.csv"
+        safe.write_text("7.0,614.0\n", encoding="utf-8")
+        args[0] = "compare"
+        args += ["--safe-freqs", str(safe)]
+        if command == "compare-realized":
+            relation.write_text("8,1.0\n32,0.001\n", encoding="utf-8")
+            safe.write_text("7.0,307.0\n", encoding="utf-8")
+            counts.write_text("8,1.0\n32,0.1\n", encoding="utf-8")
+            args += ["--counts", str(counts)]
+            named = counts
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {named}: estimated energy must be finite\n")
 
 
 def test_padded_source_ids_print_as_unpadded(data_dir, tmp_path):

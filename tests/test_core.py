@@ -122,9 +122,7 @@ INTEGER_FIELDS = {
     "timing batch size": (lambda v: pp.TimingTrace(v, 307.0, (0.1,)).batch_size,
                           "batch size must be a positive integer, got ", False),
     "schedule batch size": (lambda v: pp.profiling_schedule((v, 16), (307.0,), pp.PowerCap(5.0), lambda b, f: 1.0)[1][0],
-                            "batch sizes must be positive integers, got ", False),
-    "synth_counts batch size": (lambda v: next(iter(pp.synth_counts([v], pp.SynthConvergenceParams(1000, 64.0)))),
-                                "batch sizes must be positive integers, got ", False),
+                            "batch sizes must be strictly increasing positive integers", False),
     "generate_profile batch size": (
         lambda v: pp.generate_profile((v,), (307.0,), pp.SynthDeviceParams(1.0, 0.01, ((300.0, 0.8),), 32, 1.0, 100.0),
                                       1024).batch_sizes[0],
@@ -132,7 +130,6 @@ INTEGER_FIELDS = {
     ),
     "parallel_cap": (lambda v: pp.SynthDeviceParams(1.0, 0.01, ((300.0, 0.8),), v, 1.0, 100.0).parallel_cap,
                      "parallel_cap must be a positive integer", True),
-    "n_min": (lambda v: pp.SynthConvergenceParams(v, 64.0).n_min, "n_min must be a positive integer", True),
 }
 
 
@@ -263,6 +260,8 @@ class TestSelectionResultValidation:
             ({"estimated_energy": 0.0}, "estimated energy must be positive"),
             ({"estimated_energy": -1.0}, "estimated energy must be positive"),
             ({"feasible_count": 0}, "feasible_count must be at least 1"),
+            ({"estimated_energy": math.nan}, "estimated energy must be positive"),
+            ({"estimated_energy": math.inf}, "estimated energy must be finite"),
         ],
     )
     def test_rejected_fields_name_their_fault(self, changes, message):

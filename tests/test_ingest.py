@@ -474,10 +474,23 @@ class TestProfilingSchedule:
         assert sched[:2] == ((32, 100.0), (32, 200.0))
 
     def test_sorted_axes_required(self):
-        with pytest.raises(pp.DataError, match="sorted ascending"):
+        with pytest.raises(pp.DataError) as exc:
             pp.profiling_schedule((16, 8), (100.0,), pp.PowerCap(5.0), lambda b, f: 1.0)
-        with pytest.raises(pp.DataError, match="sorted ascending"):
+        assert str(exc.value) == "batch sizes must be strictly increasing positive integers"
+        with pytest.raises(pp.DataError) as exc:
             pp.profiling_schedule((8,), (200.0, 100.0), pp.PowerCap(5.0), lambda b, f: 1.0)
+        assert str(exc.value) == "frequencies must be strictly increasing positive values"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -100.0])
+    def test_non_finite_or_non_positive_frequency_rejected(self, bad):
+        # DeviceProfile's axis rule: such an axis never reaches the oracle.
+        def oracle(b, f):
+            raise AssertionError(f"probed ({b}, {f})")
+
+        for freqs in ((bad,), (bad, 100.0), (100.0, bad), (-100.0, bad)):
+            with pytest.raises(pp.DataError) as exc:
+                pp.profiling_schedule((8,), freqs, pp.PowerCap(5.0), oracle)
+            assert str(exc.value) == "frequencies must be strictly increasing positive values"
 
     def test_discovered_pairs_match_full_grid_feasible_set(self):
         rng = np.random.default_rng(63)
@@ -630,10 +643,26 @@ class TestProfilePersistence:
         assert str(both.value) == str(alone.value)
 
     def test_bad_header(self):
-        with pytest.raises(pp.ParseError, match="header"):
+        with pytest.raises(pp.ParseError) as exc:
             pp.load_profile("no-comma-here\n8\n100.0\n")
+        assert str(exc.value) == "line 1: expected header model_id,s"
         with pytest.raises(pp.DataError, match="empty profile file"):
             pp.load_profile("# nothing\n")
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("m,x\n8\n100.0\n8,100.0,1.0,1.0\n", "line 1: invalid sample count 'x'"),
+            ("m,4\n8,x\n100.0\n8,100.0,1.0,1.0\n", "line 2: invalid axis line"),
+            ("m,4\n8\n100.0,x\n8,100.0,1.0,1.0\n", "line 3: invalid axis line"),
+            ("m,4\n8\n100.0\n8,150.0,1.0,1.0\n", "line 4: cell frequency 150.0 not on axis"),
+        ],
+        ids=["sample-count", "batch-axis", "frequency-axis", "off-axis-frequency"],
+    )
+    def test_sample_count_axis_and_cell_faults_name_their_line(self, text, message):
+        with pytest.raises(pp.ParseError) as exc:
+            pp.load_profile(text)
+        assert str(exc.value) == message
 
     def test_model_id_may_contain_commas(self):
         prof = pp.DeviceProfile(

@@ -30,6 +30,7 @@ from powerplan.report import (
 from synth_corpus import (
     brute_force_feasible,
     brute_force_select,
+    infinite_energy_profile,
     out_of_range_pick_profile,
     plant_duplicate_row,
     random_counts,
@@ -691,6 +692,35 @@ class TestOutOfRangeProducts:
             assert info.value.entries is entries
         # The baselines' safe 300 MHz keeps their picks in range.
         assert pp.baseline2_select(profile, r, caps[1], safe).estimated_energy == ratio
+
+    def test_infinite_energy_raises_with_its_mapping(self):
+        # Every estimate is finite, but 5e8 s at an average 1e300 W is past the float range.
+        profile = infinite_energy_profile()
+        r = pp.RelationVector({8: 1.0, 32: 0.5})
+        counts = {8: 1.0, 32: 0.5}
+        cap = pp.PowerCap(7.0)
+        for call, entries in [
+            (lambda: pp.select_configuration_fast(profile, r, cap), r.entries),
+            (lambda: pp.fastest_configuration(profile, counts, cap), counts),
+            (lambda: pp.baseline1_select(profile, r, cap, pp.SafeFrequencyTable({7.0: 614.0})), r.entries),
+            (lambda: pp.build_sweep(profile, r, [cap]), r.entries),
+            (lambda: pp.build_comparison(profile, r, [cap], pp.SafeFrequencyTable({7.0: 614.0})), r.entries),
+        ]:
+            with pytest.raises(EntriesError) as info:
+                call()
+            assert (str(info.value), info.value.entries) == ("estimated energy must be finite", entries)
+
+    def test_realized_energy_out_of_range_names_the_counts(self):
+        # Every pick's energy is finite (the fastest's is 1e8 s at 1e300 W), but
+        # baseline 1 realizes 1e9 s at its safe 307 MHz: 1e309 J overflows.
+        profile = infinite_energy_profile()
+        r = pp.RelationVector({8: 1.0, 32: 1e-3})
+        counts = {8: 1.0, 32: 0.1}
+        safe = pp.SafeFrequencyTable({7.0: 307.0})
+        assert pp.build_comparison(profile, r, [pp.PowerCap(7.0)], safe).rows[0].energy_j == 1e300 * 1e7
+        with pytest.raises(EntriesError) as info:
+            pp.build_comparison(profile, r, [pp.PowerCap(7.0)], safe, counts)
+        assert (str(info.value), info.value.entries) == ("estimated energy must be finite", counts)
 
     @pytest.mark.parametrize(
         "count, message",

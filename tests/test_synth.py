@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -88,41 +86,6 @@ class TestSynthTime:
             if f1 == f2:
                 continue
             assert cell(b, f2, params, 1024)[0] < cell(b, f1, params, 1024)[0]
-
-
-class TestSynthCounts:
-    def test_formula_values(self):
-        conv = pp.SynthConvergenceParams(n_min=10, b_noise=16)
-        assert pp.synth_counts((8, 32), conv) == {8: 15, 32: 30}
-
-    def test_vanishing_batch_limit(self):
-        conv = pp.SynthConvergenceParams(n_min=10, b_noise=16)
-        assert pp.convergence_count(0, conv) == 10
-
-    def test_relation_vector_peaks_at_largest_batch(self):
-        rng = np.random.default_rng(44)
-        for _ in range(500):
-            conv = pp.SynthConvergenceParams(
-                n_min=int(rng.integers(1, 100)), b_noise=float(rng.uniform(1.0, 256.0))
-            )
-            batches = tuple(
-                int(b) for b in np.sort(rng.choice(np.arange(1, 257), 4, replace=False))
-            )
-            r = pp.relation_vector(pp.synth_counts(batches, conv))
-            assert r.entries[max(batches)] == 1.0
-
-    def test_validation(self):
-        with pytest.raises(pp.DataError, match="no batch sizes"):
-            pp.synth_counts((), pp.SynthConvergenceParams(n_min=1, b_noise=1.0))
-        with pytest.raises(pp.DataError, match="positive"):
-            pp.SynthConvergenceParams(n_min=0, b_noise=1.0)
-        for b_noise in (0.0, -1.0, math.nan):
-            with pytest.raises(pp.DataError) as exc:
-                pp.SynthConvergenceParams(n_min=1, b_noise=b_noise)
-            assert str(exc.value) == "b_noise must be positive"
-        with pytest.raises(pp.DataError) as exc:
-            pp.convergence_count(-1, pp.SynthConvergenceParams(n_min=1, b_noise=1.0))
-        assert str(exc.value) == "batch size must be non-negative"
 
 
 class TestGenerateProfile:

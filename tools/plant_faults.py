@@ -142,6 +142,14 @@ FAULTS = {
         "core.py", "return math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))",
         "return math.isfinite(sum(values, 0.0))", ("tests/test_ingest.py::TestFiniteness",),
     ),
+    "off-axis frequency passes the line check": (
+        "ingest.py", "if f not in freq_set:", "if False:",
+        ("tests/test_ingest.py::TestProfilePersistence::test_sample_count_axis_and_cell_faults_name_their_line",),
+    ),
+    "infinite energy accepted": (
+        "core.py", "if energy is not None and not 0 < energy < math.inf:", "if energy is not None and not 0 < energy:",
+        ("tests/test_report.py::TestOutOfRangeProducts::test_infinite_energy_raises_with_its_mapping",),
+    ),
 }
 
 
