@@ -31,8 +31,6 @@ from .ingest import (
     PowerTrace,
     TimingTrace,
     aggregate_point,
-    discovered_feasible,
-    format_counts_file,
     format_relation_file,
     load_profile,
     parse_counts_file,
@@ -79,10 +77,8 @@ __all__ = [
     "build_sweep",
     "cap_range",
     "compute_safe_table",
-    "discovered_feasible",
     "fastest_configuration",
     "feasible_combinations",
-    "format_counts_file",
     "format_relation_file",
     "format_safe_table",
     "generate_profile",

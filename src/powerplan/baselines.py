@@ -23,6 +23,7 @@ from types import MappingProxyType
 from .core import (
     DataError,
     DeviceProfile,
+    EntriesError,
     Pick,
     PowerCap,
     RelationVector,
@@ -68,7 +69,7 @@ class SafeFrequencyTable(_Record):
     def frequency_for(self, cap: PowerCap) -> float:
         f = self.entries.get(cap.p_max)
         if f is None:
-            raise DataError(f"safe-frequency table does not define cap {cap}")
+            raise EntriesError(f"safe-frequency table does not define cap {cap}", self.entries)
         return f
 
 
@@ -124,12 +125,16 @@ def _safe_picks(
 
     The batch size is the best-ratio candidate, ties going to the larger one.
     Each cap's safe frequency is looked up first; the relation is checked
-    once, after the first cap's lookup.
+    once, after the first cap's lookup.  An EntriesError carries the mapping at fault.
     """
     first = 0 if policy_tag == "baseline2" else len(profile.batch_sizes) - 1
     ratios: list[float] = []
     for cap in caps:
-        j = profile.frequency_index(safe.frequency_for(cap))
+        f = safe.frequency_for(cap)
+        try:
+            j = profile.frequencies.index(f)
+        except ValueError:
+            raise EntriesError(f"frequency {f} MHz not in profile {profile.model_id!r}", safe.entries) from None
         if not ratios:
             _check_keys(profile, r.entries)
             ratios = list(map(r.entries.get, profile.batch_sizes[first:]))

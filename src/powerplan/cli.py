@@ -21,7 +21,6 @@ from .core import (
     InfeasibleError,
     OrderError,
     PowerCap,
-    _check_keys,
     select_configuration_fast,
 )
 from .ingest import (
@@ -62,14 +61,6 @@ class UsageError(Exception):
     pass
 
 
-def _in_file(path: str, func, *args):
-    """``func(*args)``, with any DataError it raises prefixed by ``path``."""
-    try:
-        return func(*args)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 def _parse_file(path: str, parse, *args):
     """Read ``path`` and parse its text; any DataError is prefixed with the path."""
     # Every parser splits with str.splitlines, which breaks on \r\n and \r
@@ -92,7 +83,10 @@ def _parse_file(path: str, parse, *args):
     except UnicodeDecodeError as exc:
         line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise DataError(f"{path}: not valid UTF-8 at line {line_no}, byte {exc.start}") from None
-    return _in_file(path, parse, text, *args)
+    try:
+        return parse(text, *args)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -148,7 +142,7 @@ def _write_csv(path: str, rows) -> None:
 def _in_owning_file(owners: dict[int, str], func, *args, **kwargs):
     """``func(*args, **kwargs)``, with an EntriesError prefixed by the path its entries were read from.
 
-    ``owners`` maps the ``id`` of each relation or counts mapping to its file.
+    ``owners`` maps the ``id`` of each relation, counts or safe-frequency mapping to its file.
     """
     try:
         return func(*args, **kwargs)
@@ -229,8 +223,7 @@ def cmd_select(args) -> int:
     cap = _option("--p-max", PowerCap.parse, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
-    # Both files are valid on their own, so a fault between them is the relation's.
-    sel = _in_file(args.relation, select_configuration_fast, profile, r, cap)
+    sel = _in_owning_file({id(r.entries): args.relation}, select_configuration_fast, profile, r, cap)
     names = ["policy", "batch_size", "frequency_mhz", "estimated_tt_acc_s", "estimated_energy_j", "feasible_count"]
     energy = "" if sel.estimated_energy is None else repr(sel.estimated_energy)
     values = [sel.policy_tag, str(sel.batch_size), repr(sel.frequency_mhz), repr(sel.estimated_tt_acc), energy,
@@ -246,15 +239,12 @@ def cmd_compare(args) -> int:
     caps = _option("--p-max", _parse_caps, args.p_max)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
-    _in_file(args.relation, _check_keys, profile, r.entries)
     safe = _parse_file(args.safe_freqs, parse_safe_table)
-    for cap in sorted(caps, key=lambda c: c.p_max):  # in the table, at a frequency on the profile's axis
-        _in_file(args.safe_freqs, lambda: profile.frequency_index(safe.frequency_for(cap)))
+    owners = {id(r.entries): args.relation, id(safe.entries): args.safe_freqs}
     true_counts = None
     if args.counts:
         true_counts, _ = _parse_file(args.counts, parse_counts_file)
-        _in_file(args.counts, _check_keys, profile, true_counts, "true counts name")
-    owners = {id(r.entries): args.relation, id(true_counts): args.counts}
+        owners[id(true_counts)] = args.counts
     report = _in_owning_file(owners, build_comparison, profile, r, caps, safe, true_counts=true_counts)
     sys.stdout.write(format_comparison_table(report))
     if args.csv:
@@ -271,7 +261,6 @@ def cmd_sensitivity(args) -> int:
     owners = {}
     for path in args.relation:
         rv = _parse_file(path, parse_relation_file)
-        _in_file(path, _check_keys, profile, rv.entries)
         pid = rv.source_id or Path(path).stem
         if pid in proxies:
             raise DataError(f"{path}: duplicate proxy id {pid!r}, also in {owners[id(proxies[pid].entries)]}")
@@ -280,7 +269,6 @@ def cmd_sensitivity(args) -> int:
     targets = {}
     for path in args.counts:
         counts, tid = _parse_file(path, parse_counts_file)
-        _in_file(path, _check_keys, profile, counts, "true counts name")
         tid = tid or Path(path).stem
         if tid in targets:
             raise DataError(f"{path}: duplicate target id {tid!r}, also in {owners[id(targets[tid])]}")
@@ -302,7 +290,7 @@ def cmd_sweep(args) -> int:
     caps = _option("--p-max-min/--p-max-max/--step", cap_range, args.p_max_min, args.p_max_max, args.step)
     profile = _parse_file(args.profile, load_profile)
     r = _parse_file(args.relation, parse_relation_file)
-    rows = _in_file(args.relation, build_sweep, profile, r, caps)
+    rows = _in_owning_file({id(r.entries): args.relation}, build_sweep, profile, r, caps)
     sys.stdout.write(format_sweep_table(rows))
     if args.csv:
         _write_csv(args.csv, sweep_csv_rows(rows))

@@ -35,10 +35,11 @@ class DataError(ValueError):
 
 
 class EntriesError(DataError):
-    """A relation or counts mapping cannot serve a plan; ``entries`` is that mapping.
+    """A relation, counts or safe-frequency mapping cannot serve a plan; ``entries`` is that mapping.
 
-    It misses a batch size the plan needs, or one of its multipliers takes
-    a profile time out of the float range.
+    It names a batch size the profile lacks or a frequency off its axis,
+    misses a batch size or cap the plan needs, or has a multiplier that
+    takes a profile time out of the float range.
     """
 
     def __init__(self, message: str, entries: Mapping[int, float] | None = None) -> None:
@@ -220,17 +221,26 @@ def _array_view(rows: str) -> property:
     return property(view)
 
 
-def _axes(batch_sizes: Iterable[int], frequencies: Iterable[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """A grid's batch-size axis as ints and its frequency axis as floats, each non-empty, positive
-    and strictly increasing (the frequencies finite), else DataError."""
+def _batch_axis(batch_sizes: Iterable[int]) -> tuple[int, ...]:
+    """A grid's batch-size axis as ints, non-empty, positive and strictly increasing, else DataError."""
     message = "batch sizes must be strictly increasing positive integers"
     bs = tuple(_batch_size(b, message) for b in batch_sizes)
     if not bs or any(a >= b for a, b in zip(bs, bs[1:])):
         raise DataError(message)
+    return bs
+
+
+def _frequency_axis(frequencies: Iterable[float]) -> tuple[float, ...]:
+    """A grid's frequency axis as floats, non-empty, finite, positive and strictly increasing, else DataError."""
     fs = tuple(map(float, frequencies))
     if not fs or any(not 0 < f < math.inf for f in fs) or any(a >= b for a, b in zip(fs, fs[1:])):
         raise DataError("frequencies must be strictly increasing positive values")
-    return bs, fs
+    return fs
+
+
+def _axes(batch_sizes: Iterable[int], frequencies: Iterable[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Both axes of a grid, each checked by its own rule."""
+    return _batch_axis(batch_sizes), _frequency_axis(frequencies)
 
 
 class DeviceProfile(_Record):
@@ -515,10 +525,10 @@ def _entry(entries: Mapping[int, float], b: int, label: str) -> float:
 def _check_keys(
     profile: DeviceProfile, multipliers: Mapping[int, float], subject: str = "relation vector names"
 ) -> None:
-    """Reject relation or counts keys naming a batch size ``profile`` lacks; ``subject`` opens the message."""
+    """An EntriesError carrying ``multipliers`` if they name a batch size ``profile`` lacks; ``subject`` opens it."""
     unknown = set(multipliers) - set(profile.batch_sizes)
     if unknown:
-        raise DataError(f"{subject} batch sizes not in profile: {sorted(unknown)}")
+        raise EntriesError(f"{subject} batch sizes not in profile: {sorted(unknown)}", multipliers)
 
 
 # An argmin cell (i, j), its estimated time, the feasible count and the energy (None without average power).

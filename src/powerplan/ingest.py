@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import repeat
 
 from .core import (
-    DataError, DeviceProfile, PowerCap, RelationVector, _all_finite, _axes, _batch_size, _check_counts, _Record, _set
+    DataError, DeviceProfile, PowerCap, RelationVector, _all_finite, _axes, _batch_axis, _batch_size, _check_counts,
+    _frequency_axis, _Record, _set,
 )
 
 DEFAULT_MINIBATCHES = 5
@@ -341,20 +342,6 @@ def profiling_schedule(
     return tuple(points)
 
 
-def discovered_feasible(
-    schedule: Iterable[tuple[int, float]],
-    power_oracle: Callable[[int, float], float],
-    cap: PowerCap,
-) -> dict[int, float]:
-    """Per batch size, the highest frequency whose probe measured under the cap."""
-    found: dict[int, float] = {}
-    for b, f in schedule:
-        if power_oracle(b, f) < cap.p_max:
-            if b not in found or f > found[b]:
-                found[b] = f
-    return found
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -376,11 +363,12 @@ def place_cells(
 ) -> list[list[Sequence[float]]]:
     """Each of ``columns``, one value per cell, as the rows of the (batch size, frequency) grid.
 
-    Cells that come in grid order, as save_profile writes them, need no
-    lookups; any others are placed through the axes.  Raises GridError for a
-    grid point covered twice or not at all, and KeyError for a cell whose
-    batch size or frequency is not on its axis.  Memory follows the number
-    of cells, never the size of the grid the axes declare.
+    Neither axis may repeat a value.  Cells that come in grid order, as
+    save_profile writes them, need no lookups; any others are placed through
+    the axes.  Raises GridError for a grid point covered twice or not at all,
+    and KeyError for a cell whose batch size or frequency is not on its axis.
+    Memory follows the number of cells, never the size of the grid the axes
+    declare.
     """
     shape = (len(batch_sizes), len(frequencies))
     n_grid = shape[0] * shape[1]
@@ -388,7 +376,6 @@ def place_cells(
     freq_pos = {f: j for j, f in enumerate(frequencies)}
     if not (
         len(cell_b) == n_grid
-        and (len(row_start), len(freq_pos)) == shape  # no axis value repeats
         and list(cell_f) == list(frequencies) * shape[0]
         and list(cell_b) == [b for b in batch_sizes for _ in frequencies]
     ):
@@ -512,13 +499,16 @@ def load_profile(text: str) -> DeviceProfile:
     except ValueError:
         raise ParseError(n, f"invalid sample count {s_text!r}") from None
 
+    # Each axis gets DeviceProfile's rule as soon as its line is read, so that its fault names the line.
     try:
         n, batch_line = next(numbered)
-        batch_sizes = tuple(int(tok) for tok in batch_line.split(","))
+        batch_sizes = _batch_axis([int(tok) for tok in batch_line.split(",")])
         n, freq_line = next(numbered)
-        frequencies = tuple(float(tok) for tok in freq_line.split(","))
+        frequencies = _frequency_axis([float(tok) for tok in freq_line.split(",")])
     except StopIteration:
         raise DataError("profile file missing axis lines") from None
+    except DataError as exc:
+        raise ParseError(n, str(exc)) from None
     except ValueError:
         raise ParseError(n, "invalid axis line") from None
 
@@ -579,8 +569,3 @@ def parse_counts_file(text: str) -> tuple[dict[int, float], str]:
 
 def format_relation_file(r: RelationVector) -> str:
     return _format_key_values(((b, _fmt(v)) for b, v in r.entries.items()), r.source_id)
-
-
-def format_counts_file(counts: Mapping[int, float], source_id: str = "") -> str:
-    pairs = ((b, v if isinstance(v, int) else _fmt(v)) for b, v in sorted(counts.items()))
-    return _format_key_values(pairs, source_id)

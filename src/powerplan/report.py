@@ -19,7 +19,6 @@ from .baselines import (
     SafeFrequencyTable,
     _count_picks,
     _safe_picks,
-    fastest_configuration,
 )
 from .core import (
     DataError,
@@ -28,6 +27,7 @@ from .core import (
     RelationVector,
     _check_energy,
     _check_estimate,
+    _check_keys,
     _energy_at,
     _entry,
     _fmt_cap,
@@ -209,8 +209,10 @@ def build_sensitivity(
 ) -> SensitivityMatrix:
     """Percent time increase of proxy-driven selection over the fastest, per cell.
 
-    Both axes are sorted by id so output is deterministic.  Raises
-    InfeasibleError when the cap admits no configuration at all.
+    Both axes are sorted by id so output is deterministic.  Errors follow
+    one order: each proxy's keys, then each target's counts, keys and
+    fastest pick, then each proxy's pick, which raises InfeasibleError
+    when the cap admits no configuration at all.
     """
     if not proxies:
         raise DataError("no proxy relation vectors supplied")
@@ -218,12 +220,14 @@ def build_sensitivity(
         raise DataError("no target counts supplied")
     proxy_ids = tuple(sorted(proxies))
     target_ids = tuple(sorted(targets))
+    for pid in proxy_ids:
+        _check_keys(profile, proxies[pid].entries)
+    fastest = [next(_count_picks(profile, targets[tid], (cap.p_max,))) for tid in target_ids]
     picks = [select_configuration_fast(profile, proxies[pid], cap) for pid in proxy_ids]
     chosen = [(profile.batch_index(sel.batch_size), profile.frequency_index(sel.frequency_mhz)) for sel in picks]
     values = [[0.0] * len(target_ids) for _ in proxy_ids]
     for t_idx, tid in enumerate(target_ids):
-        counts = targets[tid]
-        fastest_tt = fastest_configuration(profile, counts, cap).estimated_tt_acc
+        counts, fastest_tt = targets[tid], fastest[t_idx][2]
         for p_idx, (i, j) in enumerate(chosen):
             realized = _realized(profile, i, j, counts)
             if realized > fastest_tt:  # else a tie within the fastest pick's TIE_REL_TOL: the entry stays 0

@@ -104,6 +104,27 @@ def brute_force_feasible(profile: pp.DeviceProfile, cap: pp.PowerCap) -> dict[in
     return best
 
 
+def discovered_feasible(schedule, power_oracle, cap: pp.PowerCap) -> dict[int, float]:
+    """Per batch size, the highest frequency whose probe in ``schedule`` measured under the cap.
+
+    Acceptance criterion 7's oracle: over a pruned schedule it must equal
+    ``feasible_combinations`` on the full grid.
+    """
+    found: dict[int, float] = {}
+    for b, f in schedule:
+        if power_oracle(b, f) < cap.p_max:
+            if b not in found or f > found[b]:
+                found[b] = f
+    return found
+
+
+def format_counts_file(counts, source_id: str = "") -> str:
+    """``counts`` as a counts file, as a training run writes one: an integer count as is, a float as its repr."""
+    lines = [f"source_id,{source_id}"] if source_id else []
+    lines += [f"{b},{v if isinstance(v, int) else repr(float(v))}" for b, v in sorted(counts.items())]
+    return "\n".join(lines) + "\n"
+
+
 def brute_force_min_estimate(
     profile: pp.DeviceProfile, multipliers, cap: pp.PowerCap
 ) -> float | None:

@@ -19,6 +19,7 @@ import pytest
 import powerplan as pp
 from powerplan.cli import main
 from synth_corpus import (
+    discovered_feasible,
     distorted_relation,
     random_cap,
     random_counts,
@@ -220,7 +221,7 @@ def test_criterion_7_schedule_completeness():
         }
         oracle = lambda b, f: power[(b, f)]
         schedule = pp.profiling_schedule(batches, freqs, cap, oracle)
-        discovered = pp.discovered_feasible(schedule, oracle, cap)
+        discovered = discovered_feasible(schedule, oracle, cap)
         assert discovered == pp.feasible_combinations(profile, cap)
 
 

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 import powerplan as pp
 from powerplan import cli
 from powerplan.cli import COMMANDS, _read_plain, _replace_file, _write_csv, build_parser, main
+from powerplan.core import EntriesError
 from synth_corpus import (
-    infinite_energy_profile, out_of_range_pick_profile, random_counts, random_profile, random_relation
+    format_counts_file, infinite_energy_profile, out_of_range_pick_profile, random_counts, random_profile,
+    random_relation,
 )
 
 CHUNK = cli._READ_CHUNK  # bytes per raw read of an input
@@ -48,11 +50,18 @@ class TestIngestCommand:
             main(["ingest", "--s", "4096", "--model-id", "x", "--out", "p.csv"])
         assert exc.value.code == 2
 
-    def test_unpaired_logs_is_usage_error(self, data_dir, tmp_path):
+    def test_unpaired_logs_is_usage_error(self, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal width
+        usage = build_parser("ingest").format_usage()
         args = ingest_args(data_dir, tmp_path / "p.csv")
-        with pytest.raises(SystemExit) as exc:
-            main(args[:2] + args[3:])  # drop one timing log
-        assert exc.value.code == 2
+        timing, power = args.index("--timing"), args.index("--power")
+        # One timing log dropped, then two timing logs and one power log.
+        for argv in (args[:2] + args[3:], args[: timing + 3] + args[power : power + 2] + args[power + 5 :]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr() == ("", f"{usage}powerplan ingest: error: need one --power log per --timing log\n")
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize(
         "option, value, message",
@@ -586,6 +595,95 @@ def test_infinite_energy_names_its_file(tmp_path, capsys, command):
     assert capsys.readouterr() == ("", f"error: {named}: estimated energy must be finite\n")
 
 
+RELATION_9 = "source_id,r9\n8,1.0\n9,0.5\n32,1.0\n"  # valid, and b=9 is not in profile_b8_b32.csv
+COUNTS_9 = "8,10\n9,3\n32,15\n"
+LACKS_4_6 = "4.5,307.0\n7.0,614.0\n"
+# Faults between inputs that are each valid: the command, the texts of its files
+# that replace FUZZ_ARGV's (per option, in argv order), its caps, the option and
+# position of the file at fault, and the fault's text.
+CROSS_FILE_FAULTS = {
+    "compare-relation-key": ("compare", {"--relation": [RELATION_9]}, FLIP_CAPS, ("--relation", 0),
+                             "relation vector names batch sizes not in profile: [9]"),
+    "compare-counts-key": ("compare", {"--counts": [COUNTS_9]}, FLIP_CAPS, ("--counts", 0),
+                           "true counts name batch sizes not in profile: [9]"),
+    "compare-counts-incomplete": ("compare", {"--counts": ["32,15\n"]}, FLIP_CAPS, ("--counts", 0),
+                                  "true counts incomplete: no entry for batch size 8"),
+    "compare-counts-overflow": ("compare", {"--counts": ["8,10\n32,1e308\n"]}, FLIP_CAPS, ("--counts", 0),
+                                "estimated time to accuracy must be positive and finite"),
+    "compare-safe-cap": ("compare", {"--safe-freqs": [LACKS_4_6]}, ["7.0", "4.6"], ("--safe-freqs", 0),
+                         "safe-frequency table does not define cap 4.6"),
+    "compare-safe-off-axis": ("compare", {"--safe-freqs": ["4.6,300.0\n7.0,614.0\nunlimited,921.0\n"]},
+                              ["7.0", "4.6", "unlimited"], ("--safe-freqs", 0),
+                              "frequency 300.0 MHz not in profile 'edge-cnn-small'"),
+    # Two faults: at the first cap, baseline 1's safe lookup comes before the relation.
+    "compare-safe-before-relation": ("compare", {"--relation": [RELATION_9], "--safe-freqs": [LACKS_4_6]},
+                                     ["4.6", "7.0"], ("--safe-freqs", 0),
+                                     "safe-frequency table does not define cap 4.6"),
+    "sensitivity-relation-incomplete": ("sensitivity", {"--relation": ["32,1.0\n"]}, ["4.5", "7.0"],
+                                        ("--relation", 0), "relation vector incomplete: no entry for batch size 8"),
+    "sensitivity-counts-overflow": ("sensitivity", {"--counts": ["8,10\n32,1e308\n"]}, ["4.5", "7.0"],
+                                    ("--counts", 0), "estimated time to accuracy must be positive and finite"),
+    # A cap under every peak: the counts are checked before the cap is found infeasible.
+    "sensitivity-counts-key-at-an-infeasible-cap": (
+        "sensitivity", {"--counts": [COUNTS_9]}, ["0.001"], ("--counts", 0),
+        "true counts name batch sizes not in profile: [9]",
+    ),
+    # Two faults: every proxy's keys come before any target's.
+    "sensitivity-relation-before-counts": ("sensitivity", {"--relation": [RELATION_9], "--counts": [COUNTS_9]},
+                                           ["4.5", "7.0"], ("--relation", 0),
+                                           "relation vector names batch sizes not in profile: [9]"),
+    # Two faulty proxies: the first in id order, not in argv order, is named.
+    "sensitivity-relations-in-id-order": (
+        "sensitivity", {"--relation": ["source_id,zz\n8,1.0\n9,0.5\n", "source_id,aa\n8,1.0\n10,0.5\n"]},
+        ["4.5"], ("--relation", 1), "relation vector names batch sizes not in profile: [10]",
+    ),
+}
+
+
+def option_values(argv: list[str], option: str) -> list[str]:
+    start = argv.index(option) + 1
+    return argv[start : next((k for k in range(start, len(argv)) if argv[k].startswith("--")), len(argv))]
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_FILE_FAULTS))
+def test_library_fault_carries_the_mapping_of_the_file_the_cli_names(data_dir, tmp_path, capsys, case):
+    command, texts, caps, (option, position), message = CROSS_FILE_FAULTS[case]
+    argv = [str(data_dir / tok) if (data_dir / tok).is_file() else tok for tok in FUZZ_ARGV[command]]
+    for opt, contents in texts.items():
+        paths = [tmp_path / f"{opt[2:]}{k}.csv" for k in range(len(contents))]
+        for path, text in zip(paths, contents):
+            path.write_text(text, encoding="utf-8")
+        at = argv.index(opt) + 1
+        argv[at : at + 1] = map(str, paths)  # FUZZ_ARGV gives each file option one file
+    at = argv.index("--p-max")
+    argv[at : at + 1 + len(option_values(argv, "--p-max"))] = ["--p-max", *caps]
+    named = option_values(argv, option)[position]
+
+    # The library, on the inputs as the CLI parses them.
+    def read(opt, parse):
+        return [parse(Path(path).read_text(encoding="utf-8")) for path in option_values(argv, opt)]
+
+    profile = read("--profile", pp.load_profile)[0]
+    relations, counts = read("--relation", pp.parse_relation_file), read("--counts", pp.parse_counts_file)
+    mappings = dict(zip(option_values(argv, "--relation"), [rv.entries for rv in relations]))
+    mappings.update(zip(option_values(argv, "--counts"), [c for c, _ in counts]))
+    with pytest.raises(EntriesError) as exc:
+        if command == "compare":
+            safe = read("--safe-freqs", pp.parse_safe_table)[0]
+            mappings[option_values(argv, "--safe-freqs")[0]] = safe.entries
+            pp.build_comparison(profile, relations[0], list(map(pp.PowerCap.parse, caps)), safe, counts[0][0])
+        else:
+            stems = [Path(path).stem for path in option_values(argv, "--relation") + option_values(argv, "--counts")]
+            proxies = {rv.source_id or stem: rv for rv, stem in zip(relations, stems)}
+            targets = {tid or stem: c for (c, tid), stem in zip(counts, stems[len(relations) :])}
+            for cap in sorted(map(pp.PowerCap.parse, caps), key=lambda c: c.p_max):
+                pp.build_sensitivity(profile, proxies, targets, cap)
+    assert str(exc.value) == message
+    assert exc.value.entries is mappings[named]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {named}: {message}\n")
+
+
 def test_padded_source_ids_print_as_unpadded(data_dir, tmp_path):
     relation_text = (data_dir / "relation_b8_b32.csv").read_text(encoding="utf-8")
     counts_text = (data_dir / "counts_b8_b32.csv").read_text(encoding="utf-8")
@@ -917,6 +1015,8 @@ class TestParserBasics:
             ("sensitivity", ["--p-max", "nan"], "--p-max: power cap must be positive, got nan"),
             ("sweep", ["--step", "0"],
              "--p-max-min/--p-max-max/--step: cap range requires 0 < min <= max and step > 0"),
+            ("sweep", ["--p-max-min", "0"],
+             "--p-max-min/--p-max-max/--step: cap range requires 0 < min <= max and step > 0"),
         ],
     )
     def test_bad_cap_option_is_usage_error_before_any_read(self, tmp_path, capsys, command, options, message):
@@ -1136,7 +1236,7 @@ class TestFileArgumentFuzz:
         texts = {"--profile": pp.save_profile(profile),
                  "--relation": pp.format_relation_file(random_relation(rng, profile.batch_sizes))}
         if command == "sensitivity":
-            texts["--counts"] = pp.format_counts_file(random_counts(rng, profile.batch_sizes))
+            texts["--counts"] = format_counts_file(random_counts(rng, profile.batch_sizes))
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             argv = [command, "--p-max", repr(cap)]

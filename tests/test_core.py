@@ -57,6 +57,10 @@ class TestPowerCap:
         prof = tiny_profile([[10.0]], [[5.0]])
         assert len(pp.feasible_combinations(prof, pp.PowerCap(5.0))) == 0
         assert len(pp.feasible_combinations(prof, pp.PowerCap(5.0000001))) == 1
+        # Cap 1.5 W is row 16's first peak, so the row has no feasible cell; 2.0 W is row 8's second.
+        prof = tiny_profile([[4.0, 2.0], [3.0, 1.5]], [[1.0, 2.0], [1.5, 2.5]], (8, 16), (100.0, 200.0))
+        assert pp.feasible_combinations(prof, pp.PowerCap(1.5)) == {8: 100.0}
+        assert pp.feasible_combinations(prof, pp.PowerCap(2.0)) == {8: 100.0, 16: 100.0}
 
 
 class TestRelationVector:
@@ -159,6 +163,29 @@ class TestIntegerFields:
         # 8.5 is positive, so a message that speaks only of the sign names the wrong fault.
         with pytest.raises(pp.DataError, match="integer"):
             INTEGER_FIELDS[field][0](8.5)
+
+
+# Each builder of a grid from its two axes; every one applies the one axis rule.
+GRID_BUILDERS = {
+    "DeviceProfile": lambda bs, fs: tiny_profile([[1.0] * len(fs)] * len(bs), [[1.0] * len(fs)] * len(bs), bs, fs),
+    "profiling_schedule": lambda bs, fs: pp.profiling_schedule(bs, fs, pp.PowerCap(5.0), lambda b, f: 1.0),
+    "generate_profile": lambda bs, fs: pp.generate_profile(
+        bs, fs, pp.SynthDeviceParams(1.0, 0.01, ((300.0, 0.8),), 32, 1.0, 100.0), 1024
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(GRID_BUILDERS))
+@pytest.mark.parametrize(
+    "batch_sizes, frequencies, message",
+    [((8, 8), (307.0,), "batch sizes must be strictly increasing positive integers"),
+     ((8,), (307.0, 307.0), "frequencies must be strictly increasing positive values")],
+    ids=["repeated-batch-size", "repeated-frequency"],
+)
+def test_repeated_axis_value_rejected(builder, batch_sizes, frequencies, message):
+    with pytest.raises(pp.DataError) as exc:
+        GRID_BUILDERS[builder](batch_sizes, frequencies)
+    assert str(exc.value) == message
 
 
 class TestDeviceProfileValidation:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import powerplan as pp
 from powerplan.core import _all_finite
 from synth_corpus import (
+    discovered_feasible,
+    format_counts_file,
     random_device_params,
     random_grid,
     random_profile,
@@ -502,7 +504,7 @@ class TestProfilingSchedule:
             cap = pp.PowerCap(float(rng.uniform(lo * 0.9, hi * 1.1)))
             oracle = self.oracle_from(profile.power_table, batches, freqs)
             sched = pp.profiling_schedule(batches, freqs, cap, oracle)
-            discovered = pp.discovered_feasible(sched, oracle, cap)
+            discovered = discovered_feasible(sched, oracle, cap)
             assert discovered == pp.feasible_combinations(profile, cap)
 
     def test_first_infeasible_row_does_not_block_smaller_batches(self):
@@ -513,7 +515,7 @@ class TestProfilingSchedule:
         cap = pp.PowerCap(5.0)
         sched = pp.profiling_schedule(batches, freqs, cap, oracle)
         assert sched == ((16, 100.0), (8, 100.0), (8, 200.0))
-        assert pp.discovered_feasible(sched, oracle, cap) == {8: 100.0}
+        assert discovered_feasible(sched, oracle, cap) == {8: 100.0}
 
 
 class TestProfilePersistence:
@@ -557,12 +559,12 @@ class TestProfilePersistence:
         text = "m,4\n8\n100.0\n8,100.0,1.0,1.0\n8,100.0,1.0,1.0\n"
         with pytest.raises(pp.ParseError, match="duplicate cell"):
             pp.load_profile(text)
-        # A batch axis that repeats a value, its cells in grid order: the fast
-        # path that skips the duplicate check must not take it.
+        # A batch axis that repeats a value, its cells in grid order: the
+        # axis line is named before any cell is placed.
         text = "m,4\n8,8\n1.0,2.0\n8,1.0,5.0,1.0\n8,2.0,4.0,2.0\n8,1.0,5.0,1.0\n8,2.0,4.0,2.0\n"
         with pytest.raises(pp.ParseError) as exc:
             pp.load_profile(text)
-        assert str(exc.value) == "line 6: duplicate cell (8, 1.0)"
+        assert str(exc.value) == "line 2: batch sizes must be strictly increasing positive integers"
 
     def test_cell_off_axis(self):
         text = "m,4\n8\n100.0\n12,100.0,1.0,1.0\n"
@@ -656,8 +658,18 @@ class TestProfilePersistence:
             ("m,4\n8,x\n100.0\n8,100.0,1.0,1.0\n", "line 2: invalid axis line"),
             ("m,4\n8\n100.0,x\n8,100.0,1.0,1.0\n", "line 3: invalid axis line"),
             ("m,4\n8\n100.0\n8,150.0,1.0,1.0\n", "line 4: cell frequency 150.0 not on axis"),
+            ("m,4\n32,8\n100.0\n8,100.0,1.0,1.0\n32,100.0,1.0,1.0\n",
+             "line 2: batch sizes must be strictly increasing positive integers"),
+            ("m,4\n# axes\n8,0\n100.0\n8,100.0,1.0,1.0\n",
+             "line 3: batch sizes must be strictly increasing positive integers"),
+            ("m,4\n8\nnan\n8,nan,1.0,1.0\n", "line 3: frequencies must be strictly increasing positive values"),
+            ("m,4\n8\n100.0,100.0\n8,100.0,1.0,1.0\n8,100.0,1.0,1.0\n",
+             "line 3: frequencies must be strictly increasing positive values"),
+            ("m,4\n8,-8\n100.0,x\n8,100.0,1.0,1.0\n",
+             "line 2: batch sizes must be strictly increasing positive integers"),
         ],
-        ids=["sample-count", "batch-axis", "frequency-axis", "off-axis-frequency"],
+        ids=["sample-count", "batch-axis", "frequency-axis", "off-axis-frequency", "descending-batches",
+             "zero-batch-after-comment", "nan-frequency", "repeated-frequency", "batch-axis-before-frequency-line"],
     )
     def test_sample_count_axis_and_cell_faults_name_their_line(self, text, message):
         with pytest.raises(pp.ParseError) as exc:
@@ -735,7 +747,7 @@ class TestRelationAndCountsFiles:
         assert again == r
 
     def test_counts_round_trip(self):
-        counts, source = pp.parse_counts_file(pp.format_counts_file({8: 10, 32: 15}, "t1"))
+        counts, source = pp.parse_counts_file(format_counts_file({8: 10, 32: 15}, "t1"))
         assert counts == {8: 10.0, 32: 15.0}
         assert source == "t1"
 
@@ -775,7 +787,7 @@ class TestRelationAndCountsFiles:
     )
     @settings(max_examples=200)
     def test_counts_file_round_trips_any_positive_values(self, counts):
-        text = pp.format_counts_file(counts, "t")
+        text = format_counts_file(counts, "t")
         parsed, _ = pp.parse_counts_file(text)
         assert parsed == {b: float(v) for b, v in counts.items()}
 

@@ -35,6 +35,9 @@ KERNEL_TESTS = tuple(
     for name in ("TestBuildComparison", "TestBuildSensitivity", "TestSweepMatchesBruteForce", "TestPruningIsExact")
 )
 
+# Each fault between two valid inputs: the library's error carries the input the CLI names.
+CROSS_FILE_TEST = "tests/test_cli.py::test_library_fault_carries_the_mapping_of_the_file_the_cli_names"
+
 # name: (file under src/powerplan, text, its faulty replacement, test files or node ids that must catch it)
 FAULTS = {
     "bound without the tie margin": (
@@ -118,10 +121,6 @@ FAULTS = {
         "core.py", "any(r == 1.0 for r in clean.values())", "any(r >= 0.999 for r in clean.values())",
         ("tests/test_ingest.py::TestRelationAndCountsFiles",),
     ),
-    "repeated axis value takes the fast path": (
-        "ingest.py", "and (len(row_start), len(freq_pos)) == shape", "and True",
-        ("tests/test_ingest.py::TestProfilePersistence",),
-    ),
     "column width from the header only": (
         "report.py", "repeat(max(map(len, column)))", "repeat(len(column[0]))",
         ("tests/test_report.py::TestRendering",),
@@ -149,6 +148,44 @@ FAULTS = {
     "infinite energy accepted": (
         "core.py", "if energy is not None and not 0 < energy < math.inf:", "if energy is not None and not 0 < energy:",
         ("tests/test_report.py::TestOutOfRangeProducts::test_infinite_energy_raises_with_its_mapping",),
+    ),
+    "repeated batch size accepted": (
+        "core.py", "if not bs or any(a >= b for a, b in zip(bs, bs[1:])):",
+        "if not bs or any(a > b for a, b in zip(bs, bs[1:])):",
+        ("tests/test_core.py::test_repeated_axis_value_rejected",),
+    ),
+    "repeated frequency accepted": (
+        "core.py", "any(a >= b for a, b in zip(fs, fs[1:]))", "any(a > b for a, b in zip(fs, fs[1:]))",
+        ("tests/test_core.py::test_repeated_axis_value_rejected",),
+    ),
+    "timing logs beyond the power logs dropped": (
+        "cli.py", "if len(args.timing) != len(args.power):", "if len(args.timing) < len(args.power):",
+        ("tests/test_cli.py::TestIngestCommand::test_unpaired_logs_is_usage_error",),
+    ),
+    "a row whose first peak is the cap fits": (
+        "core.py", "n = bisect_left(next(zip(*power)), cap.p_max)", "n = bisect_right(next(zip(*power)), cap.p_max)",
+        ("tests/test_core.py::TestPowerCap::test_strict_comparison_intent",),
+    ),
+    "a frequency whose peak is the cap fits": (
+        "core.py", "{b: fs[bisect_left(row, cap.p_max) - 1]", "{b: fs[bisect_right(row, cap.p_max) - 1]",
+        ("tests/test_core.py::TestPowerCap::test_strict_comparison_intent",),
+    ),
+    "cap ladder from 0 W": (
+        "report.py", "if not (p_max_min > 0 and", "if not (p_max_min >= 0 and",
+        ("tests/test_cli.py::TestParserBasics::test_bad_cap_option_is_usage_error_before_any_read",),
+    ),
+    "key fault without its mapping": (
+        "core.py", '{sorted(unknown)}", multipliers)', '{sorted(unknown)}")', (CROSS_FILE_TEST,),
+    ),
+    "missing safe cap without its table": (
+        "baselines.py", 'does not define cap {cap}", self.entries)', 'does not define cap {cap}")', (CROSS_FILE_TEST,),
+    ),
+    "off-axis safe frequency without its table": (
+        "baselines.py", 'not in profile {profile.model_id!r}", safe.entries)', 'not in profile {profile.model_id!r}")',
+        (CROSS_FILE_TEST,),
+    ),
+    "sensitivity proxies checked after the targets": (
+        "report.py", "        _check_keys(profile, proxies[pid].entries)\n", "        pass\n", (CROSS_FILE_TEST,),
     ),
 }
 
