@@ -44,7 +44,6 @@ from .report import (
     ComparisonReport,
     ComparisonRow,
     SensitivityMatrix,
-    SweepRow,
     build_comparison,
     build_sensitivity,
     build_sweep,
@@ -66,7 +65,6 @@ __all__ = [
     "SafeFrequencyTable",
     "SelectionResult",
     "SensitivityMatrix",
-    "SweepRow",
     "SynthDeviceParams",
     "TimingTrace",
     "aggregate_point",

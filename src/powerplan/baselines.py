@@ -132,9 +132,9 @@ def _safe_picks(
     for cap in caps:
         f = safe.frequency_for(cap)
         try:
-            j = profile.frequencies.index(f)
-        except ValueError:
-            raise EntriesError(f"frequency {f} MHz not in profile {profile.model_id!r}", safe.entries) from None
+            j = profile.frequency_index(f)
+        except DataError as exc:
+            raise EntriesError(str(exc), safe.entries) from None
         if not ratios:
             _check_keys(profile, r.entries)
             ratios = list(map(r.entries.get, profile.batch_sizes[first:]))

@@ -55,6 +55,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 _READ_CHUNK = 1 << 16  # bytes per os.read in _parse_file: a log is one read, then the empty one at its end
+# Largest input _parse_file reads, about 15 times a 256x1024 profile: /dev/zero or an endless pipe fails at it.
+_MAX_INPUT_BYTES = 1 << 28
 
 
 class UsageError(Exception):
@@ -67,16 +69,20 @@ def _parse_file(path: str, parse, *args):
     # as text-mode reading would translate them, so bytes are decoded as is.
     # Raw reads until one returns b"" take no file object: open, the reads and
     # close are the only system calls.  A directory fails at its first read.
+    # Reading stops one byte past the limit, which shows the input is larger.
     try:
         fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
         try:
-            chunks = []
-            while chunk := os.read(fd, _READ_CHUNK):
+            chunks, room = [], _MAX_INPUT_BYTES + 1
+            while chunk := os.read(fd, _READ_CHUNK if room > _READ_CHUNK else room):  # not min(): a call per read
                 chunks.append(chunk)
+                room -= len(chunk)
         finally:
             os.close(fd)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
+    if not room:
+        raise DataError(f"{path}: larger than {_MAX_INPUT_BYTES} bytes")
     data = b"".join(chunks)
     try:
         text = data.decode("utf-8")

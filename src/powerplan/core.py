@@ -62,20 +62,20 @@ class InfeasibleError(RuntimeError):
 _set = object.__setattr__  # stores a field of a _Record from its __init__
 
 
-def _positive_int(value: object, message: str) -> int:
-    """``value`` as an int if it is a positive integer of any type (numpy's, bool), else DataError(message)."""
+def _int_at_least(value: object, message: str, least: int = 1) -> int:
+    """``value`` as an int if it is an integer of any type (numpy's, bool) and at least ``least``, else DataError."""
     try:
         n = operator.index(value)
     except TypeError:
-        n = 0
-    if n <= 0:
+        n = least - 1
+    if n < least:
         raise DataError(message)
     return n
 
 
 def _batch_size(value: object, message: str) -> int:
     """``value`` as an int if it is a positive integer other than a bool, else DataError(message)."""
-    return _positive_int(None if isinstance(value, bool) else value, message)
+    return _int_at_least(None if isinstance(value, bool) else value, message)
 
 
 class _Record:
@@ -296,7 +296,7 @@ class DeviceProfile(_Record):
 
     def __post_init__(self) -> None:
         bs, fs = _axes(self.batch_sizes, self.frequencies)
-        s = _positive_int(self.samples_per_unit, "samples_per_unit must be a positive integer")
+        s = _int_at_least(self.samples_per_unit, "samples_per_unit must be a positive integer")
         _set(self, "batch_sizes", bs)
         _set(self, "frequencies", fs)
         _set(self, "samples_per_unit", s)
@@ -380,7 +380,10 @@ class RelationVector(_Record):
         clean: dict[int, float] = {}
         for b, ratio in entries.items():
             key = _batch_size(b, f"batch sizes must be positive integers, got {b!r}")
-            r = float(ratio)
+            try:
+                r = float(ratio)
+            except OverflowError:  # an integer past the float range, as far out of range as inf
+                r = math.inf
             if not (0.0 < r <= 1.0):
                 raise DataError(f"ratio for batch size {b} out of range (0, 1]: {r!r}")
             clean[key] = r
@@ -454,6 +457,11 @@ def _check_counts(counts: Mapping[int, float]) -> None:
             raise DataError(f"invalid count for batch size {b}: {count!r}")
 
 
+def _count_fault(b: int, counts: Mapping[int, float]) -> EntriesError:
+    """The fault of batch size b's integer count past the float range, in ``_check_counts``'s words."""
+    return EntriesError(f"invalid count for batch size {b}: {counts[b]!r}", counts)
+
+
 def relation_vector(counts: Mapping[int, float], source_id: str = "counts") -> RelationVector:
     """Normalize per-batch-size samples-to-accuracy counts into ratios.
 
@@ -462,7 +470,11 @@ def relation_vector(counts: Mapping[int, float], source_id: str = "counts") -> R
     """
     _check_counts(counts)
     worst = max(counts.values())
-    return RelationVector({b: count / worst for b, count in counts.items()}, source_id=source_id)
+    try:
+        ratios = {b: count / worst for b, count in counts.items()}
+    except OverflowError:  # a float count over an integer one past the float range
+        raise _count_fault(max(counts, key=counts.__getitem__), counts) from None
+    return RelationVector(ratios, source_id=source_id)
 
 
 def feasible_combinations(profile: DeviceProfile, cap: PowerCap) -> dict[int, float]:
@@ -570,7 +582,11 @@ def _select_caps(
     missing = looked_up.index(None) if None in looked_up else len(batches)
     # Rows no cap reaches never have their multiplier used, so it is not converted.
     reach = min(missing, bisect_left(firsts, max(p_maxes, default=0.0)))
-    mults = list(map(float, looked_up[:reach]))
+    try:
+        mults = list(map(float, looked_up[:reach]))
+    except OverflowError:  # an integer count past the float range, as invalid as inf
+        b = next(b for b, m in zip(batches, looked_up) if not m <= sys.float_info.max)
+        raise _count_fault(b, multipliers) from None
     lows = [row[-1] * m for row, m in zip(time, mults)]
     order = sorted(range(reach), key=lows.__getitem__)
     sorted_lows = [lows[i] for i in order]

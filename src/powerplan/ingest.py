@@ -27,7 +27,7 @@ from itertools import repeat
 
 from .core import (
     DataError, DeviceProfile, PowerCap, RelationVector, _all_finite, _axes, _batch_axis, _batch_size, _check_counts,
-    _frequency_axis, _Record, _set,
+    _frequency_axis, _int_at_least, _Record, _set,
 )
 
 DEFAULT_MINIBATCHES = 5
@@ -105,6 +105,9 @@ class PowerTrace(_Record):
         return total / len(self.power_mw) / 1000.0
 
 
+_WARMUP_RULE = "warm-up count must be a non-negative integer"
+
+
 class TimingTrace(_Record):
     """Per-mini-batch durations for one (batch size, frequency) point.
 
@@ -127,8 +130,7 @@ class TimingTrace(_Record):
             raise DataError("frequency must be positive")
         if any(map(operator.ge, repeat(0.0), minibatch_durations)):
             raise DataError("mini-batch durations must be positive")
-        if warmup_discarded < 0:
-            raise DataError("warm-up count must be non-negative")
+        warmup_discarded = _int_at_least(warmup_discarded, _WARMUP_RULE, 0)
         if len(minibatch_durations) <= warmup_discarded:
             raise DataError("all samples discarded")
         try:
@@ -225,12 +227,10 @@ def parse_timing_log(
         if duration <= 0:
             raise ParseError(n, f"non-positive duration {duration!r}")
         durations.append(duration)
-    if warmup_override is not None:
-        warmup = warmup_override
+    if warmup_override is not None:  # checked here, as the slice below takes it
+        warmup = _int_at_least(warmup_override, _WARMUP_RULE, 0)
     if max_minibatches is not None:
-        if max_minibatches < 1:
-            raise DataError("max_minibatches must be at least 1")
-        durations = durations[: warmup + max_minibatches]
+        durations = durations[: warmup + _int_at_least(max_minibatches, "max_minibatches must be a positive integer")]
     return TimingTrace(
         batch_size=b,
         frequency_mhz=f_mhz,

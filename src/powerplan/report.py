@@ -28,6 +28,7 @@ from .core import (
     _check_energy,
     _check_estimate,
     _check_keys,
+    _count_fault,
     _energy_at,
     _entry,
     _fmt_cap,
@@ -46,6 +47,8 @@ MAX_CAP_LADDER = 10_000
 
 
 class ComparisonRow(_Record):
+    """One policy's plan at one cap: a row of ``build_comparison``, or of ``build_sweep`` (policy ``ours``)."""
+
     __slots__ = (
         "p_max_w",
         "policy_tag",
@@ -124,30 +127,14 @@ class SensitivityMatrix(_Record):
         _set(self, "values", rows)
 
 
-class SweepRow(_Record):
-    __slots__ = ("p_max_w", "batch_size", "frequency_mhz", "estimated_tt_acc", "energy_j", "status")
-
-    def __init__(
-        self,
-        p_max_w: float,
-        batch_size: int | None,
-        frequency_mhz: float | None,
-        estimated_tt_acc: float | None,
-        energy_j: float | None,
-        status: str = STATUS_OK,
-    ) -> None:
-        _set(self, "p_max_w", p_max_w)
-        _set(self, "batch_size", batch_size)
-        _set(self, "frequency_mhz", frequency_mhz)
-        _set(self, "estimated_tt_acc", estimated_tt_acc)
-        _set(self, "energy_j", energy_j)
-        _set(self, "status", status)
-
-
 def _realized(profile: DeviceProfile, i: int, j: int, counts: Mapping[int, float]) -> float:
     """Grid cell (i, j)'s time times its true count; an EntriesError carries ``counts``
-    when the count is missing or takes the product out of the normal float range."""
-    tt = float(profile.time_rows[i][j] * _entry(counts, profile.batch_sizes[i], "true counts"))
+    when the count is missing, has no float form or takes the product out of the normal float range."""
+    b = profile.batch_sizes[i]
+    try:
+        tt = float(profile.time_rows[i][j] * _entry(counts, b, "true counts"))
+    except OverflowError:  # an integer count no kernel converted: the safe table is trusted
+        raise _count_fault(b, counts) from None
     _check_estimate(tt, counts)
     return tt
 
@@ -239,21 +226,21 @@ def build_sweep(
     profile: DeviceProfile,
     r: RelationVector,
     caps: Sequence[PowerCap],
-) -> tuple[SweepRow, ...]:
-    """Selector outcome per cap; caps with an empty feasible set are flagged.
+) -> tuple[ComparisonRow, ...]:
+    """The ``ours`` row per cap, without a realized time or speedup; a cap nothing fits is flagged.
 
     One kernel call plans every cap, the same selection that
     ``select_configuration_fast`` makes at each.
     """
     picks = _relation_picks(profile, r, [cap.p_max for cap in caps])
     bs, fs = profile.batch_sizes, profile.frequencies
-    rows: list[SweepRow] = []
+    rows: list[ComparisonRow] = []
     for pick, cap in zip(picks, caps):  # each pick first: a bad relation raises even with no caps
         if pick is None:
-            rows.append(SweepRow(cap.p_max, None, None, None, None, STATUS_INFEASIBLE))
+            rows.append(ComparisonRow(cap.p_max, "ours", None, None, None, None, None, None, STATUS_INFEASIBLE))
         else:
             i, j, tt, _, energy = pick
-            rows.append(SweepRow(cap.p_max, bs[i], fs[j], tt, energy))
+            rows.append(ComparisonRow(cap.p_max, "ours", bs[i], fs[j], tt, None, energy, None))
     return tuple(rows)
 
 
@@ -352,9 +339,9 @@ def format_sensitivity_table(matrix: SensitivityMatrix) -> str:
     return _align([first] + [[tid, *(f"{v:.1f}" for v in column)] for tid, column in targets])
 
 
-def sweep_csv_rows(rows: Sequence[SweepRow]) -> list[list[str]]:
+def sweep_csv_rows(rows: Sequence[ComparisonRow]) -> list[list[str]]:
     return list(map(list, zip(*_columns(rows, _SWEEP_COLUMNS, False))))
 
 
-def format_sweep_table(rows: Sequence[SweepRow]) -> str:
+def format_sweep_table(rows: Sequence[ComparisonRow]) -> str:
     return _align(_columns(rows, _SWEEP_COLUMNS, True))

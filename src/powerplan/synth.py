@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .core import DataError, DeviceProfile, _axes, _positive_int, _Record, _set
+from .core import DataError, DeviceProfile, _axes, _int_at_least, _Record, _set
 
 
 class SynthDeviceParams(_Record):
@@ -60,7 +60,7 @@ class SynthDeviceParams(_Record):
         for name, value in positive.items():
             if not value > 0:
                 raise DataError(f"{name} must be positive")
-        parallel_cap = _positive_int(parallel_cap, "parallel_cap must be a positive integer")
+        parallel_cap = _int_at_least(parallel_cap, "parallel_cap must be a positive integer")
         if not 0.0 <= noise_level < 1.0:
             raise DataError("noise_level must lie in [0, 1)")
         if not 0.0 < avg_duty <= 1.0:

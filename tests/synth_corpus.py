@@ -378,7 +378,7 @@ def reference_parse_timing_log(text, warmup_override=None, max_minibatches=None)
         warmup = warmup_override
     if max_minibatches is not None:
         if max_minibatches < 1:
-            raise pp.DataError("max_minibatches must be at least 1")
+            raise pp.DataError("max_minibatches must be a positive integer")
         durations = durations[: warmup + max_minibatches]
     return pp.TimingTrace(
         batch_size=b,

@@ -214,6 +214,10 @@ class TestFastestConfiguration:
         # infinite counts are rejected before selection
         with pytest.raises(pp.DataError, match="invalid count"):
             pp.fastest_configuration(profile_flip, {8: math.inf, 32: math.inf}, pp.PowerCap(7.0))
+        # and so is an integer count past the float range on a batch size a cap reaches
+        with pytest.raises(pp.DataError) as exc:
+            pp.fastest_configuration(profile_flip, {8: 10**400, 32: 15}, pp.PowerCap(7.0))
+        assert str(exc.value) == f"invalid count for batch size 8: {10**400!r}"
 
     def test_overflowing_estimates_rejected(self, profile_flip):
         # finite counts whose products with every feasible time overflow

@@ -904,9 +904,16 @@ class TestOutputFiles:
 
 
 def _fed_fifo(path: Path, data: bytes) -> threading.Thread:
-    """Make ``path`` a FIFO and start a thread writing ``data`` into it."""
+    """Make ``path`` a FIFO and start a thread writing ``data`` into it, until the reader closes it."""
+
+    def feed():
+        try:
+            path.write_bytes(data)
+        except BrokenPipeError:  # the reader stopped at its size limit
+            pass
+
     os.mkfifo(path)
-    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer = threading.Thread(target=feed, daemon=True)
     writer.start()
     return writer
 
@@ -973,6 +980,50 @@ class TestInputReads:
         i, j = profile.batch_index(32), profile.frequency_index(614.0)
         assert power.peak_w == 5.2
         assert (profile.power_rows[i][j], profile.avg_power_rows[i][j]) == (power.peak_w, power.avg_w)
+
+    def test_a_typical_log_takes_one_read_and_the_empty_one(self, data_dir, monkeypatch):
+        sizes, read = [], os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: sizes.append(len(chunk := read(fd, n))) or chunk)
+        path = data_dir / "timing_b16_f307.csv"
+        assert cli._parse_file(str(path), str) == path.read_text(encoding="utf-8")
+        assert sizes == [path.stat().st_size, 0]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, CHUNK])
+    def test_size_limit_admits_exactly_its_bytes(self, tmp_path, monkeypatch, extra):
+        # A limit past one chunk, so the read that crosses it is not the first.
+        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", CHUNK + 5)
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"0" * (CHUNK + 5 + extra))
+        if extra > 0:
+            with pytest.raises(pp.DataError) as exc:
+                cli._parse_file(str(path), str)
+            assert str(exc.value) == f"{path}: larger than {CHUNK + 5} bytes"
+        else:
+            assert cli._parse_file(str(path), str) == "0" * (CHUNK + 5 + extra)
+
+    @pytest.mark.parametrize("kind", ["file", "fifo", "/dev/zero"])
+    @pytest.mark.parametrize("command", ["select", "ingest"])
+    def test_input_past_the_size_limit_names_the_path(self, data_dir, tmp_path, capsys, monkeypatch, command, kind):
+        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", CHUNK + 5)
+        out = tmp_path / "out.csv"
+        argv, k = self.argv(command, data_dir, out)
+        path = tmp_path / "input.csv"
+        data = b"# padding\n" * (CHUNK // 4)  # two and a half chunks
+        if kind == "/dev/zero":
+            if not os.path.exists(kind):
+                pytest.skip("this system has no /dev/zero")
+            path = Path(kind)
+        elif kind == "fifo":
+            writer = _fed_fifo(path, data)
+        else:
+            path.write_bytes(data)
+        argv[k] = str(path)
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {path}: larger than {CHUNK + 5} bytes\n")
+        assert not out.exists()
+        if kind == "fifo":
+            writer.join(timeout=10)
+            assert not writer.is_alive()
 
     @pytest.mark.parametrize(
         "kind, reason",

@@ -89,6 +89,14 @@ class TestRelationVector:
     def test_ratio_range_enforced(self):
         with pytest.raises(pp.DataError, match="out of range"):
             pp.RelationVector({8: 1.5, 16: 1.0})
+        with pytest.raises(pp.DataError) as exc:
+            pp.RelationVector({8: 10**400, 32: 1.0})
+        assert str(exc.value) == "ratio for batch size 8 out of range (0, 1]: inf"
+        # relation_vector divides a float count by the integer one, naming that count and its mapping.
+        counts = {8: 1.0, 32: 10**400}
+        with pytest.raises(pp.DataError) as exc:
+            pp.relation_vector(counts)
+        assert (str(exc.value), exc.value.entries) == (f"invalid count for batch size 32: {10**400!r}", counts)
         with pytest.raises(pp.DataError, match="exactly equal to 1"):
             pp.RelationVector({8: 0.5, 16: 0.9})
 

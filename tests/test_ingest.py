@@ -65,6 +65,35 @@ class TestParsePowerLog:
         assert trace.peak_w == float(mws.max()) / 1000.0
 
 
+# The timing options that take an integer: INTEGER_FIELDS cannot take them, as
+# a warm-up count may be 0 and a max_minibatches of None means no limit.
+# Each: how a value is built and read back, its error text and its least value.
+TIMING_TEXT = "b=16,f_mhz=307,warmup=1\n0.9\n0.5\n0.4\n"
+TIMING_INTEGERS = {
+    "TimingTrace warm-up": (lambda v: pp.TimingTrace(16, 307.0, (0.9, 0.5, 0.4), v).warmup_discarded,
+                            "warm-up count must be a non-negative integer", 0),
+    "warmup_override": (lambda v: pp.parse_timing_log(TIMING_TEXT, v).warmup_discarded,
+                        "warm-up count must be a non-negative integer", 0),
+    "warmup_override beside max_minibatches": (lambda v: pp.parse_timing_log(TIMING_TEXT, v, 1).warmup_discarded,
+                                               "warm-up count must be a non-negative integer", 0),
+    "max_minibatches": (lambda v: len(pp.parse_timing_log(TIMING_TEXT, 0, v).retained),
+                        "max_minibatches must be a positive integer", 1),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TIMING_INTEGERS))
+def test_timing_integers_of_any_type_and_nothing_else(field):
+    build, message, least = TIMING_INTEGERS[field]
+    for value in (least, 2, np.int64(2), True):
+        stored = build(value)
+        assert type(stored) is int and stored == value
+    # A fraction is positive, so the text must name the integer rule, not only the sign.
+    for value in (1.5, 2.0, np.float64(1.0), "1", least - 1, np.int64(-1)):
+        with pytest.raises(pp.DataError) as exc:
+            build(value)
+        assert str(exc.value) == message
+
+
 class TestParseTimingLog:
     def test_warmup_removed(self):
         trace = pp.parse_timing_log("b=32,f_mhz=307.0,warmup=1\n0.5\n0.2\n0.2")
@@ -125,7 +154,7 @@ class TestParseTimingLog:
         text = "b=32,f_mhz=307.0,warmup=1\n0.5\n0.2\n0.3\n0.4"
         trace = pp.parse_timing_log(text, max_minibatches=2)
         assert trace.retained == (0.2, 0.3)
-        with pytest.raises(pp.DataError, match="^max_minibatches must be at least 1$"):
+        with pytest.raises(pp.DataError, match="^max_minibatches must be a positive integer$"):
             pp.parse_timing_log(text, max_minibatches=0)
 
     def test_generated_durations_round_trip_exactly(self):
@@ -796,7 +825,7 @@ class TestTraceInvariants:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: pp.TimingTrace(16, 307.0, (0.1, 0.2), warmup_discarded=-1), "warm-up count must be non-negative"),
+            (lambda: pp.TimingTrace(16, 307.0, (0.1, 0.2), warmup_discarded=-1), "warm-up count must be a non-negative integer"),
             (lambda: pp.aggregate_point(pp.PowerTrace((0.0,), (1000.0,)), pp.TimingTrace(16, 307.0, (0.1,)), 0),
              "samples_per_unit must be positive"),
         ],

@@ -63,11 +63,6 @@ RECORDS = {
         dict(p_max_w=4.5, proxy_ids=("a", "b"), target_ids=("t",), values=[[0.0], [12.5]]),
         {},
     ),
-    "SweepRow": (
-        pp.SweepRow,
-        dict(p_max_w=7.0, batch_size=32, frequency_mhz=614.0, estimated_tt_acc=1.5, energy_j=3.0, status="ok"),
-        {"status": "ok"},
-    ),
     "SynthDeviceParams": (
         pp.SynthDeviceParams,
         dict(p_static=1.0, power_coeff=0.01, voltage_curve=((300.0, 0.8), (900.0, 1.0)), parallel_cap=32,
@@ -159,13 +154,6 @@ def test_reprs():
     assert repr(build("SelectionResult")) == (
         "SelectionResult(batch_size=8, frequency_mhz=614.0, estimated_tt_acc=12.5, feasible_count=2, "
         "policy_tag='ours', estimated_energy=3.0)"
-    )
-    assert repr(build("SweepRow")) == (
-        "SweepRow(p_max_w=7.0, batch_size=32, frequency_mhz=614.0, estimated_tt_acc=1.5, energy_j=3.0, status='ok')"
-    )
-    assert repr(pp.SweepRow(4.5, None, None, None, None, "infeasible")) == (
-        "SweepRow(p_max_w=4.5, batch_size=None, frequency_mhz=None, estimated_tt_acc=None, energy_j=None, "
-        "status='infeasible')"
     )
     assert repr(build("ComparisonRow")) == (
         "ComparisonRow(p_max_w=4.5, policy_tag='baseline1', batch_size=32, frequency_mhz=307.0, "

@@ -19,7 +19,6 @@ from powerplan.report import (
     STATUS_OK,
     ComparisonReport,
     ComparisonRow,
-    SweepRow,
     comparison_csv_rows,
     format_comparison_table,
     format_sensitivity_table,
@@ -402,9 +401,10 @@ def per_cap_brute_force(profile, multipliers, caps):
             return f"relation vector incomplete: no entry for batch size {absent[0]}"
         sel = brute_force_select(profile, multipliers, cap)
         if sel is None:
-            rows.append(SweepRow(cap.p_max, None, None, None, None, STATUS_INFEASIBLE))
+            rows.append(ComparisonRow(cap.p_max, "ours", None, None, None, None, None, None, STATUS_INFEASIBLE))
         else:
-            rows.append(SweepRow(cap.p_max, sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, sel.estimated_energy))
+            rows.append(ComparisonRow(cap.p_max, "ours", sel.batch_size, sel.frequency_mhz, sel.estimated_tt_acc, None,
+                                      sel.estimated_energy, None))
     return tuple(rows)
 
 
@@ -725,7 +725,8 @@ class TestOutOfRangeProducts:
     @pytest.mark.parametrize(
         "count, message",
         [(1e-320, f"estimated time to accuracy {10.0 * 1e-320!r} is subnormal"),
-         (1e308, "estimated time to accuracy must be positive and finite")],
+         (1e308, "estimated time to accuracy must be positive and finite"),
+         (10**400, f"invalid count for batch size 32: {10**400!r}")],
     )
     def test_realized_time_out_of_range_names_the_counts(self, count, message):
         # Batch size 32 draws 5 W or more, so no selection under 4.5 W uses its
@@ -817,8 +818,8 @@ class TestRendering:
         matrices.append(pp.SensitivityMatrix(math.inf, ("a", "wide proxy id"), ("target",), [[12.25], [0.0]]))
         # The same rows built by hand: numpy-int batch sizes and int frequencies.
         hand_sweep = [
-            SweepRow(row.p_max_w, np.int64(row.batch_size), int(row.frequency_mhz), row.estimated_tt_acc,
-                     row.energy_j) if row.status == STATUS_OK else row
+            ComparisonRow(row.p_max_w, "ours", np.int64(row.batch_size), int(row.frequency_mhz), row.estimated_tt_acc,
+                          None, row.energy_j, None) if row.status == STATUS_OK else row
             for row in sweep
         ]
         hand_report = ComparisonReport(tuple(
@@ -840,7 +841,10 @@ class TestRendering:
     def test_library_built_rows_render_exactly(self):
         # A numpy batch size prints as an int, an int frequency as a float, and a missing
         # cell as "" in the CSV and "-" in the table.
-        sweep = [SweepRow(5.0, np.int64(8), 614, 30, None), SweepRow(3.5, None, None, None, None, STATUS_INFEASIBLE)]
+        sweep = [
+            ComparisonRow(5.0, "ours", np.int64(8), 614, 30, None, None, None),
+            ComparisonRow(3.5, "ours", None, None, None, None, None, None, STATUS_INFEASIBLE),
+        ]
         assert sweep_csv_rows(sweep)[1:] == [
             ["5.0", "8", "614.0", "30.0", "", "ok"],
             ["3.5", "", "", "", "", "infeasible"],

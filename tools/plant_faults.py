@@ -11,7 +11,8 @@ runs the tests named for it, test files or node ids, with ``pytest -x``.
 A fault is caught when those tests fail.  Node ids keep the whole run
 short.  The script first runs every named test on the unpatched copy,
 which must pass.  It exits 1 if the copy fails, if a fault's text no
-longer occurs exactly once, or if any fault survives.
+longer occurs exactly once, or if any fault survives, and prints its total
+wall time last.
 
 The script lives outside ``testpaths``, so the tier-1 run does not pay for
 it; CI runs it as a step of its own.
@@ -134,8 +135,12 @@ FAULTS = {
         ("tests/test_report.py::TestOutOfRangeProducts",),
     ),
     "input read stops after its first chunk": (
-        "cli.py", "while chunk := os.read(fd, _READ_CHUNK):", "if chunk := os.read(fd, _READ_CHUNK):",
+        "cli.py", "while chunk := os.read(fd, _READ_CHUNK if room", "if chunk := os.read(fd, _READ_CHUNK if room",
         ("tests/test_cli.py::TestInputReads",),
+    ),
+    # The faulty read still stops one byte past the limit, so no run reads /dev/zero without end.
+    "input past its limit parsed as truncated": (
+        "cli.py", "    if not room:\n", "    if room < 0:\n", ("tests/test_cli.py::TestInputReads",),
     ),
     "an overflowing sum taken for a non-finite entry": (
         "core.py", "return math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))",
@@ -181,8 +186,40 @@ FAULTS = {
         "baselines.py", 'does not define cap {cap}", self.entries)', 'does not define cap {cap}")', (CROSS_FILE_TEST,),
     ),
     "off-axis safe frequency without its table": (
-        "baselines.py", 'not in profile {profile.model_id!r}", safe.entries)', 'not in profile {profile.model_id!r}")',
-        (CROSS_FILE_TEST,),
+        "baselines.py", "EntriesError(str(exc), safe.entries)", "EntriesError(str(exc))", (CROSS_FILE_TEST,),
+    ),
+    "sweep rows tagged with another policy": (
+        "report.py", 'ComparisonRow(cap.p_max, "ours", bs[i]', 'ComparisonRow(cap.p_max, "fastest", bs[i]',
+        ("tests/test_report.py::TestSweepMatchesBruteForce",),
+    ),
+    "a fractional warm-up count truncated": (
+        "ingest.py", "_int_at_least(warmup_discarded, _WARMUP_RULE, 0)",
+        "_int_at_least(int(warmup_discarded), _WARMUP_RULE, 0)",
+        ("tests/test_ingest.py::test_timing_integers_of_any_type_and_nothing_else",),
+    ),
+    "warm-up override sliced unchecked": (
+        "ingest.py", "warmup = _int_at_least(warmup_override, _WARMUP_RULE, 0)", "warmup = warmup_override",
+        ("tests/test_ingest.py::test_timing_integers_of_any_type_and_nothing_else",),
+    ),
+    "max_minibatches not checked as an integer": (
+        "ingest.py", '_int_at_least(max_minibatches, "max_minibatches must be a positive integer")]',
+        "max_minibatches]", ("tests/test_ingest.py::test_timing_integers_of_any_type_and_nothing_else",),
+    ),
+    "a count past the float range escapes as OverflowError": (
+        "core.py", "except OverflowError:  # an integer count past the float range", "except ZeroDivisionError:  #",
+        ("tests/test_baselines.py::TestFastestConfiguration::test_infinite_estimates_rejected",),
+    ),
+    "relation_vector's division past the float range escapes as OverflowError": (
+        "core.py", "except OverflowError:  # a float count over an integer one", "except ZeroDivisionError:  #",
+        ("tests/test_core.py::TestRelationVector::test_ratio_range_enforced",),
+    ),
+    "a realized count past the float range escapes as OverflowError": (
+        "report.py", "except OverflowError:  # an integer count no kernel converted", "except ZeroDivisionError:  #",
+        ("tests/test_report.py::TestOutOfRangeProducts::test_realized_time_out_of_range_names_the_counts",),
+    ),
+    "a ratio past the float range escapes as OverflowError": (
+        "core.py", "except OverflowError:  # an integer past the float range", "except ZeroDivisionError:  #",
+        ("tests/test_core.py::TestRelationVector::test_ratio_range_enforced",),
     ),
     "sensitivity proxies checked after the targets": (
         "report.py", "        _check_keys(profile, proxies[pid].entries)\n", "        pass\n", (CROSS_FILE_TEST,),
@@ -205,6 +242,14 @@ def fresh_copy(workdir: Path) -> None:
 
 
 def main() -> int:
+    began = time.perf_counter()
+    try:
+        return check()
+    finally:
+        print(f"total wall time {time.perf_counter() - began:.1f} s")
+
+
+def check() -> int:
     named = {f for *_, tests in FAULTS.values() for f in tests}
     files = sorted(f for f in named if f.partition("::")[0] == f or f.partition("::")[0] not in named)
     ok = True
